@@ -4,12 +4,8 @@ Not a paper artifact per se — the paper reports steps, not seconds — but
 the design decisions DESIGN.md calls out (vectorized engine vs faithful
 BST engine; Radius-Stepping vs the ∆-stepping / Dijkstra / Bellman–Ford
 baselines) deserve a timing ablation.  All solvers must agree on
-distances; the vectorized engine should not be slower than the BST
-engine (that is its reason to exist), and the calendar-queue bucket
-scheduler should not be slower than the heap schedule it replaces on
-the hot path (compare ``test_radius_stepping_bucket`` against
-``test_radius_stepping_vectorized`` in the benchmark table — the bucket
-rows should sit at or below the heap rows on every weighted graph).
+distances, and the vectorized engine should not be slower than the BST
+engine (that is its reason to exist).
 """
 
 import numpy as np
@@ -76,15 +72,6 @@ def test_landmark_baseline(benchmark, workload):
 def test_radius_stepping_vectorized(benchmark, workload):
     g, pre, ref = workload
     res = benchmark(radius_stepping, pre.graph, 0, pre.radii)
-    assert np.allclose(res.dist, ref)
-    assert res.max_substeps <= 2 + 2  # Thm 3.2 at k=2
-
-
-def test_radius_stepping_bucket(benchmark, workload):
-    """The calendar-queue schedule: same d_i sequence as the heap engine
-    (identical steps/substeps, pinned below), O(1) batched pushes."""
-    g, pre, ref = workload
-    res = benchmark(solve_with_engine, "bucket", pre.graph, 0, pre.radii)
     assert np.allclose(res.dist, ref)
     assert res.max_substeps <= 2 + 2  # Thm 3.2 at k=2
 

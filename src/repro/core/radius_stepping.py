@@ -18,17 +18,15 @@ Engineering
 This function is a thin adapter over the unified relaxation engine in
 :mod:`repro.engine`: the generic Algorithm-1 loop
 (:func:`repro.engine.driver.run_engine`) runs under a
-:class:`repro.engine.schedules.RadiusSchedule`, which realizes
-Algorithm 2's two ordered sets as lazy binary heaps — ``R`` keyed by
-``δ(v) + r(v)`` yields ``d_i`` (its *extract-min*) and ``Q`` keyed by
-``δ(v)`` yields the active set (its *split* at ``d_i``), both at
-O(log n) amortized per operation.  Swap the schedule to change the
-substrate or the algorithm: ``RadiusBucketSchedule`` serves the same
-``d_i`` sequence from O(1)-push calendar-queue buckets (the ``bucket``
-registry engine), and the ∆-stepping / Dijkstra / Bellman–Ford
-baselines are one-class schedule plugins over the same loop.  The
-faithful treap-based engine with parallel split/union/difference and
-PRAM cost accounting lives in :mod:`repro.core.radius_stepping_bst`.
+:class:`repro.engine.schedules.RadiusBucketSchedule`, which realizes
+Algorithm 2's two ordered sets — ``R`` keyed by ``δ(v) + r(v)`` yields
+``d_i`` (its *extract-min*) and ``Q`` keyed by ``δ(v)`` yields the
+active set (its *split* at ``d_i``) — with O(1) batched pushes into
+lazy calendar-queue buckets.  Swap the schedule to change the
+algorithm: the ∆-stepping / Dijkstra / Bellman–Ford baselines are
+one-class schedule plugins over the same loop.  The faithful
+treap-based engine with parallel split/union/difference and PRAM cost
+accounting lives in :mod:`repro.core.radius_stepping_bst`.
 
 Each substep is one data-parallel relaxation owned by
 :class:`repro.engine.kernel.RelaxationKernel`: a CSR multi-gather of
@@ -46,7 +44,7 @@ import math
 import numpy as np
 
 from ..engine.driver import run_engine
-from ..engine.schedules import RadiusSchedule
+from ..engine.schedules import RadiusBucketSchedule
 from ..graphs.csr import CSRGraph
 from .result import SsspResult
 
@@ -113,7 +111,7 @@ def radius_stepping(
     return run_engine(
         graph,
         source,
-        RadiusSchedule(as_radii(graph, radii)),
+        RadiusBucketSchedule(as_radii(graph, radii)),
         track_parents=track_parents,
         track_trace=track_trace,
         ledger=ledger,

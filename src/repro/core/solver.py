@@ -8,14 +8,14 @@ sources."  :class:`PreprocessedSSSP` packages that workflow — it owns the
 and answers any number of single-source queries against them.
 
 Queries dispatch by *engine name* through
-:mod:`repro.engine.registry`, so every registered engine — the
-seed-compatible heap engine, the calendar-queue bucket engine, the
-faithful BST reference, the §3.4 unweighted engine, the baseline
-schedules, and any plugin registered at runtime — is servable through
-one facade.  Batched multi-source queries (:meth:`solve_many`) fan out
-over a fork-based process pool with the augmented CSR graph shared
-copy-on-write (:func:`repro.parallel.parallel_map_shared`), returning
-results in deterministic input order for any worker count.
+:mod:`repro.engine.registry`, so every registered engine —
+Radius-Stepping on calendar-queue buckets, the faithful BST reference,
+the §3.4 unweighted engine, the baseline schedules, and any plugin
+registered at runtime — is servable through one facade.  Batched
+multi-source queries (:meth:`solve_many`) fan out over a fork-based
+process pool with the augmented CSR graph shared copy-on-write
+(:func:`repro.parallel.parallel_map_shared`), returning results in
+deterministic input order for any worker count.
 
 When preprocessing ran under a locality reordering
 (``build_kr_graph(reorder=...)``, :mod:`repro.graphs.reorder`), the
@@ -269,9 +269,10 @@ class PreprocessedSSSP:
 
         Preference order for ``"auto"``: the preprocessing record's
         calibrated ``preferred_engine`` when it is set and still
-        registered (the per-graph measured winner a version-2 artifact
-        carries), then the §3.4 unweighted engine when the augmented
-        graph has unit weights, then ``"vectorized"``.
+        registered (the per-graph measured winner an artifact carries),
+        then the §3.4 unweighted engine when the augmented graph has
+        unit weights, then ``"vectorized"`` — Radius-Stepping on the
+        calendar-queue buckets, the one radius substrate.
 
         Public because the serving layer keys caches and artifacts by
         the *resolved* name — two requests for ``"auto"`` and
@@ -298,13 +299,14 @@ class PreprocessedSSSP:
     ) -> SsspResult:
         """Exact shortest paths from ``source`` on the preprocessed graph.
 
-        ``engine="auto"`` uses the §3.4 BFS-style engine when the
-        *augmented* graph still has unit weights, else the vectorized
-        general engine.  Any name from
+        ``engine="auto"`` resolves as :meth:`resolve_engine` says: a
+        calibrated winner, the §3.4 BFS-style engine when the
+        *augmented* graph still has unit weights, else the general
+        ``"vectorized"`` engine.  Any name from
         :func:`repro.engine.available_engines` is accepted — e.g.
-        ``"bucket"`` for the calendar-queue scheduler or ``"bst"`` for
-        the faithful Algorithm-2 reference (slow; for validation and
-        PRAM accounting).
+        ``"rho"`` for ρ-stepping or ``"bst"`` for the faithful
+        Algorithm-2 reference (slow; for validation and PRAM
+        accounting).
 
         Distances returned are distances in the *input* graph: shortcuts
         carry exact shortest-path weights, so augmentation never changes

@@ -2,11 +2,11 @@
 
 One kernel (:mod:`repro.engine.kernel`), one driver loop
 (:mod:`repro.engine.driver`), pluggable step schedules
-(:mod:`repro.engine.schedules`) on heap or calendar-queue substrates
-(:mod:`repro.engine.buckets`), and a name-based registry
-(:mod:`repro.engine.registry`) that :class:`repro.core.solver.\
-PreprocessedSSSP` dispatches through.  The solvers in
-:mod:`repro.core` are thin adapters over these pieces.
+(:mod:`repro.engine.schedules`) — Radius-Stepping on one substrate,
+the calendar-queue buckets of :mod:`repro.engine.buckets` — and a
+table-driven, name-based registry (:mod:`repro.engine.registry`) that
+:class:`repro.core.solver.PreprocessedSSSP` dispatches through.  The
+solvers in :mod:`repro.core` are thin adapters over these pieces.
 """
 
 from .buckets import LazyBucketQueue
@@ -17,7 +17,6 @@ from .schedules import (
     DeltaStarSchedule,
     DijkstraSchedule,
     RadiusBucketSchedule,
-    RadiusSchedule,
     RhoSchedule,
     StepSchedule,
     default_bucket_width,
@@ -41,7 +40,6 @@ __all__ = [
     "EngineSpec",
     "LazyBucketQueue",
     "RadiusBucketSchedule",
-    "RadiusSchedule",
     "RelaxationKernel",
     "RhoSchedule",
     "StepSchedule",

@@ -29,16 +29,17 @@ __all__ = ["DEFAULT_CANDIDATES", "pick_engine", "race_engines", "sample_sources"
 
 #: Engines raced by default: the unified-loop schedules that are ever
 #: competitive on general weighted graphs, always including
-#: ``vectorized`` (the previous fixed default) so the winner can never
-#: be a regression against it.  ``bellman-ford`` is included because a
-#: race is exactly the safe place for it — on small or low-diameter
-#: graphs its fat vectorized substeps win outright, and where its step
-#: count blows up the per-engine budget caps the damage and it simply
-#: loses.  ``bst`` (PRAM reference, orders of magnitude slower) and
-#: ``unweighted`` (unit-weight only) are opt-in.
+#: ``vectorized`` (``auto``'s fallback) so the winner can never be a
+#: regression against it.  ``bucket`` runs the same schedule as
+#: ``vectorized``, so racing both would only let noise pick a name.
+#: ``bellman-ford`` is included because a race is exactly the safe
+#: place for it — on small or low-diameter graphs its fat vectorized
+#: substeps win outright, and where its step count blows up the
+#: per-engine budget caps the damage and it simply loses.  ``bst``
+#: (PRAM reference, orders of magnitude slower) and ``unweighted``
+#: (unit-weight only) are opt-in.
 DEFAULT_CANDIDATES = (
     "vectorized",
-    "bucket",
     "dijkstra",
     "delta",
     "delta-star",

@@ -1,10 +1,9 @@
-"""Lazy calendar-queue buckets — the heap replacement on the hot path.
+"""Lazy calendar-queue buckets — the radius substrate on the hot path.
 
-The seed's general Radius-Stepping engine kept its two ordered sets
-(Algorithm 2's Q and R) as binary heaps with decrease-key-by-re-push:
-every improved vertex cost two ``heapq.heappush`` calls, one vertex at
-a time, which profiling shows is the dominant Python-level cost of the
-vectorized engine.  This module replaces the heaps with the lazy
+Algorithm 2's ordered sets as binary heaps with decrease-key-by-re-push
+cost two ``heapq.heappush`` calls per improved vertex, one vertex at a
+time, which profiling showed is the dominant Python-level cost of a
+Radius-Stepping solve.  This module keeps them instead with the lazy
 batched discipline of Dong, Gu & Sun's ADDS framework
 (arXiv:2105.06145) on a calendar queue (Brown 1988 — the structure
 ∆-stepping's buckets are a special case of):

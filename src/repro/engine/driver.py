@@ -10,11 +10,11 @@ One loop serves every schedule in :mod:`repro.engine.schedules`:
    improvements back to the schedule as decrease-keys.
 5. **Line 10** — settle everything the step touched within ``d_i``.
 
-Run with :class:`~repro.engine.schedules.RadiusSchedule` this is
-observationally identical to the seed's hand-fused implementation —
-same steps, substeps, traces, relaxation counts and ledger charges —
+Run with :class:`~repro.engine.schedules.RadiusBucketSchedule` this
+takes the same steps and substeps, step by step, as the faithful
+Algorithm-2 treap engine (:mod:`repro.core.radius_stepping_bst`),
 which the engine-parity tests pin.  The frontier bookkeeping between
-substeps uses the kernel's O(1) membership mask instead of the seed's
+substeps uses the kernel's O(1) membership mask instead of
 O(|within|·|changed|) ``np.isin`` scans.
 """
 

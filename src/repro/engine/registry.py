@@ -25,8 +25,9 @@ and simply skips the live hook for them.
 
 Built-in engines
 ----------------
-``vectorized``    seed-compatible Radius-Stepping (heap schedule).
-``bucket``        Radius-Stepping on calendar-queue buckets.
+``vectorized``    Radius-Stepping on calendar-queue buckets (``auto``'s
+                  default).
+``bucket``        the same schedule under its substrate's name.
 ``bst``           the faithful Algorithm-2 treap reference.
 ``unweighted``    the §3.4 BFS-style specialization (unit weights only).
 ``dijkstra``      equal-distance batched Dijkstra (``r ≡ 0``).
@@ -43,6 +44,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.result import SsspResult
+from .driver import run_engine
+from .schedules import (
+    BellmanFordSchedule,
+    DeltaSchedule,
+    DeltaStarSchedule,
+    DijkstraSchedule,
+    RadiusBucketSchedule,
+    RhoSchedule,
+)
 
 __all__ = [
     "EngineSpec",
@@ -177,38 +187,82 @@ def solve_with_engine(
 
 
 # --------------------------------------------------------------------- #
-# Built-in engines.  Imports happen inside the adapters: the core solver
-# modules import the engine package, so importing them here at module
-# load would be circular.
+# Built-in engines.  Every unified-loop engine is one table row: a
+# schedule factory ``(graph, radii) -> StepSchedule``, its
+# ``SsspResult.algorithm`` label and a description, served by one
+# adapter.  The core solver modules import the engine package, so the
+# two engines that live there (and ``as_radii``) are imported lazily.
 # --------------------------------------------------------------------- #
-def _vectorized(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
-    from ..core.radius_stepping import radius_stepping
-
-    return radius_stepping(
-        graph,
-        source,
-        radii,
-        track_parents=track_parents,
-        track_trace=track_trace,
-        ledger=ledger,
-    )
-
-
-def _bucket(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
+def _radius_schedule(graph, radii):
     from ..core.radius_stepping import as_radii
-    from .driver import run_engine
-    from .schedules import RadiusBucketSchedule
 
-    return run_engine(
-        graph,
-        source,
-        RadiusBucketSchedule(as_radii(graph, radii)),
-        track_parents=track_parents,
-        track_trace=track_trace,
-        ledger=ledger,
-        obs=obs,
-        algorithm_name="radius-stepping-bucket",
-    )
+    return RadiusBucketSchedule(as_radii(graph, radii))
+
+
+_SCHEDULE_ENGINES = (
+    (
+        "vectorized",
+        _radius_schedule,
+        "radius-stepping",
+        "Radius-Stepping on lazy calendar-queue buckets (auto's default)",
+    ),
+    (
+        "bucket",
+        _radius_schedule,
+        "radius-stepping-bucket",
+        "Radius-Stepping on lazy calendar-queue buckets",
+    ),
+    (
+        "dijkstra",
+        lambda graph, radii: DijkstraSchedule(),
+        "dijkstra-steps",
+        "equal-distance batched Dijkstra (r = 0)",
+    ),
+    (
+        "delta",
+        lambda graph, radii: DeltaSchedule(),
+        "delta-stepping-engine",
+        "Delta-stepping boundaries in the unified engine",
+    ),
+    (
+        "delta-star",
+        lambda graph, radii: DeltaStarSchedule(),
+        "delta-star-stepping",
+        "Delta*-stepping: floating min+Delta window, light/heavy arc split",
+    ),
+    (
+        "rho",
+        lambda graph, radii: RhoSchedule(),
+        "rho-stepping",
+        "rho-stepping: settle the rho nearest frontier vertices per step",
+    ),
+    (
+        "bellman-ford",
+        lambda graph, radii: BellmanFordSchedule(),
+        "bellman-ford-engine",
+        "single-step Bellman-Ford (r = inf)",
+    ),
+)
+
+
+def _schedule_engine(factory, label: str) -> EngineFn:
+    """The one adapter: the registry calling convention → :func:`run_engine`."""
+
+    def solve(
+        graph, source, radii, *, track_parents, track_trace, ledger, obs=None
+    ):
+        return run_engine(
+            graph,
+            source,
+            factory(graph, radii),
+            track_parents=track_parents,
+            track_trace=track_trace,
+            ledger=ledger,
+            obs=obs,
+            algorithm_name=label,
+        )
+
+    return solve
 
 
 def _bst(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
@@ -227,96 +281,10 @@ def _unweighted(graph, source, radii, *, track_parents, track_trace, ledger, obs
     )
 
 
-def _dijkstra(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
-    from .driver import run_engine
-    from .schedules import DijkstraSchedule
-
-    return run_engine(
-        graph,
-        source,
-        DijkstraSchedule(),
-        track_parents=track_parents,
-        track_trace=track_trace,
-        ledger=ledger,
-        obs=obs,
-        algorithm_name="dijkstra-steps",
+for _name, _factory, _label, _description in _SCHEDULE_ENGINES:
+    register_engine(
+        _name, _schedule_engine(_factory, _label), description=_description
     )
-
-
-def _delta(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
-    from .driver import run_engine
-    from .schedules import DeltaSchedule
-
-    return run_engine(
-        graph,
-        source,
-        DeltaSchedule(),
-        track_parents=track_parents,
-        track_trace=track_trace,
-        ledger=ledger,
-        obs=obs,
-        algorithm_name="delta-stepping-engine",
-    )
-
-
-def _delta_star(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
-    from .driver import run_engine
-    from .schedules import DeltaStarSchedule
-
-    return run_engine(
-        graph,
-        source,
-        DeltaStarSchedule(),
-        track_parents=track_parents,
-        track_trace=track_trace,
-        ledger=ledger,
-        obs=obs,
-        algorithm_name="delta-star-stepping",
-    )
-
-
-def _rho(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
-    from .driver import run_engine
-    from .schedules import RhoSchedule
-
-    return run_engine(
-        graph,
-        source,
-        RhoSchedule(),
-        track_parents=track_parents,
-        track_trace=track_trace,
-        ledger=ledger,
-        obs=obs,
-        algorithm_name="rho-stepping",
-    )
-
-
-def _bellman_ford(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
-    from .driver import run_engine
-    from .schedules import BellmanFordSchedule
-
-    return run_engine(
-        graph,
-        source,
-        BellmanFordSchedule(),
-        track_parents=track_parents,
-        track_trace=track_trace,
-        ledger=ledger,
-        obs=obs,
-        algorithm_name="bellman-ford-engine",
-    )
-
-
-register_engine(
-    "vectorized",
-    _vectorized,
-    description="seed-compatible Radius-Stepping (lazy heap schedule)",
-)
-register_engine(
-    "bucket",
-    _bucket,
-    description="Radius-Stepping on lazy calendar-queue buckets",
-)
 register_engine(
     "bst",
     _bst,
@@ -328,29 +296,4 @@ register_engine(
     _unweighted,
     supports_parents=False,
     description="§3.4 BFS-style engine (unit-weight graphs only)",
-)
-register_engine(
-    "dijkstra",
-    _dijkstra,
-    description="equal-distance batched Dijkstra (r = 0)",
-)
-register_engine(
-    "delta",
-    _delta,
-    description="Delta-stepping boundaries in the unified engine",
-)
-register_engine(
-    "delta-star",
-    _delta_star,
-    description="Delta*-stepping: floating min+Delta window, light/heavy arc split",
-)
-register_engine(
-    "rho",
-    _rho,
-    description="rho-stepping: settle the rho nearest frontier vertices per step",
-)
-register_engine(
-    "bellman-ford",
-    _bellman_ford,
-    description="single-step Bellman-Ford (r = inf)",
 )

@@ -19,11 +19,11 @@ and :func:`repro.engine.driver.run_engine` supplies the loop.  Concrete
 schedules:
 
 ========================  ====================================================
-:class:`RadiusSchedule`    the seed's two lazy binary heaps (Q by ``δ``, R by
-                           ``δ + r``) — bit-compatible with the seed engine.
-:class:`RadiusBucketSchedule`  the same ``d_i`` sequence from lazy
-                           calendar-queue buckets (no per-vertex heap pushes).
-:class:`DijkstraSchedule`  ``r ≡ 0``: equal-distance batched Dijkstra.
+:class:`RadiusBucketSchedule`  Radius-Stepping: Algorithm 2's R (by ``δ + r``)
+                           on lazy calendar-queue buckets, Q as a flat
+                           frontier split at ``d_i``.
+:class:`DijkstraSchedule`  ``r ≡ 0``: equal-distance batched Dijkstra on
+                           one lazy binary heap (R and Q coincide).
 :class:`DeltaSchedule`     fixed bucket boundaries ``d_i = (j+1)·∆``.
 :class:`DeltaStarSchedule` ∆*-stepping: floating window ``d_i = min + ∆``
                            with a light/heavy arc split.
@@ -49,7 +49,6 @@ from .kernel import RelaxationKernel
 
 __all__ = [
     "StepSchedule",
-    "RadiusSchedule",
     "RadiusBucketSchedule",
     "DijkstraSchedule",
     "DeltaSchedule",
@@ -79,10 +78,6 @@ class StepSchedule(Protocol):
 
     def split_active(self, bound: float) -> np.ndarray:
         """Line 5: unsettled vertices with ``δ(v) ≤ bound``."""
-
-
-def _as_radius_array(radii: np.ndarray | None, n: int) -> np.ndarray:
-    return np.zeros(n) if radii is None else radii
 
 
 def default_rho(graph) -> int:
@@ -121,75 +116,19 @@ def default_bucket_width(graph) -> float:
     return width if width > 0 and math.isfinite(width) else 1.0
 
 
-class RadiusSchedule:
-    """Algorithm 2's two ordered sets as lazy binary heaps.
-
-    ``R`` keyed by ``δ(v) + r(v)`` yields ``d_i`` (extract-min), ``Q``
-    keyed by ``δ(v)`` yields the active set (split at ``d_i``).  Both
-    use decrease-key-by-re-push with lazy deletion: an entry is stale
-    when its vertex settled or its stored key no longer matches the
-    current key.  This is exactly the seed engine's data structure, so
-    the driver + this schedule reproduce the seed's steps, substeps,
-    traces and ledger charges verbatim.
-    """
-
-    name = "radius"
-
-    def __init__(self, radii: np.ndarray | None) -> None:
-        self._radii = radii
-
-    def bind(self, kernel: RelaxationKernel) -> None:
-        self._kernel = kernel
-        self.r = _as_radius_array(self._radii, kernel.graph.n)
-        self._qheap: list[tuple[float, int]] = []  # keyed by δ(v)
-        self._rheap: list[tuple[float, int]] = []  # keyed by δ(v) + r(v)
-
-    def push(self, improved: np.ndarray) -> None:
-        if len(improved) == 0:
-            return
-        dv = self._kernel.dist[improved]
-        rv = dv + self.r[improved]
-        qheap, rheap = self._qheap, self._rheap
-        for v, dk, rk in zip(improved.tolist(), dv.tolist(), rv.tolist()):
-            heapq.heappush(qheap, (dk, v))
-            heapq.heappush(rheap, (rk, v))
-
-    def next_bound(self) -> float | None:
-        rheap = self._rheap
-        dist, r, settled = self._kernel.dist, self.r, self._kernel.settled
-        while rheap:
-            key, v = rheap[0]
-            if settled[v] or key != dist[v] + r[v]:
-                heapq.heappop(rheap)  # stale (settled or superseded)
-                continue
-            return key
-        return None
-
-    def split_active(self, bound: float) -> np.ndarray:
-        qheap = self._qheap
-        dist, settled = self._kernel.dist, self._kernel.settled
-        active: list[int] = []
-        while qheap and qheap[0][0] <= bound:
-            key, v = heapq.heappop(qheap)
-            if settled[v] or key != dist[v]:
-                continue  # stale
-            active.append(v)
-        return np.array(active, dtype=np.int64)
-
-
 class RadiusBucketSchedule:
     """Radius-Stepping on lazy calendar-queue buckets.
 
-    Produces the *same* ``d_i`` sequence and active sets as
-    :class:`RadiusSchedule` (extract-min returns exact fresh keys, not
-    bucket boundaries) but replaces every O(log n) heap push on the hot
-    path with an O(1) batched append; ordering work happens only in the
-    vectorized per-bucket scans.  Instrumentation parity with the heap
-    schedule is pinned by the engine tests.
-
-    Only ``R`` (keyed ``δ(v) + r(v)``, the Line-4 extract-min) needs an
-    ordered structure and lives in a :class:`LazyBucketQueue`.  ``Q``'s
-    sole operation is a *split* at ``d_i`` — a filter, not an ordering —
+    Algorithm 2 keeps two ordered sets: ``R`` keyed by ``δ(v) + r(v)``,
+    whose minimum is Line 4's ``d_i``, and ``Q`` keyed by ``δ(v)``,
+    split at ``d_i`` for Line 5's active set.  Only ``R`` needs an
+    ordered structure; it lives in a :class:`LazyBucketQueue`, whose
+    extract-min returns exact fresh keys (not bucket boundaries), so the
+    ``d_i`` sequence is the treap reference's
+    (:func:`repro.core.radius_stepping_bst.radius_stepping_bst`, pinned
+    by the engine tests).  Every push is an O(1) batched append;
+    ordering work happens only in the vectorized per-bucket scans.
+    ``Q``'s sole operation is a *split* — a filter, not an ordering —
     so it is kept as a lazy flat frontier: segments of first-reached
     vertices, concatenated and partitioned by ``δ(v) ≤ d_i`` once per
     step.
@@ -218,7 +157,7 @@ class RadiusBucketSchedule:
     def bind(self, kernel: RelaxationKernel) -> None:
         self._kernel = kernel
         n = kernel.graph.n
-        self.r = _as_radius_array(self._radii, n)
+        self.r = np.zeros(n) if self._radii is None else self._radii
         width = self._width or default_bucket_width(kernel.graph)
         auto = self._auto if self._auto is not None else self._width is None
         has_inf = bool(np.isinf(self.r).any())
@@ -253,20 +192,56 @@ class RadiusBucketSchedule:
         below = self._kernel.dist[frontier] <= bound
         active = frontier[below]
         self._segments = [frontier[~below]]
-        # match the heaps' (key, vertex) pop order for identical downstream
-        # arc ordering (parent tie-breaks)
+        # Q's (δ(v), v) key order, so downstream arc order (and with it
+        # parent tie-breaks) does not depend on discovery order
         order = np.lexsort((active, self._kernel.dist[active]))
         return active[order]
 
 
-class DijkstraSchedule(RadiusSchedule):
+class DijkstraSchedule:
     """``r ≡ 0``: Dijkstra with equal-distance extractions batched into
-    one step (the ρ=1 baseline of Tables 6/7)."""
+    one step (the ρ=1 baseline of Tables 6/7).
+
+    With zero radii Algorithm 2's ``R`` and ``Q`` hold the same keys, so
+    one lazy binary heap keyed by ``δ(v)`` serves both: its minimum is
+    ``d_i`` and the split pops every fresh entry at ``d_i``.  Decrease-key
+    is a re-push; an entry is stale once its vertex settled or its key
+    no longer equals ``δ(v)``.  Every step here settles a single
+    distance, where a few ``heappop`` calls cost less than a bucket scan.
+    """
 
     name = "dijkstra"
 
-    def __init__(self) -> None:
-        super().__init__(None)
+    def bind(self, kernel: RelaxationKernel) -> None:
+        self._kernel = kernel
+        self._heap: list[tuple[float, int]] = []
+
+    def push(self, improved: np.ndarray) -> None:
+        heap = self._heap
+        keys = self._kernel.dist[improved].tolist()
+        for key, v in zip(keys, improved.tolist()):
+            heapq.heappush(heap, (key, v))
+
+    def next_bound(self) -> float | None:
+        heap = self._heap
+        dist, settled = self._kernel.dist, self._kernel.settled
+        while heap:
+            key, v = heap[0]
+            if settled[v] or key != dist[v]:
+                heapq.heappop(heap)  # stale (settled or superseded)
+                continue
+            return key
+        return None
+
+    def split_active(self, bound: float) -> np.ndarray:
+        heap = self._heap
+        dist, settled = self._kernel.dist, self._kernel.settled
+        active: list[int] = []
+        while heap and heap[0][0] <= bound:
+            key, v = heapq.heappop(heap)
+            if not settled[v] and key == dist[v]:  # fresh
+                active.append(v)
+        return np.array(active, dtype=np.int64)
 
 
 class DeltaSchedule:

@@ -95,7 +95,7 @@ class PreprocessResult:
         augmented graph (``build_kr_graph(..., calibrate_engine=True)``
         or :func:`repro.engine.autoselect.pick_engine`); ``""`` means
         "never calibrated" and lets ``engine="auto"`` fall back to the
-        static default.  Persisted by version-2 serving artifacts.
+        static default.  Persisted by serving artifacts.
     reorder: name of the locality ordering preprocessing ran under
         (:mod:`repro.graphs.reorder`); ``"natural"`` = input numbering.
     perm: external → internal id map (``perm[input_id] = internal_id``),
@@ -208,7 +208,7 @@ def build_kr_graph(
     engines on the augmented graph (a few sampled sources, about
     ``calibration_budget`` seconds of wall clock per engine — see
     :func:`repro.engine.autoselect.pick_engine`) and stamps the winner
-    into ``PreprocessResult.preferred_engine``, where version-2 serving
+    into ``PreprocessResult.preferred_engine``, where serving
     artifacts persist it and ``engine="auto"`` queries pick it up.
     Preprocessing is run once per graph; this folds the one-time tuning
     cost into the same amortized budget.

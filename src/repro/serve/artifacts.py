@@ -72,25 +72,28 @@ __all__ = [
 #: magic string identifying a bundle as ours (first field checked on load).
 ARTIFACT_FORMAT = "repro-kr-artifact"
 
-#: the version this build writes; loaders also read every entry of
-#: ``_READABLE_VERSIONS`` (older-but-compatible schemas).
+#: the one bundle version this build writes and reads; any other
+#: version raises :class:`ArtifactVersionError` (re-run preprocessing).
 ARTIFACT_VERSION = 3
 
-#: array fields every bundle version must contain.  Version 3 adds the
-#: external→internal vertex permutation (``perm``) so a bundle built
-#: with a locality reordering can be served id-transparently.
-_ARRAY_FIELDS = ("indptr", "indices", "weights", "radii")
-_ARRAY_FIELDS_V3 = _ARRAY_FIELDS + ("perm",)
-_ARRAY_FIELDS_BY_VERSION = {1: _ARRAY_FIELDS, 2: _ARRAY_FIELDS, 3: _ARRAY_FIELDS_V3}
-#: metadata fields per readable version; the tuple order is the hash
-#: preimage order, so version-1 bundles (no ``preferred_engine``)
-#: still verify against the checksum they were written with.
-_META_FIELDS_V1 = ("k", "rho", "heuristic", "added_edges", "new_edges", "source_hash")
-_META_FIELDS_V2 = _META_FIELDS_V1 + ("preferred_engine",)
-_META_FIELDS_V3 = _META_FIELDS_V2 + ("reorder", "locality_before", "locality_after")
-_META_FIELDS_BY_VERSION = {1: _META_FIELDS_V1, 2: _META_FIELDS_V2, 3: _META_FIELDS_V3}
-_READABLE_VERSIONS = frozenset(_META_FIELDS_BY_VERSION)
-_META_FIELDS = _META_FIELDS_BY_VERSION[ARTIFACT_VERSION]
+#: array fields of a bundle, in checksum preimage order.  ``perm`` is
+#: the external→internal vertex permutation, so a bundle built with a
+#: locality reordering can be served id-transparently.
+_ARRAY_FIELDS = ("indptr", "indices", "weights", "radii", "perm")
+#: metadata fields of a bundle with their Python types; the typed
+#: values, in this order, are the metadata tuple of the checksum preimage.
+_META_FIELDS = (
+    ("k", int),
+    ("rho", int),
+    ("heuristic", str),
+    ("added_edges", int),
+    ("new_edges", int),
+    ("source_hash", str),
+    ("preferred_engine", str),
+    ("reorder", str),
+    ("locality_before", float),
+    ("locality_after", float),
+)
 
 
 class ArtifactError(RuntimeError):
@@ -111,21 +114,16 @@ class ArtifactGraphMismatchError(ArtifactError):
     the caller wants to serve."""
 
 
-def _payload_hash(
-    arrays: dict[str, np.ndarray], meta: tuple, fields: tuple = _ARRAY_FIELDS
-) -> str:
+def _payload_hash(arrays: dict[str, np.ndarray], meta: tuple) -> str:
     """Checksum over every array byte plus the metadata tuple.
 
     Contiguous arrays are fed to the digest through the buffer protocol
     — no ``tobytes()`` copy — so verifying a memory-mapped bundle
     streams pages through the hash instead of materializing a second
     in-RAM array per field (byte-identical digest either way).
-    ``fields`` is the writing version's array-field tuple (the preimage
-    order); it defaults to the fields every version shares, which keeps
-    pre-v3 digests reproducible with a two-argument call.
     """
     h = hashlib.blake2b(digest_size=16)
-    for name in fields:
+    for name in _ARRAY_FIELDS:
         arr = arrays[name]
         h.update(name.encode())
         h.update(str(arr.dtype).encode())
@@ -147,7 +145,7 @@ def save_artifact(path: str | Path, pre: PreprocessResult) -> Path:
     n = pre.graph.n
     perm = getattr(pre, "perm", None)
     if perm is None:
-        # v3 bundles always carry a perm array — the identity when
+        # bundles always carry a perm array — the identity when
         # preprocessing ran in the input numbering — so loaders never
         # branch on its presence, only on its content.
         perm = np.arange(n, dtype=np.int64)
@@ -185,7 +183,7 @@ def save_artifact(path: str | Path, pre: PreprocessResult) -> Path:
             reorder=meta[7],
             locality_before=np.float64(meta[8]),
             locality_after=np.float64(meta[9]),
-            payload_hash=_payload_hash(arrays, meta, _ARRAY_FIELDS_V3),
+            payload_hash=_payload_hash(arrays, meta),
             **arrays,
         )
     return path
@@ -257,11 +255,11 @@ def _read_bundle(path: Path, *, mmap: bool = False) -> dict[str, np.ndarray]:
     try:
         with np.load(path, allow_pickle=False) as npz:
             names = list(npz.files)
-            skip = set(_ARRAY_FIELDS_V3) if mmap else set()
+            skip = set(_ARRAY_FIELDS) if mmap else set()
             bundle = {n: npz[n] for n in names if n not in skip}
         if mmap:
             with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
-                for name in _ARRAY_FIELDS_V3:
+                for name in _ARRAY_FIELDS:
                     if name not in names:
                         continue  # caller reports the missing field
                     arr = _mmap_member(fh, path, zf.getinfo(name + ".npy"))
@@ -319,45 +317,20 @@ def load_artifact(
     if "version" not in bundle:
         raise ArtifactCorruptError(f"{path} is missing its version field")
     version = int(bundle["version"])
-    if version not in _READABLE_VERSIONS:
+    if version != ARTIFACT_VERSION:
         raise ArtifactVersionError(
             f"{path} has artifact version {version}; this build reads "
-            f"versions {sorted(_READABLE_VERSIONS)} — re-run preprocessing "
-            "to regenerate"
+            f"version {ARTIFACT_VERSION} — re-run preprocessing to regenerate"
         )
-    meta_fields = _META_FIELDS_BY_VERSION[version]
-    array_fields = _ARRAY_FIELDS_BY_VERSION[version]
-    missing = [
-        f
-        for f in (*array_fields, *meta_fields, "payload_hash")
-        if f not in bundle
-    ]
+    required = (*_ARRAY_FIELDS, *(f for f, _ in _META_FIELDS), "payload_hash")
+    missing = [f for f in required if f not in bundle]
     if missing:
         raise ArtifactCorruptError(
             f"{path} is missing required fields: {', '.join(missing)}"
         )
-    arrays = {name: bundle[name] for name in array_fields}
-    # The checksum preimage is the version's own meta tuple and array
-    # field list, so a version-1 bundle (six fields, no
-    # preferred_engine, no perm) verifies byte-for-byte against the
-    # digest it was written with.
-    meta = (
-        int(bundle["k"]),
-        int(bundle["rho"]),
-        str(bundle["heuristic"]),
-        int(bundle["added_edges"]),
-        int(bundle["new_edges"]),
-        str(bundle["source_hash"]),
-    )
-    if version >= 2:
-        meta = meta + (str(bundle["preferred_engine"]),)
-    if version >= 3:
-        meta = meta + (
-            str(bundle["reorder"]),
-            float(bundle["locality_before"]),
-            float(bundle["locality_after"]),
-        )
-    if _payload_hash(arrays, meta, array_fields) != str(bundle["payload_hash"]):
+    arrays = {name: bundle[name] for name in _ARRAY_FIELDS}
+    meta = tuple(cast(bundle[f]) for f, cast in _META_FIELDS)
+    if _payload_hash(arrays, meta) != str(bundle["payload_hash"]):
         raise ArtifactCorruptError(
             f"{path} failed its payload checksum — the stored arrays or "
             "metadata were altered after the artifact was written"
@@ -404,28 +377,21 @@ def load_artifact(
         raise ArtifactCorruptError(
             f"{path} holds negative or non-finite edge weights"
         )
-    # Pre-v3 bundles predate reordering: identity mapping, no locality
-    # measurement.  A v3 perm must be a genuine permutation of
-    # range(n) — a corrupted one would silently answer for wrong ids.
-    perm = None
-    reorder = "natural"
-    locality_before = locality_after = float("nan")
-    if version >= 3:
-        perm = np.ascontiguousarray(arrays["perm"], dtype=np.int64)
-        if (
-            perm.ndim != 1
-            or len(perm) != n
-            or (n and (perm.min() < 0 or perm.max() >= n))
-            or (n and np.any(np.bincount(perm, minlength=n) != 1))
-        ):
-            raise ArtifactCorruptError(
-                f"{path} holds a perm field that is not a permutation of "
-                f"range({n})"
-            )
-        if np.array_equal(perm, np.arange(n, dtype=np.int64)):
-            perm = None  # identity: skip the translation layer entirely
-        reorder = meta[7]
-        locality_before, locality_after = meta[8], meta[9]
+    # The perm must be a genuine permutation of range(n) — a corrupted
+    # one would silently answer for wrong ids.
+    perm = np.ascontiguousarray(arrays["perm"], dtype=np.int64)
+    if (
+        perm.ndim != 1
+        or len(perm) != n
+        or (n and (perm.min() < 0 or perm.max() >= n))
+        or (n and np.any(np.bincount(perm, minlength=n) != 1))
+    ):
+        raise ArtifactCorruptError(
+            f"{path} holds a perm field that is not a permutation of "
+            f"range({n})"
+        )
+    if np.array_equal(perm, np.arange(n, dtype=np.int64)):
+        perm = None  # identity: skip the translation layer entirely
     graph = CSRGraph(indptr, indices, weights, validate=False)
     return PreprocessResult(
         graph=graph,
@@ -436,14 +402,12 @@ def load_artifact(
         rho=meta[1],
         heuristic=meta[2],
         source_hash=meta[5],
-        # version-1 bundles predate engine calibration: leave unset so
-        # ``engine="auto"`` falls back to the static default.
-        preferred_engine=meta[6] if version >= 2 else "",
-        reorder=reorder,
+        preferred_engine=meta[6],
+        reorder=meta[7],
         perm=perm,
         inv_perm=None,  # recomputed lazily by PreprocessedSSSP
-        locality_before=locality_before,
-        locality_after=locality_after,
+        locality_before=meta[8],
+        locality_after=meta[9],
     )
 
 

@@ -129,7 +129,12 @@ class Nearest:
 
 
 class _Row:
-    """One cached source row: read-only distance/parent arrays."""
+    """One cached source row: read-only distance/parent arrays.
+
+    Parents are stored as int32 whenever every vertex id fits (n ≤ 2³¹):
+    half the bytes of the engines' int64 rows, so the same cache memory
+    holds twice the parent rows.
+    """
 
     __slots__ = ("dist", "parent")
 
@@ -137,7 +142,8 @@ class _Row:
         dist = np.asarray(dist)
         dist.setflags(write=False)
         if parent is not None:
-            parent = np.asarray(parent)
+            narrow = len(parent) <= np.iinfo(np.int32).max + 1
+            parent = np.asarray(parent, dtype=np.int32 if narrow else np.int64)
             parent.setflags(write=False)
         self.dist = dist
         self.parent = parent
@@ -437,7 +443,12 @@ class QueryPlanner:
                 with self._stats_lock:
                     self._batches += 1
                     self._solves += len(missing)
-                for res in results:
+                # Pop each result as its row is stored, so its int64
+                # parent is freed before the next row's int32 copy: the
+                # batch never holds both widths of every row at once.
+                results.reverse()
+                while results:
+                    res = results.pop()
                     s, flight = pending[0]
                     row = _Row(res.dist, res.parent)
                     rows[s] = row

@@ -19,6 +19,7 @@ from repro.obs import (
     exponential_buckets,
     get_default_registry,
 )
+from repro.engine.registry import _SCHEDULE_ENGINES
 from repro.obs.expo import CONTENT_TYPE, parse, render
 
 N_THREADS = 8
@@ -258,6 +259,24 @@ class TestEngineTelemetry:
 
         exp = parse(render(reg))
         assert exp.value("engine_solves_total", engine=engine) == 4.0
+
+    @pytest.mark.parametrize(
+        "engine", [row[0] for row in _SCHEDULE_ENGINES]
+    )
+    def test_live_step_hook_sees_every_step(self, engine):
+        """Every engine the registry runs on the unified loop passes the
+        live ``obs`` hook through: one per-step observation per outer
+        step, in both per-step histograms."""
+        from repro.engine import solve_with_engine
+        from tests.helpers import random_connected_graph
+
+        g = random_connected_graph(40, 90, seed=7, weight_high=20)
+        reg = MetricsRegistry()
+        res = solve_with_engine(engine, g, 0, 2.0, obs=EngineTelemetry(reg))
+        assert res.steps >= 1  # bellman-ford takes exactly one
+        exp = parse(render(reg))
+        assert exp.value("engine_step_settled_count", engine=engine) == res.steps
+        assert exp.value("engine_step_substeps_count", engine=engine) == res.steps
 
     def test_legacy_plugin_engine_still_gets_run_totals(self):
         """A plugin registered without the ``obs`` keyword (the

@@ -144,82 +144,26 @@ class TestVersionMismatch:
             load_artifact(path)
 
 
-class TestVersion1ForwardCompat:
-    """Version-1 bundles (written before ``preferred_engine`` existed)
-    must keep loading: the checksum verifies against the v1 meta layout
-    and ``engine="auto"`` falls back to the static default."""
+class TestRetiredVersions:
+    """Only the current bundle version is read.  A version-1 bundle (no
+    ``preferred_engine``) or version-2 bundle (no ``perm``) must ask
+    for re-preprocessing: it never loads, and it is not reported as
+    corruption either."""
 
-    @staticmethod
-    def _downgrade_to_v1(path):
-        """Rewrite a saved bundle as a faithful version-1 artifact: drop
-        every later-version field, stamp version 1, and recompute the
-        digest over the six-field v1 meta tuple (what the v1 writer
-        produced)."""
-        from repro.serve.artifacts import _ARRAY_FIELDS, _payload_hash
-
-        later = {
-            "preferred_engine",
-            "reorder",
-            "locality_before",
-            "locality_after",
-            "perm",
-        }
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_bundle_raises_version_error(self, saved, version):
+        g, _pre, path = saved
+        later = {"reorder", "locality_before", "locality_after", "perm"}
+        if version == 1:
+            later.add("preferred_engine")
         with np.load(path, allow_pickle=False) as npz:
             fields = {n: npz[n] for n in npz.files if n not in later}
-        fields["version"] = np.int64(1)
-        meta = (
-            int(fields["k"]),
-            int(fields["rho"]),
-            str(fields["heuristic"]),
-            int(fields["added_edges"]),
-            int(fields["new_edges"]),
-            str(fields["source_hash"]),
-        )
-        fields["payload_hash"] = _payload_hash(
-            {n: fields[n] for n in _ARRAY_FIELDS}, meta
-        )
+        fields["version"] = np.int64(version)
         with open(path, "wb") as fh:
             np.savez(fh, **fields)
-
-    def test_v1_bundle_loads_with_empty_preferred_engine(self, saved):
-        g, pre, path = saved
-        self._downgrade_to_v1(path)
-        back = load_artifact(path, expect_graph=g)
-        assert back.preferred_engine == ""
-        assert back.graph == pre.graph
-        assert np.array_equal(back.radii, pre.radii)
-
-    def test_v1_bundle_auto_resolves_to_static_default(self, saved):
-        g, _pre, path = saved
-        self._downgrade_to_v1(path)
-        sp = load_solver(path, expect_graph=g)
-        assert sp.resolve_engine("auto") == "vectorized"
-        assert np.array_equal(sp.solve(5).dist, dijkstra(g, 5).dist)
-
-    def test_v1_bundle_through_routing_service_auto(self, saved):
-        from repro.serve import RoutingService
-
-        g, _pre, path = saved
-        self._downgrade_to_v1(path)
-        svc = RoutingService.from_artifact(path, expect_graph=g, engine="auto")
-        assert svc.stats()["engine"] == "vectorized"
-        assert svc.stats()["preferred_engine"] == ""
-        assert svc.route(0, 13).distance == dijkstra(g, 0).dist[13]
-
-    def test_v1_checksum_still_enforced(self, saved):
-        """The lenient version gate must not weaken integrity: tampering
-        with a v1 bundle still trips its (v1-layout) checksum."""
-        _g, _pre, path = saved
-        self._downgrade_to_v1(path)
-        with np.load(path, allow_pickle=False) as npz:
-            fields = {n: npz[n] for n in npz.files}
-        radii = fields["radii"].copy()
-        radii[0] += 1.0
-        fields["radii"] = radii
-        with open(path, "wb") as fh:
-            np.savez(fh, **fields)
-        with pytest.raises(ArtifactCorruptError, match="checksum"):
-            load_artifact(path)
+        for mmap in (False, True):
+            with pytest.raises(ArtifactVersionError, match="re-run preprocessing"):
+                load_artifact(path, expect_graph=g, mmap=mmap)
 
 
 class TestPreferredEngine:
@@ -287,8 +231,7 @@ class TestPreferredEngine:
 
 
 class TestVersion3Reorder:
-    """Version-3 bundles carry the locality permutation; earlier
-    versions keep loading with the identity mapping."""
+    """Version-3 bundles carry the locality permutation."""
 
     @pytest.fixture(scope="class")
     def reordered(self, case):
@@ -307,10 +250,10 @@ class TestVersion3Reorder:
 
     @classmethod
     def _restamp_v3_hash(cls, path, fields):
-        """Recompute a self-consistent v3 digest (keyless checksum — a
+        """Recompute a self-consistent digest (keyless checksum — a
         determined writer can always do this) so loads reach the
         structural perm validation instead of stopping at the checksum."""
-        from repro.serve.artifacts import _ARRAY_FIELDS_V3, _payload_hash
+        from repro.serve.artifacts import _ARRAY_FIELDS, _payload_hash
 
         meta = (
             int(fields["k"]),
@@ -325,36 +268,9 @@ class TestVersion3Reorder:
             float(fields["locality_after"]),
         )
         fields["payload_hash"] = _payload_hash(
-            {n: fields[n] for n in _ARRAY_FIELDS_V3 if n in fields},
-            meta,
-            tuple(n for n in _ARRAY_FIELDS_V3 if n in fields),
-        )
-        cls._rewrite(path, fields)
-
-    @staticmethod
-    def _downgrade_to_v2(path):
-        """Rewrite a saved bundle as a faithful version-2 artifact:
-        drop the v3 fields, stamp version 2, recompute the v2 digest."""
-        from repro.serve.artifacts import _ARRAY_FIELDS, _payload_hash
-
-        v3_only = {"reorder", "locality_before", "locality_after", "perm"}
-        with np.load(path, allow_pickle=False) as npz:
-            fields = {n: npz[n] for n in npz.files if n not in v3_only}
-        fields["version"] = np.int64(2)
-        meta = (
-            int(fields["k"]),
-            int(fields["rho"]),
-            str(fields["heuristic"]),
-            int(fields["added_edges"]),
-            int(fields["new_edges"]),
-            str(fields["source_hash"]),
-            str(fields["preferred_engine"]),
-        )
-        fields["payload_hash"] = _payload_hash(
             {n: fields[n] for n in _ARRAY_FIELDS}, meta
         )
-        with open(path, "wb") as fh:
-            np.savez(fh, **fields)
+        cls._rewrite(path, fields)
 
     def test_v3_round_trips_perm_and_locality(self, reordered, tmp_path):
         g, pre = reordered
@@ -385,26 +301,6 @@ class TestVersion3Reorder:
             sp = load_solver(path, expect_graph=g, mmap=mmap)
             for s in (0, 13, 42):
                 assert np.array_equal(sp.solve(s).dist, dijkstra(g, s).dist)
-
-    def test_v2_bundle_loads_with_identity_perm(self, saved):
-        g, pre, path = saved
-        self._downgrade_to_v2(path)
-        back = load_artifact(path, expect_graph=g)
-        assert back.perm is None
-        assert back.reorder == "natural"
-        assert np.isnan(back.locality_before)
-        assert back.graph == pre.graph
-
-    def test_v2_checksum_still_enforced(self, saved):
-        _g, _pre, path = saved
-        self._downgrade_to_v2(path)
-        fields = self._load_fields(path)
-        radii = fields["radii"].copy()
-        radii[0] += 1.0
-        fields["radii"] = radii
-        self._rewrite(path, fields)
-        with pytest.raises(ArtifactCorruptError, match="checksum"):
-            load_artifact(path)
 
     def test_missing_perm_is_corrupt(self, reordered, tmp_path):
         _g, pre = reordered
@@ -484,15 +380,21 @@ class TestVersion3Reorder:
         assert stats["reorder"] == "rcm"
         assert stats["locality"]["after"] < stats["locality"]["before"]
 
-    def test_v2_service_stats_locality_null(self, saved):
-        """Pre-v3 artifacts surface ``null`` locality at GET /stats —
-        nan would be invalid JSON."""
+    def test_unmeasured_locality_surfaces_null(self, case, tmp_path):
+        """An artifact without a locality measurement (nan) surfaces
+        ``null`` locality at GET /stats — nan would be invalid JSON."""
+        import dataclasses
         import json
 
         from repro.serve import RoutingService
 
-        g, _pre, path = saved
-        self._downgrade_to_v2(path)
+        g, pre = case
+        path = tmp_path / "unmeasured.npz"
+        nan = float("nan")
+        save_artifact(
+            path,
+            dataclasses.replace(pre, locality_before=nan, locality_after=nan),
+        )
         svc = RoutingService.from_artifact(path, expect_graph=g)
         stats = svc.stats()
         assert stats["locality"] == {"before": None, "after": None}
@@ -557,7 +459,7 @@ class TestCorruption:
         """A writer that recomputes the (keyless) checksum over bad CSR
         arrays still must not load: negative arc heads would gather
         wrong-but-valid neighbors via numpy wraparound."""
-        from repro.serve.artifacts import _ARRAY_FIELDS_V3, _payload_hash
+        from repro.serve.artifacts import _ARRAY_FIELDS, _payload_hash
 
         _g, _pre, path = saved
         with np.load(path, allow_pickle=False) as npz:
@@ -584,7 +486,7 @@ class TestCorruption:
             )
         )
         fields["payload_hash"] = _payload_hash(
-            {n: fields[n] for n in _ARRAY_FIELDS_V3}, meta, _ARRAY_FIELDS_V3
+            {n: fields[n] for n in _ARRAY_FIELDS}, meta
         )
         with open(path, "wb") as fh:
             np.savez(fh, **fields)

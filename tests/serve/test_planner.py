@@ -173,6 +173,21 @@ class TestCache:
         with pytest.raises(ValueError):
             row[0] = -1.0
 
+    def test_cached_parents_are_int32_and_route_like_int64_solve(self, case):
+        """Parent rows are cached at half width; every route still walks
+        exactly the int64 solve's parent chain."""
+        _, sp = case
+        planner = make_planner(case)
+        sources = (0, 7, 23)
+        planner.warm(sources)
+        for s in sources:
+            parent = planner._peek(s).parent
+            assert parent.dtype == np.int32
+            ref = sp.solve(s, engine=planner.engine, track_parents=True)
+            assert np.array_equal(parent, ref.parent)
+            for t in range(sp.graph.n):
+                assert planner.route(s, t).path == tuple(ref.path_to(t))
+
     def test_auto_and_concrete_engine_share_cache(self, case):
         """'auto' resolves before keying, so it hits rows cached under
         the concrete name."""
