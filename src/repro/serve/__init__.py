@@ -13,24 +13,27 @@ becomes a production serving story in cooperating parts:
   (:class:`DistanceMatrix`), bit-identical to the pickled
   ``solve_many`` path without the per-row serialization.
 * :mod:`~repro.serve.planner` — :class:`QueryPlanner`: an LRU
-  source-row cache keyed by (graph hash, engine, source), request
-  deduplication, and coalescing of mixed single-source /
-  point-to-point / k-nearest batches onto one fan-out — thread-safe
-  via striped locks and single-flight in-flight solve tracking, so a
-  threaded front end drives one planner from every worker thread.
+  source-row cache over a row source (engine rows, or the router's
+  stitched rows), request deduplication, and coalescing of mixed
+  single-source / point-to-point / k-nearest batches onto one fan-out
+  — thread-safe via striped locks and single-flight in-flight solve
+  tracking, so a threaded front end drives one planner from every
+  worker thread.
 * :mod:`~repro.serve.surface` — :class:`QuerySurface`, the protocol
-  every front end is constructed against.
+  every front end is constructed against, and the query methods and
+  ``instrument()`` both implementations share.
 * :mod:`~repro.serve.service` — :class:`RoutingService`, the
   synchronous single-graph facade (see
   ``examples/routing_service.py``).
 * :mod:`~repro.serve.router` — :class:`ShardRouter`, the sharded
-  implementation of the same surface: one planner per shard, exact
-  cross-shard stitching through the boundary overlay, bit-identical
-  answers (see ``examples/sharded_service.py``).
+  implementation of the same surface: every shard is a
+  :class:`RoutingService`, and exact cross-shard rows are stitched
+  through the boundary overlay behind the same planner core,
+  bit-identical answers (see ``examples/sharded_service.py``).
 * :mod:`~repro.serve.backends` — :class:`ShardBackend`, the
   transport seam under the router: :class:`LocalBackend` wraps an
-  in-process planner, :class:`RemoteBackend` speaks HTTP to a shard
-  server on another box (pooled connections, deadlines, bounded
+  in-process shard service, :class:`RemoteBackend` speaks HTTP to a
+  shard server on another box (pooled connections, deadlines, bounded
   retries), both bit-identical to the stitch layer above.
 * :mod:`~repro.serve.cluster` — :class:`ShardCluster`, a one-call
   bootstrap of N shard servers plus a remote-stitching front end

@@ -6,11 +6,11 @@ What it folds *over* is this module's :class:`ShardBackend` protocol —
 ``source_row`` / batched ``rows`` / ``route`` / ``stats`` / ``healthz``
 — with two implementations:
 
-* :class:`LocalBackend` wraps a per-shard
-  :class:`~repro.serve.planner.QueryPlanner` in process, exactly what
-  the router held inline before this seam existed.  Zero transport
-  cost, always healthy, bit-identical to the pre-seam router (the
-  parity suite pins it).
+* :class:`LocalBackend` wraps a shard's
+  :class:`~repro.serve.service.RoutingService` in process and makes
+  the same calls a shard server's handlers make.  Zero transport
+  cost, always healthy, bit-identical to the remote path (the parity
+  suite pins it).
 * :class:`RemoteBackend` speaks to a shard's
   :class:`~repro.serve.http.RoutingHTTPServer` over a pool of stdlib
   :class:`http.client.HTTPConnection` objects: per-request deadline,
@@ -51,7 +51,7 @@ import numpy as np
 
 from ..obs.metrics import LATENCY_BUCKETS, Histogram
 from ..obs.trace import current_trace
-from .planner import QueryPlanner, Route, SingleSource
+from .planner import Route, SingleSource
 
 __all__ = [
     "MAX_ROWS_PER_FETCH",
@@ -154,10 +154,12 @@ def decode_rows(data: bytes, *, expect_len: int | None = None) -> np.ndarray:
 class ShardBackend(Protocol):
     """What the stitching core needs from one shard, transport-agnostic.
 
+    Every shard is a :class:`~repro.serve.service.RoutingService`.
     ``source_row`` / ``rows`` speak *shard-local* vertex ids and return
     float64 distance rows over the shard's vertices; ``route`` answers
-    an intra-shard route in shard-local ids.  ``backend_stats`` is the
-    health/latency snapshot the router's ``backends`` table and the
+    an intra-shard route in shard-local ids; ``stats`` is the shard
+    service's own ``stats()``.  ``backend_stats`` is the health/latency
+    snapshot the router's ``backends`` table and the
     ``shard_backend_*`` metric families are built from.
     """
 
@@ -251,25 +253,27 @@ class _BaseBackend:
 # In-process backend
 # --------------------------------------------------------------------- #
 class LocalBackend(_BaseBackend):
-    """One shard served in process by its own planner + solver.
+    """One shard served in process by its own
+    :class:`~repro.serve.service.RoutingService`.
 
-    Exactly the objects the router held inline before the backend seam:
-    ``rows`` goes through :meth:`QueryPlanner.execute`, so a batch of
-    boundary sources coalesces onto one ``solve_many`` fan-out and
-    lands in the planner's striped LRU — the same caching behavior
-    (and the same bits) as the pre-seam router.
+    Each method makes the call a shard server's handler makes for the
+    matching request (``/internal/row``, ``/internal/rows``, ``/route``,
+    ``/stats``, ``/internal/ready``): ``rows`` goes through the
+    service's ``batch``, so a batch of boundary sources coalesces onto
+    one ``solve_many`` fan-out and lands in the service's striped LRU,
+    and ``stats`` is the service's own snapshot — a local shard reports
+    exactly what a remote one does.
     """
 
     kind = "local"
 
-    def __init__(self, shard: int, planner: QueryPlanner, solver) -> None:
+    def __init__(self, shard: int, service) -> None:
         super().__init__(shard, endpoint=None)
-        self.planner = planner
-        self.solver = solver
+        self.service = service
 
     def source_row(self, local_source: int) -> np.ndarray:
         t0 = time.perf_counter()
-        row = self.planner.distances(int(local_source))
+        row = self.service.distances(int(local_source))
         self._record_fetch(time.perf_counter() - t0)
         return row
 
@@ -277,20 +281,18 @@ class LocalBackend(_BaseBackend):
         if not len(local_sources):
             return []
         t0 = time.perf_counter()
-        out = self.planner.execute(
-            [SingleSource(int(s)) for s in local_sources]
-        )
+        out = self.service.batch([SingleSource(int(s)) for s in local_sources])
         self._record_fetch(time.perf_counter() - t0)
         return out
 
     def route(self, local_source: int, local_target: int) -> Route:
-        return self.planner.route(int(local_source), int(local_target))
+        return self.service.route(int(local_source), int(local_target))
 
     def stats(self) -> dict:
-        return self.planner.stats()
+        return self.service.stats()
 
     def healthz(self) -> dict:
-        return {"status": "ok", "shard": self.shard}
+        return {**self.service.healthz(), "shard": self.shard}
 
 
 # --------------------------------------------------------------------- #

@@ -3,9 +3,10 @@
 :class:`ShardCluster` turns a sharded bundle into the full serving
 topology the README's multi-box quickstart describes — N shard servers
 plus one stitching front end — inside a single process.  Each shard
-gets its own :class:`~repro.serve.service.RoutingService` behind its
-own :class:`~repro.serve.http.RoutingHTTPServer` (bound to an
-ephemeral port), and the front end is a
+gets its own :class:`~repro.serve.service.RoutingService` — built by
+:func:`~repro.serve.service.shard_services`, as a local router's shards
+are — behind its own :class:`~repro.serve.http.RoutingHTTPServer`
+(bound to an ephemeral port), and the front end is a
 :meth:`ShardRouter.remote <repro.serve.router.ShardRouter.remote>`
 router whose :class:`~repro.serve.backends.RemoteBackend` transports
 speak real HTTP to those servers.  Every byte crosses a socket exactly
@@ -29,13 +30,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from ..core.solver import PreprocessedSSSP
 from ..graphs.csr import CSRGraph
 from ..preprocess.pipeline import ShardedPreprocessResult
 from .artifacts import ShardTopology, load_sharded_artifact
 from .http import RoutingHTTPServer
 from .router import ShardRouter
-from .service import RoutingService
+from .service import shard_services
 
 __all__ = ["ShardCluster"]
 
@@ -53,8 +53,9 @@ class ShardCluster:
     router_port: front-end port (0 = ephemeral; shard servers are
         always ephemeral).
     engine / cache_capacity / track_parents: per-shard serving knobs,
-        forwarded to each shard's :class:`RoutingService`;
-        ``cache_capacity`` also sizes the front end's stitched-row LRU.
+        forwarded to each shard's
+        :class:`~repro.serve.service.RoutingService`; ``cache_capacity``
+        also sizes the front end's stitched-row LRU.
     timeout / retries / backoff: the front end's per-shard
         :class:`~repro.serve.backends.RemoteBackend` deadline and
         bounded-retry budget.
@@ -94,16 +95,16 @@ class ShardCluster:
         self._front: RoutingHTTPServer | None = None
         self._router: ShardRouter | None = None
         try:
-            for s, pre in enumerate(sharded.shards):
-                if len(sharded.shard_vertices[s]) == 0:
+            services = shard_services(
+                sharded,
+                engine=engine,
+                cache_capacity=cache_capacity,
+                track_parents=track_parents,
+            )
+            for service in services:
+                if service is None:
                     self._shard_servers.append(None)
                     continue
-                service = RoutingService(
-                    solver=PreprocessedSSSP.from_preprocessed(pre),
-                    engine=engine,
-                    cache_capacity=cache_capacity,
-                    track_parents=track_parents,
-                )
                 server = RoutingHTTPServer(
                     service,
                     host=host,

@@ -66,8 +66,9 @@ minted otherwise), which is also the id of the request's span tree in
 ``http_requests_total{endpoint,status}`` and timed into
 ``http_request_seconds{endpoint}`` on the server's registry, and the
 surface is instrumented at construction when it supports it
-(``RoutingService.instrument`` / ``ShardRouter.instrument``), so one
-scrape shows the whole stack.
+(:meth:`PlannerSurface.instrument
+<repro.serve.surface.PlannerSurface.instrument>`, shared by the
+service and the router), so one scrape shows the whole stack.
 
 Usage::
 

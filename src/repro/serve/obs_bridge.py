@@ -1,20 +1,26 @@
 """Scrape-time bridge from serving counters to metric families.
 
-The planner and the shard router already keep exact counters of their
-own (striped LRU hits/misses, stitched-row lookups, single-flight
-waits) for ``GET /stats``.  Putting those numbers on ``GET /metrics``
-must cost the hot path *nothing*, so instead of double-counting at
-every probe, ``RoutingService.instrument`` / ``ShardRouter.instrument``
-register a weakly-held **collector** with the registry; at scrape time
-the collector snapshots ``stats()`` and this module shapes the snapshot
-into Prometheus families.  One scrape therefore always agrees with a
-simultaneous ``GET /stats`` — they read the same counters.
+Every planner — a service's, each local shard's, and the router's
+stitched-row planner — already keeps exact counters of its own (striped
+LRU hits/misses, single-flight waits) for ``GET /stats``.  Putting
+those numbers on ``GET /metrics`` must cost the hot path *nothing*, so
+instead of double-counting at every probe,
+:meth:`PlannerSurface.instrument
+<repro.serve.surface.PlannerSurface.instrument>` — one implementation
+for the service and the router — registers a weakly-held **collector**
+with the registry; at scrape time the collector snapshots the planners'
+``stats()`` and this module shapes the snapshots into Prometheus
+families.  One scrape therefore always agrees with a simultaneous
+``GET /stats`` — they read the same counters.
 
 Series identity: every family carries a ``service`` label (a
 process-unique instance tag minted by :func:`next_instance_label`, so
-two surfaces sharing the process-global registry never collide) and a
-``shard`` label (``"0"`` for the single-graph service — it *is* the
-one-shard special case).
+two surfaces sharing the process-global registry never collide); the
+``planner_*`` families add a ``shard`` label (``"0"`` for the
+single-graph service — it *is* the one-shard special case).  The
+router's stitched-row planner reports as ``router_stitched_*``, not
+``planner_*``, so ``planner_*`` sums still equal the shard totals of
+``GET /stats``.
 """
 
 from __future__ import annotations
@@ -102,7 +108,8 @@ def planner_cache_families(
 def stitched_cache_families(
     base: tuple[tuple[str, str], ...], stitched: dict
 ) -> list[MetricFamily]:
-    """The shard router's stitched full-row LRU as metric families."""
+    """The shard router's stitched-row planner counters as metric
+    families."""
     lookups = MetricFamily(
         "router_stitched_lookups_total",
         "counter",

@@ -10,15 +10,24 @@ s" — tiny reads against a source row someone else already paid for.
 :class:`QueryPlanner` exploits both regularities over any
 :class:`~repro.core.solver.PreprocessedSSSP`:
 
-* **LRU source-row cache** keyed by ``(graph hash, engine, source)``:
-  a solved distance (and parent) row is kept and every later query
-  touching that source — single-source, point-to-point, k-nearest —
-  is answered from it without running a solver.
+* **LRU source-row cache** keyed by source (a planner serves one
+  graph through one resolved engine): a solved distance (and parent)
+  row is kept and every later query touching that source —
+  single-source, point-to-point, k-nearest — is answered from it
+  without running a solver.
 * **Request deduplication**: queries in one batch sharing a source
   collapse onto one solve.
 * **Batch coalescing**: all cache-missing sources of a mixed batch go
   to ``solve_many`` as *one* fan-out (one pool, one copy-on-write
   staging), not one solver call per request.
+
+Where rows come from is a **row source**: an object with
+``solve(sources) -> rows`` (one row per source, each with a read-only
+``dist``), ``path(row, source, target) -> tuple | None``, and the
+``n`` / ``engine`` / ``graph_hash`` it reports.  The constructor wraps
+a solver as the engine row source; :meth:`QueryPlanner.from_rows` takes
+any other, so the shard router's stitched rows sit behind this same
+cache, validation and single-flight core.
 
 Concurrency model (an HTTP/gRPC front end calls one planner from many
 worker threads):
@@ -68,9 +77,11 @@ __all__ = [
     "Route",
     "Nearest",
     "QueryPlanner",
+    "check_vertex",
     "coerce_vertex",
     "nearest_from_row",
     "normalize_query",
+    "validate_query",
 ]
 
 
@@ -160,7 +171,7 @@ class _Stripe:
 
     def __init__(self, capacity: int) -> None:
         self.lock = threading.Lock()
-        self.rows: OrderedDict[tuple[str, str, int], _Row] = OrderedDict()
+        self.rows: OrderedDict[int, object] = OrderedDict()
         self.capacity = capacity
         # ``lookups`` is counted independently of hits/misses so the
         # exported ``hits + misses == lookups`` invariant is a real
@@ -179,7 +190,7 @@ class _InFlight:
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.row: _Row | None = None
+        self.row = None
         self.error: BaseException | None = None
 
 
@@ -199,12 +210,37 @@ def coerce_vertex(value, what: str) -> int:
     return int(value)
 
 
+def check_vertex(value, what: str, n: int) -> int:
+    """Type- and range-check a query vertex up front; returns it as an
+    ``int``.  numpy would accept a negative index and silently serve
+    the answer for vertex ``n + v``, and ``bool`` would silently mean
+    vertex 0/1 — unacceptable from a serving API."""
+    v = coerce_vertex(value, what)
+    if not 0 <= v < n:
+        raise ValueError(
+            f"{what} {v} out of range for a graph with n={n} vertices"
+        )
+    return v
+
+
+def validate_query(query, n: int) -> None:
+    """Check a normalized query against a graph with ``n`` vertices —
+    the one validation every query surface runs."""
+    check_vertex(query.source, "source", n)
+    if isinstance(query, PointToPoint):
+        check_vertex(query.target, "target", n)
+    elif isinstance(query, KNearest):
+        if isinstance(query.k, (bool, np.bool_)) or not isinstance(
+            query.k, (int, np.integer)
+        ):
+            raise TypeError(f"k must be an integer, got {query.k!r}")
+        if query.k < 0:
+            raise ValueError(f"k must be >= 0, got {query.k}")
+
+
 def normalize_query(query) -> SingleSource | PointToPoint | KNearest:
     """Accept ergonomic shorthands: ``int`` → single-source,
-    ``(s, t)`` → point-to-point.  Bools are rejected, not coerced.
-
-    Public so every :class:`~repro.serve.surface.QuerySurface`
-    implementation normalizes batches identically."""
+    ``(s, t)`` → point-to-point.  Bools are rejected, not coerced."""
     if isinstance(query, (SingleSource, PointToPoint, KNearest)):
         return query
     if isinstance(query, (bool, np.bool_)):
@@ -227,10 +263,10 @@ def normalize_query(query) -> SingleSource | PointToPoint | KNearest:
 def nearest_from_row(source: int, dist: np.ndarray, k: int) -> Nearest:
     """The k-nearest answer from a full distance row.
 
-    Shared by :class:`QueryPlanner` and the shard router so both
-    surfaces produce bit-identical answers — same candidate filter
-    (reachable, source excluded), same deterministic
-    ``(distance, vertex)`` tie order, same argpartition bound.
+    Candidates are the reachable vertices other than the source, in
+    deterministic ``(distance, vertex)`` order with an argpartition
+    bound — so engine rows and stitched rows, which are bit-identical,
+    give bit-identical answers.
     """
     # candidates: reachable vertices other than the source — an
     # unreachable vertex must never be presented as "nearest"
@@ -247,6 +283,50 @@ def nearest_from_row(source: int, dist: np.ndarray, k: int) -> Nearest:
     order = np.lexsort((others[part], d[part]))
     take = part[order]
     return Nearest(source, others[take], d[take])
+
+
+class _EngineRows:
+    """The engine row source: rows solved by one resolved engine of a
+    :class:`PreprocessedSSSP`.
+
+    It holds the solver and never the planner: a planner storing its
+    own bound methods here would sit in a reference cycle, and a
+    dropped service's row cache would live until a full collection.
+    """
+
+    __slots__ = ("solver", "engine", "track_parents", "n_jobs", "n", "graph_hash")
+
+    def __init__(
+        self, solver: PreprocessedSSSP, engine: str, track_parents: bool, n_jobs: int
+    ) -> None:
+        self.solver = solver
+        self.engine = engine
+        self.track_parents = track_parents
+        self.n_jobs = n_jobs
+        self.n = solver.graph.n
+        self.graph_hash = solver.graph.content_hash()
+
+    def solve(self, sources: list[int]) -> list[_Row]:
+        results = self.solver.solve_many(
+            sources,
+            engine=self.engine,
+            track_parents=self.track_parents,
+            n_jobs=self.n_jobs,
+        )
+        # Pop each result as its row is built, so its int64 parent is
+        # freed before the next row's int32 copy: the batch never holds
+        # both widths of every row at once.
+        results.reverse()
+        rows = []
+        while results:
+            res = results.pop()
+            rows.append(_Row(res.dist, res.parent))
+        return rows
+
+    def path(self, row: _Row, source: int, target: int) -> tuple[int, ...] | None:
+        if row.parent is None or not np.isfinite(row.dist[target]):
+            return None
+        return tuple(parent_path(row.parent, target))
 
 
 class QueryPlanner:
@@ -281,28 +361,43 @@ class QueryPlanner:
         n_jobs: int = 1,
         stripes: int = 8,
     ) -> None:
-        if capacity < 0:
-            raise ValueError("capacity >= 0 required")
-        if stripes < 1:
-            raise ValueError("stripes >= 1 required")
-        self._solver = solver
-        self._engine = solver.resolve_engine(engine)
-        if track_parents and not get_engine(self._engine).supports_parents:
+        resolved = solver.resolve_engine(engine)
+        if track_parents and not get_engine(resolved).supports_parents:
             if engine == "auto":
                 # "auto" may pick the parentless §3.4 engine (unit-weight
                 # augmented graph); parent tracking asks for route paths,
                 # so fall back to the general engine instead of failing
                 # the first query.
-                self._engine = "vectorized"
+                resolved = "vectorized"
             else:
                 raise ValueError(
-                    f"the {self._engine} engine does not track parents; "
+                    f"the {resolved} engine does not track parents; "
                     "pass track_parents=False or pick another engine"
                 )
-        self._graph_hash = solver.graph.content_hash()
+        self._setup(
+            _EngineRows(solver, resolved, track_parents, n_jobs), capacity, stripes
+        )
+
+    @classmethod
+    def from_rows(
+        cls, rows, *, capacity: int = 256, stripes: int = 8
+    ) -> "QueryPlanner":
+        """A planner over any row source (see the module docstring).
+
+        ``rows`` must not reference the planner: the planner owns it,
+        and a cycle would keep every cached row alive until a full
+        garbage collection."""
+        planner = cls.__new__(cls)
+        planner._setup(rows, capacity, stripes)
+        return planner
+
+    def _setup(self, rows, capacity: int, stripes: int) -> None:
+        if capacity < 0:
+            raise ValueError("capacity >= 0 required")
+        if stripes < 1:
+            raise ValueError("stripes >= 1 required")
+        self._rows = rows
         self._capacity = capacity
-        self._track_parents = track_parents
-        self._n_jobs = n_jobs
         n_stripes = max(1, min(stripes, capacity)) if capacity > 0 else 1
         base, extra = divmod(capacity, n_stripes)
         self._stripes = tuple(
@@ -313,7 +408,7 @@ class QueryPlanner:
         # solve, a stripe operation, or an event wait (no lock nesting
         # anywhere → no ordering to get wrong).
         self._flight_lock = threading.Lock()
-        self._inflight: dict[tuple[str, str, int], _InFlight] = {}
+        self._inflight: dict[int, _InFlight] = {}
         self._stats_lock = threading.Lock()
         self._coalesced = 0
         self._batches = 0
@@ -322,33 +417,30 @@ class QueryPlanner:
 
     @property
     def engine(self) -> str:
-        """The resolved registry engine name every query runs through."""
-        return self._engine
+        """The resolved registry engine name every query runs through
+        (``"stitched"`` for the shard router's stitched rows)."""
+        return self._rows.engine
 
     # ------------------------------------------------------------------ #
     # Cache plumbing
     # ------------------------------------------------------------------ #
-    def _key(self, source: int) -> tuple[str, str, int]:
-        return (self._graph_hash, self._engine, int(source))
-
     def _stripe(self, source: int) -> _Stripe:
-        return self._stripes[hash(int(source)) % len(self._stripes)]
+        return self._stripes[hash(source) % len(self._stripes)]
 
-    def _lookup(self, source: int) -> _Row | None:
+    def _lookup(self, source: int):
         """Cache probe; refreshes LRU recency, counts hit/miss."""
-        key = self._key(source)
         stripe = self._stripe(source)
         with stripe.lock:
             stripe.lookups += 1
-            row = stripe.rows.get(key)
+            row = stripe.rows.get(source)
             if row is None:
                 stripe.misses += 1
                 return None
-            stripe.rows.move_to_end(key)
+            stripe.rows.move_to_end(source)
             stripe.hits += 1
             return row
 
-    def _peek(self, source: int) -> _Row | None:
+    def _peek(self, source: int):
         """Counter-free cache re-check (no hit/miss, no LRU refresh).
 
         Used by a thread that just won a single-flight slot: between its
@@ -358,25 +450,24 @@ class QueryPlanner:
         duplicate work the single-flight design exists to prevent."""
         stripe = self._stripe(source)
         with stripe.lock:
-            return stripe.rows.get(self._key(source))
+            return stripe.rows.get(source)
 
-    def _insert(self, source: int, row: _Row) -> None:
+    def _insert(self, source: int, row) -> None:
         stripe = self._stripe(source)
         with stripe.lock:
             if stripe.capacity == 0:
                 return
-            key = self._key(source)
-            stripe.rows[key] = row
-            stripe.rows.move_to_end(key)
+            stripe.rows[source] = row
+            stripe.rows.move_to_end(source)
             while len(stripe.rows) > stripe.capacity:
                 stripe.rows.popitem(last=False)
                 stripe.evictions += 1
 
-    def _fetch_rows(self, sources: Iterable[int]) -> dict[int, _Row]:
+    def _fetch_rows(self, sources: Iterable[int]) -> dict:
         """The planning core: cache-hit what we can, coalesce the rest.
 
         Distinct missing sources split into *leaders* (this thread won
-        the in-flight slot and solves them as one ``solve_many`` batch)
+        the in-flight slot and solves them as one row-source batch)
         and *followers* (another thread is already solving that source;
         block on its event and share its row).  Every leader row is
         inserted into the cache and published to the in-flight record
@@ -390,7 +481,7 @@ class QueryPlanner:
             if s not in seen:
                 seen.add(s)
                 wanted.append(s)
-        rows: dict[int, _Row] = {}
+        rows = {}
         followers: list[tuple[int, _InFlight]] = []
         # flights this thread leads but has not yet published; covered
         # end to end by the except below, so no exception anywhere in
@@ -405,13 +496,13 @@ class QueryPlanner:
                     rows[s] = row
                     continue
                 with self._flight_lock:
-                    flight = self._inflight.get(self._key(s))
+                    flight = self._inflight.get(s)
                     if flight is None:
                         flight = _InFlight()
                         # track before making it discoverable, so the
                         # cleanup below always sees it
                         pending.append((s, flight))
-                        self._inflight[self._key(s)] = flight
+                        self._inflight[s] = flight
                     else:
                         followers.append((s, flight))
             # Close the probe→registration race: a previous leader may
@@ -428,34 +519,23 @@ class QueryPlanner:
                 rows[s] = row
                 flight.row = row
                 with self._flight_lock:
-                    self._inflight.pop(self._key(s), None)
+                    self._inflight.pop(s, None)
                 flight.event.set()
                 pending.pop(i)
             if pending:
                 missing = [s for s, _ in pending]
                 with span("planner.solve_missing", sources=len(missing)):
-                    results = self._solver.solve_many(
-                        missing,
-                        engine=self._engine,
-                        track_parents=self._track_parents,
-                        n_jobs=self._n_jobs,
-                    )
+                    solved = self._rows.solve(missing)
                 with self._stats_lock:
                     self._batches += 1
                     self._solves += len(missing)
-                # Pop each result as its row is stored, so its int64
-                # parent is freed before the next row's int32 copy: the
-                # batch never holds both widths of every row at once.
-                results.reverse()
-                while results:
-                    res = results.pop()
+                for row in solved:
                     s, flight = pending[0]
-                    row = _Row(res.dist, res.parent)
                     rows[s] = row
                     self._insert(s, row)
                     flight.row = row
                     with self._flight_lock:
-                        self._inflight.pop(self._key(s), None)
+                        self._inflight.pop(s, None)
                     flight.event.set()
                     pending.pop(0)
         except BaseException as exc:
@@ -464,7 +544,7 @@ class QueryPlanner:
             for s, flight in pending:
                 flight.error = exc
                 with self._flight_lock:
-                    self._inflight.pop(self._key(s), None)
+                    self._inflight.pop(s, None)
                 flight.event.set()
             raise
         if followers:
@@ -480,59 +560,30 @@ class QueryPlanner:
     # ------------------------------------------------------------------ #
     # Answer construction
     # ------------------------------------------------------------------ #
-    def _path(self, row: _Row, source: int, target: int) -> tuple[int, ...] | None:
-        if row.parent is None or not np.isfinite(row.dist[target]):
-            return None
-        return tuple(parent_path(row.parent, target))
-
-    def _answer(self, query, rows: dict[int, _Row]):
+    def _answer(self, query, rows: dict):
+        row = rows[query.source]
         if isinstance(query, SingleSource):
-            return rows[query.source].dist
+            return row.dist
         if isinstance(query, PointToPoint):
-            row = rows[query.source]
             return Route(
                 source=query.source,
                 target=query.target,
                 distance=float(row.dist[query.target]),
-                path=self._path(row, query.source, query.target),
+                path=self._rows.path(row, query.source, query.target),
             )
-        row = rows[query.source]
         return nearest_from_row(query.source, row.dist, query.k)
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def _check_vertex(self, v: int, what: str) -> None:
-        """Type- and range-check a query vertex up front: numpy would
-        accept a negative index and silently serve the answer for vertex
-        ``n + v``, and ``bool`` would silently mean vertex 0/1 —
-        unacceptable from a serving API."""
-        v = coerce_vertex(v, what)
-        if not 0 <= v < self._solver.graph.n:
-            raise ValueError(
-                f"{what} {v} out of range for a graph with "
-                f"n={self._solver.graph.n} vertices"
-            )
-
-    def _validate(self, query) -> None:
-        self._check_vertex(query.source, "source")
-        if isinstance(query, PointToPoint):
-            self._check_vertex(query.target, "target")
-        elif isinstance(query, KNearest):
-            if isinstance(query.k, (bool, np.bool_)) or not isinstance(
-                query.k, (int, np.integer)
-            ):
-                raise TypeError(f"k must be an integer, got {query.k!r}")
-            if query.k < 0:
-                raise ValueError(f"k must be >= 0, got {query.k}")
-
     def execute(self, queries: Sequence) -> list:
         """Answer a mixed batch: one coalesced solve for all cache
         misses, answers in input order."""
         normalized = [normalize_query(q) for q in queries]
         for q in normalized:
-            self._validate(q)
-        with span("planner.execute", queries=len(normalized), engine=self._engine):
+            validate_query(q, self._rows.n)
+        engine = self._rows.engine
+        with span("planner.execute", queries=len(normalized), engine=engine):
             rows = self._fetch_rows(q.source for q in normalized)
             distinct = len({int(q.source) for q in normalized})
             annotate(distinct_sources=distinct)
@@ -559,11 +610,7 @@ class QueryPlanner:
         other entry point — ``warm([-1])`` raises instead of silently
         solving from vertex ``n - 1`` and caching it under key ``-1``.
         """
-        checked = []
-        for s in sources:
-            self._check_vertex(s, "source")
-            checked.append(int(s))
-        self._fetch_rows(checked)
+        self._fetch_rows([check_vertex(s, "source", self._rows.n) for s in sources])
 
     def stats(self) -> dict:
         """Counter snapshot for benchmarking and monitoring.
@@ -590,8 +637,8 @@ class QueryPlanner:
         with self._flight_lock:
             inflight = len(self._inflight)
         return {
-            "engine": self._engine,
-            "graph_hash": self._graph_hash,
+            "engine": self._rows.engine,
+            "graph_hash": self._rows.graph_hash,
             "capacity": self._capacity,
             "stripes": len(self._stripes),
             "cached_rows": cached,

@@ -38,35 +38,35 @@ chain → target-shard path, with composite hops whose weights are exact
 input-graph distances (the same contract as
 :class:`~repro.serve.planner.Route` on the augmented graph).
 
-Where the rows come *from* is the backend's business:
-:class:`~repro.serve.backends.LocalBackend` (per-shard planners in
-process — the classic single-box router, built by the constructor) or
-:class:`~repro.serve.backends.RemoteBackend` (shard servers across the
-wire — built by :meth:`ShardRouter.remote`).  Remote rows travel as
-raw float64 frames, so remote stitching preserves the bit-identity
-contract; a shard down past its retry budget surfaces as a typed
+Where the rows come *from* is the backend's business: every shard is
+a :class:`~repro.serve.service.RoutingService`, either in process
+behind a :class:`~repro.serve.backends.LocalBackend` (the classic
+single-box router, built by the constructor) or behind a shard server
+across the wire, reached by a
+:class:`~repro.serve.backends.RemoteBackend` (built by
+:meth:`ShardRouter.remote`).  Remote rows travel as raw float64 frames,
+so remote stitching preserves the bit-identity contract; a shard down
+past its retry budget surfaces as a typed
 :class:`~repro.serve.backends.ShardUnavailableError` (→ HTTP 503
 naming the shard) instead of a hang.
 
-Concurrency: backends are thread-safe, and the router's own
-stitched-row LRU is lock-protected (probe/insert only — never held
-across a solve).  Two threads missing the same source may both stitch,
-but the expensive per-shard solves underneath are deduplicated by each
-local planner's single-flight table (or the remote shard's), and both
-stitched rows are identical.
+A stitched row is one more exact SSSP row, so it sits behind the same
+:class:`~repro.serve.planner.QueryPlanner` an engine row does: the
+stitcher is the router planner's row source.  The router therefore
+shares the service's validation, striped LRU, batch coalescing and
+single-flight — concurrent misses on one source stitch it once, and
+every other thread waits for that row.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.dijkstra import dijkstra
-from ..core.solver import PreprocessedSSSP
+from ..engine.registry import available_engines, get_engine
 from ..graphs.build import from_arc_arrays
 from ..graphs.csr import CSRGraph
 from ..obs.trace import span
@@ -84,29 +84,15 @@ from .backends import (
     ShardBackend,
     ShardUnavailableError,
 )
-from .obs_bridge import (
-    backend_families,
-    next_instance_label,
-    planner_cache_families,
-    stitched_cache_families,
-)
-from .planner import (
-    KNearest,
-    Nearest,
-    PointToPoint,
-    QueryPlanner,
-    Route,
-    SingleSource,
-    coerce_vertex,
-    nearest_from_row,
-    normalize_query,
-)
-from .surface import json_finite
+from .obs_bridge import backend_families, stitched_cache_families
+from .planner import QueryPlanner, check_vertex
+from .service import shard_services
+from .surface import PlannerSurface
 
 __all__ = ["ShardRouter"]
 
 #: planner counter keys summed across shards for the aggregate stats
-#: block (remote shards report the same keys from their own planners).
+#: block (every shard's service reports them in its ``stats()``).
 _AGG_KEYS = (
     "capacity",
     "cached_rows",
@@ -120,6 +106,19 @@ _AGG_KEYS = (
     "single_flight_waits",
     "inflight",
 )
+
+#: what ``per_shard`` reports of each shard's own ``stats()``.
+_SHARD_KEYS = (
+    *_AGG_KEYS,
+    "engine",
+    "queries_answered",
+    "preferred_engine",
+    "reorder",
+    "locality",
+)
+
+#: the stitched planner counters ``stats()["stitched"]`` reports.
+_STITCHED_KEYS = ("capacity", "cached_rows", "hits", "misses", "lookups", "evictions")
 
 
 class _Stitched:
@@ -141,7 +140,186 @@ class _Stitched:
         self.ov_parent = ov_parent
 
 
-class ShardRouter:
+class _Stitcher:
+    """The row source of the router's planner: exact full rows stitched
+    from shard backend rows over the boundary overlay.
+
+    Owns the topology-derived arrays and does no I/O of its own — every
+    row comes from a backend.  It holds the backends and never the
+    router or its planner (see :meth:`QueryPlanner.from_rows`).
+    """
+
+    engine = "stitched"
+
+    def __init__(
+        self,
+        topology: ShardTopology,
+        shard_vertices: list[np.ndarray],
+        backends: list[ShardBackend | None],
+        track_parents: bool,
+    ) -> None:
+        self.n = topology.n
+        self.graph_hash = topology.source_hash
+        self.shard_vertices = shard_vertices
+        self._labels = topology.labels
+        self._backends = backends
+        self._track_parents = track_parents
+        # local[v] = shard-local id of original vertex v
+        self._local = np.full(self.n, -1, dtype=np.int64)
+        for verts in shard_vertices:
+            self._local[verts] = np.arange(len(verts), dtype=np.int64)
+        # overlay bookkeeping: boundary vertices per shard, in both
+        # overlay-local and shard-local ids (ascending original id)
+        ovv = topology.overlay_vertices
+        self._ov_vertices = ovv
+        self._overlay = topology.overlay_graph
+        self._n_ov = len(ovv)
+        self._ov_tails = np.repeat(
+            np.arange(self._n_ov, dtype=np.int64), self._overlay.degrees()
+        )
+        self.boundary_ov = [
+            np.flatnonzero(self._labels[ovv] == s) if self._n_ov else ovv
+            for s in range(topology.n_shards)
+        ]
+        self._boundary_local = [self._local[ovv[b]] for b in self.boundary_ov]
+
+    def solve(self, sources: list[int]) -> list[_Stitched]:
+        rows = []
+        for source in sources:
+            with span("router.stitch", source=source):
+                rows.append(self._stitch(source))
+        return rows
+
+    def path(self, row: _Stitched, source: int, target: int) -> tuple[int, ...] | None:
+        distance = float(row.dist[target])
+        if not self._track_parents or not np.isfinite(distance):
+            return None
+        return self._route_path(int(source), int(target), row, distance)
+
+    def _virtual_solve(self, seeds_ov: np.ndarray, seed_dist: np.ndarray):
+        """One Dijkstra from a virtual source appended to the overlay,
+        wired to the source shard's boundary at the rowA distances."""
+        n_ov = self._n_ov
+        us = np.concatenate(
+            [self._ov_tails, np.full(len(seeds_ov), n_ov, dtype=np.int64)]
+        )
+        vs = np.concatenate([self._overlay.indices, seeds_ov])
+        ws = np.concatenate([self._overlay.weights, seed_dist])
+        virt = from_arc_arrays(n_ov + 1, us, vs, ws, symmetrize=True, validate=False)
+        return dijkstra(virt, n_ov, track_parents=self._track_parents)
+
+    def _stitch(self, source: int) -> _Stitched:
+        shard_a = int(self._labels[source])
+        backend_a = self._backends[shard_a]
+        with span("router.source_row", shard=shard_a):
+            row_a = backend_a.source_row(int(self._local[source]))
+        dist = np.full(self.n, np.inf)
+        dist[self.shard_vertices[shard_a]] = row_a
+        ov_dist = np.full(self._n_ov, np.inf)
+        ov_parent: np.ndarray | None = None
+        seeds_ov = self.boundary_ov[shard_a]
+        seed_dist = row_a[self._boundary_local[shard_a]]
+        finite = np.isfinite(seed_dist)
+        if self._n_ov and finite.any():
+            with span("router.overlay_solve", seeds=int(finite.sum())):
+                res = self._virtual_solve(seeds_ov[finite], seed_dist[finite])
+            ov_dist = res.dist[: self._n_ov]
+            ov_parent = res.parent
+            for shard_c in range(len(self._backends)):
+                b_ov = self.boundary_ov[shard_c]
+                if len(b_ov) == 0:
+                    continue
+                d_b = ov_dist[b_ov]
+                ok = np.isfinite(d_b)
+                if not ok.any():
+                    continue
+                backend_c = self._backends[shard_c]
+                verts = self.shard_vertices[shard_c]
+                with span(
+                    "router.fold_shard", shard=shard_c, boundary=int(ok.sum())
+                ):
+                    rows_c = backend_c.rows(
+                        [int(b) for b in self._boundary_local[shard_c][ok]]
+                    )
+                    best = dist[verts]
+                    for row_c, db in zip(rows_c, d_b[ok]):
+                        np.minimum(best, db + row_c, out=best)
+                    dist[verts] = best
+        return _Stitched(dist, ov_dist, ov_parent)
+
+    def _translate(self, shard: int, path) -> list[int] | None:
+        if path is None:
+            return None
+        verts = self.shard_vertices[shard]
+        return [int(verts[v]) for v in path]
+
+    def _route_path(
+        self, source: int, target: int, st: _Stitched, distance: float
+    ) -> tuple[int, ...] | None:
+        shard_a = int(self._labels[source])
+        shard_b = int(self._labels[target])
+        local_t = int(self._local[target])
+        if shard_b == shard_a:
+            # prefer the pure intra-shard path when it realizes the
+            # exact stitched distance (it usually does)
+            direct = self._backends[shard_a].route(
+                int(self._local[source]), local_t
+            )
+            if direct.path is not None and direct.distance == distance:
+                return tuple(self._translate(shard_a, direct.path))
+        if st.ov_parent is None:
+            return None
+        # entry point: the first boundary vertex of the target shard
+        # (ascending original id — deterministic) on an optimal path;
+        # the finite candidate rows come back in one batched fetch
+        candidates = [
+            (int(b_ov), int(local_b))
+            for b_ov, local_b in zip(
+                self.boundary_ov[shard_b], self._boundary_local[shard_b]
+            )
+            if np.isfinite(st.ov_dist[b_ov])
+        ]
+        rows_b = self._backends[shard_b].rows([lb for _, lb in candidates])
+        entry = -1
+        for (b_ov, _local_b), row_b in zip(candidates, rows_b):
+            if st.ov_dist[b_ov] + row_b[local_t] == distance:
+                entry = b_ov
+                break
+        if entry < 0:
+            # only reachable on non-exactly-representable weights, where
+            # no boundary decomposition reproduces the min bit for bit
+            return None
+        # overlay parent chain: virtual source -> ... -> entry
+        chain: list[int] = []
+        at = entry
+        while at != self._n_ov:
+            chain.append(at)
+            at = int(st.ov_parent[at])
+        chain.reverse()
+        first = chain[0]  # boundary vertex of shard A the path exits at
+        seg_a = self._backends[shard_a].route(
+            int(self._local[source]), int(self._local[self._ov_vertices[first]])
+        )
+        if seg_a.path is None:
+            return None
+        path = self._translate(shard_a, seg_a.path)
+        # overlay hops are composite edges (cut arcs or within-shard
+        # distance arcs) — their endpoints are the stitch points
+        for b_ov in chain[1:]:
+            path.append(int(self._ov_vertices[b_ov]))
+        seg_b = self._backends[shard_b].route(
+            int(self._local[self._ov_vertices[entry]]), local_t
+        )
+        if seg_b.path is None:
+            return None
+        tail = self._translate(shard_b, seg_b.path)
+        if tail and path and tail[0] == path[-1]:
+            tail = tail[1:]
+        path.extend(tail)
+        return tuple(path)
+
+
+class ShardRouter(PlannerSurface):
     """Shard-routed implementation of the serving query surface.
 
     Parameters
@@ -159,16 +337,19 @@ class ShardRouter:
         :func:`~repro.preprocess.build_sharded_kr_graph` on a cold
         start (``n_shards`` is required then).
     k, rho, heuristic, preprocess_jobs: per-shard preprocessing knobs.
-    engine: engine selector for every local per-shard planner.
+    engine: engine selector for every local shard service.
     cache_capacity: LRU size for the router's stitched full rows *and*
-        each local shard planner's row cache (the planners' hot entries
+        each local shard service's row cache (the shards' hot entries
         are the boundary rows stitching re-reads on every query).
-    cache_stripes: lock stripes per local shard planner.
+    cache_stripes: lock stripes for the router's stitched-row cache and
+        for each local shard service's row cache.
     track_parents: record predecessors so :meth:`route` returns stitched
         paths.
-    query_jobs: worker processes for each local planner's coalesced
-        solves.
+    query_jobs: worker processes for each local shard service's
+        coalesced solves.
     """
+
+    _obs_prefix = "router"
 
     def __init__(
         self,
@@ -217,37 +398,24 @@ class ShardRouter:
             topology = ShardTopology.from_sharded(sharded)
         self._sharded = sharded
         self._topo = topology
-        self._labels = topology.labels
-        self._n = topology.n
-        self._shard_vertices = (
+        shard_vertices = (
             sharded.shard_vertices
             if sharded is not None
             else topology.shard_vertices()
         )
-        self._track_parents = track_parents
-        # local[v] = shard-local id of original vertex v
-        self._local = np.full(self._n, -1, dtype=np.int64)
-        for verts in self._shard_vertices:
-            self._local[verts] = np.arange(len(verts), dtype=np.int64)
         if backends is None:
-            # one solver + planner per non-empty shard, wrapped in a
-            # LocalBackend (an empty shard can never own a query vertex,
-            # so it gets no backend)
-            backends = []
-            for s, pre in enumerate(sharded.shards):
-                if len(self._shard_vertices[s]) == 0:
-                    backends.append(None)
-                    continue
-                solver = PreprocessedSSSP.from_preprocessed(pre)
-                planner = QueryPlanner(
-                    solver,
-                    engine=engine,
-                    capacity=cache_capacity,
-                    track_parents=track_parents,
-                    n_jobs=query_jobs,
-                    stripes=cache_stripes,
-                )
-                backends.append(LocalBackend(s, planner, solver))
+            services = shard_services(
+                sharded,
+                engine=engine,
+                cache_capacity=cache_capacity,
+                cache_stripes=cache_stripes,
+                track_parents=track_parents,
+                query_jobs=query_jobs,
+            )
+            backends = [
+                None if service is None else LocalBackend(s, service)
+                for s, service in enumerate(services)
+            ]
         else:
             backends = list(backends)
             if len(backends) != topology.n_shards:
@@ -256,40 +424,16 @@ class ShardRouter:
                     f"empty shards), got {len(backends)}"
                 )
             for s, backend in enumerate(backends):
-                if backend is None and len(self._shard_vertices[s]):
+                if backend is None and len(shard_vertices[s]):
                     raise ValueError(
-                        f"shard {s} holds {len(self._shard_vertices[s])} "
+                        f"shard {s} holds {len(shard_vertices[s])} "
                         "vertices but has no backend"
                     )
         self._backends: list[ShardBackend | None] = backends
-        # local-mode views (None entries for remote or empty shards):
-        # instrument() and the scrape collector reach planners directly
-        self._solvers = [getattr(b, "solver", None) for b in backends]
-        self._planners = [getattr(b, "planner", None) for b in backends]
-        # overlay bookkeeping: boundary vertices per shard, in both
-        # overlay-local and shard-local ids (ascending original id)
-        ovv = topology.overlay_vertices
-        self._ov_vertices = ovv
-        self._overlay = topology.overlay_graph
-        self._n_ov = len(ovv)
-        self._ov_tails = np.repeat(
-            np.arange(self._n_ov, dtype=np.int64), self._overlay.degrees()
+        self._stitcher = _Stitcher(topology, shard_vertices, backends, track_parents)
+        self._planner = QueryPlanner.from_rows(
+            self._stitcher, capacity=cache_capacity, stripes=cache_stripes
         )
-        self._boundary_ov = [
-            np.flatnonzero(self._labels[ovv] == s) if self._n_ov else ovv
-            for s in range(topology.n_shards)
-        ]
-        self._boundary_local = [self._local[ovv[b]] for b in self._boundary_ov]
-        # stitched full-row LRU (single lock: held for probe/insert only)
-        self._capacity = int(cache_capacity)
-        self._cache: OrderedDict[int, _Stitched] = OrderedDict()
-        self._cache_lock = threading.Lock()
-        self._lookups = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._obs_registry = None
-        self._obs_label = ""
 
     # ------------------------------------------------------------------ #
     # Construction / persistence
@@ -437,322 +581,29 @@ class ShardRouter:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Stitching core (pure fold over backend rows — no I/O of its own)
+    # Observability (instrument() comes from PlannerSurface)
     # ------------------------------------------------------------------ #
-    def _virtual_solve(self, seeds_ov: np.ndarray, seed_dist: np.ndarray):
-        """One Dijkstra from a virtual source appended to the overlay,
-        wired to the source shard's boundary at the rowA distances."""
-        n_ov = self._n_ov
-        us = np.concatenate(
-            [self._ov_tails, np.full(len(seeds_ov), n_ov, dtype=np.int64)]
-        )
-        vs = np.concatenate([self._overlay.indices, seeds_ov])
-        ws = np.concatenate([self._overlay.weights, seed_dist])
-        virt = from_arc_arrays(n_ov + 1, us, vs, ws, symmetrize=True, validate=False)
-        return dijkstra(virt, n_ov, track_parents=self._track_parents)
-
-    def _stitch(self, source: int) -> _Stitched:
-        shard_a = int(self._labels[source])
-        backend_a = self._backends[shard_a]
-        with span("router.source_row", shard=shard_a):
-            row_a = backend_a.source_row(int(self._local[source]))
-        dist = np.full(self._n, np.inf)
-        dist[self._shard_vertices[shard_a]] = row_a
-        ov_dist = np.full(self._n_ov, np.inf)
-        ov_parent: np.ndarray | None = None
-        seeds_ov = self._boundary_ov[shard_a]
-        seed_dist = row_a[self._boundary_local[shard_a]]
-        finite = np.isfinite(seed_dist)
-        if self._n_ov and finite.any():
-            with span("router.overlay_solve", seeds=int(finite.sum())):
-                res = self._virtual_solve(seeds_ov[finite], seed_dist[finite])
-            ov_dist = res.dist[: self._n_ov]
-            ov_parent = res.parent
-            for shard_c in range(self._topo.n_shards):
-                b_ov = self._boundary_ov[shard_c]
-                if len(b_ov) == 0:
-                    continue
-                d_b = ov_dist[b_ov]
-                ok = np.isfinite(d_b)
-                if not ok.any():
-                    continue
-                backend_c = self._backends[shard_c]
-                verts = self._shard_vertices[shard_c]
-                with span(
-                    "router.fold_shard", shard=shard_c, boundary=int(ok.sum())
-                ):
-                    rows_c = backend_c.rows(
-                        [int(b) for b in self._boundary_local[shard_c][ok]]
-                    )
-                    best = dist[verts]
-                    for row_c, db in zip(rows_c, d_b[ok]):
-                        np.minimum(best, db + row_c, out=best)
-                    dist[verts] = best
-        return _Stitched(dist, ov_dist, ov_parent)
-
-    def _stitched(self, source: int) -> _Stitched:
-        source = int(source)
-        with self._cache_lock:
-            self._lookups += 1
-            entry = self._cache.get(source)
-            if entry is not None:
-                self._cache.move_to_end(source)
-                self._hits += 1
-                return entry
-            self._misses += 1
-        with span("router.stitch", source=source):
-            entry = self._stitch(source)
-        if self._capacity > 0:
-            with self._cache_lock:
-                self._cache[source] = entry
-                self._cache.move_to_end(source)
-                while len(self._cache) > self._capacity:
-                    self._cache.popitem(last=False)
-                    self._evictions += 1
-        return entry
-
-    # ------------------------------------------------------------------ #
-    # Route stitching
-    # ------------------------------------------------------------------ #
-    def _translate(self, shard: int, path) -> list[int] | None:
-        if path is None:
-            return None
-        verts = self._shard_vertices[shard]
-        return [int(verts[v]) for v in path]
-
-    def _route_path(
-        self, source: int, target: int, st: _Stitched, distance: float
-    ) -> tuple[int, ...] | None:
-        shard_a = int(self._labels[source])
-        shard_b = int(self._labels[target])
-        local_t = int(self._local[target])
-        if shard_b == shard_a:
-            # prefer the pure intra-shard path when it realizes the
-            # exact stitched distance (it usually does)
-            direct = self._backends[shard_a].route(
-                int(self._local[source]), local_t
-            )
-            if direct.path is not None and direct.distance == distance:
-                return tuple(self._translate(shard_a, direct.path))
-        if st.ov_parent is None:
-            return None
-        # entry point: the first boundary vertex of the target shard
-        # (ascending original id — deterministic) on an optimal path;
-        # the finite candidate rows come back in one batched fetch
-        candidates = [
-            (int(b_ov), int(local_b))
-            for b_ov, local_b in zip(
-                self._boundary_ov[shard_b], self._boundary_local[shard_b]
-            )
-            if np.isfinite(st.ov_dist[b_ov])
+    def _shard_services(self) -> list:
+        """Local shards only: a remote shard's planner counters and
+        engine telemetry live on its own server's scrape."""
+        return [
+            (s, backend.service)
+            for s, backend in enumerate(self._backends)
+            if isinstance(backend, LocalBackend)
         ]
-        rows_b = self._backends[shard_b].rows([lb for _, lb in candidates])
-        entry = -1
-        for (b_ov, _local_b), row_b in zip(candidates, rows_b):
-            if st.ov_dist[b_ov] + row_b[local_t] == distance:
-                entry = b_ov
-                break
-        if entry < 0:
-            # only reachable on non-exactly-representable weights, where
-            # no boundary decomposition reproduces the min bit for bit
-            return None
-        # overlay parent chain: virtual source -> ... -> entry
-        chain: list[int] = []
-        at = entry
-        while at != self._n_ov:
-            chain.append(at)
-            at = int(st.ov_parent[at])
-        chain.reverse()
-        first = chain[0]  # boundary vertex of shard A the path exits at
-        seg_a = self._backends[shard_a].route(
-            int(self._local[source]), int(self._local[self._ov_vertices[first]])
-        )
-        if seg_a.path is None:
-            return None
-        path = self._translate(shard_a, seg_a.path)
-        # overlay hops are composite edges (cut arcs or within-shard
-        # distance arcs) — their endpoints are the stitch points
-        for b_ov in chain[1:]:
-            path.append(int(self._ov_vertices[b_ov]))
-        seg_b = self._backends[shard_b].route(
-            int(self._local[self._ov_vertices[entry]]), local_t
-        )
-        if seg_b.path is None:
-            return None
-        tail = self._translate(shard_b, seg_b.path)
-        if tail and path and tail[0] == path[-1]:
-            tail = tail[1:]
-        path.extend(tail)
-        return tuple(path)
 
-    # ------------------------------------------------------------------ #
-    # Validation (mirrors QueryPlanner exactly)
-    # ------------------------------------------------------------------ #
-    def _check_vertex(self, v, what: str) -> None:
-        v = coerce_vertex(v, what)
-        if not 0 <= v < self._n:
-            raise ValueError(
-                f"{what} {v} out of range for a graph with n={self._n} vertices"
-            )
-
-    def _validate(self, query) -> None:
-        self._check_vertex(query.source, "source")
-        if isinstance(query, PointToPoint):
-            self._check_vertex(query.target, "target")
-        elif isinstance(query, KNearest):
-            if isinstance(query.k, (bool, np.bool_)) or not isinstance(
-                query.k, (int, np.integer)
-            ):
-                raise TypeError(f"k must be an integer, got {query.k!r}")
-            if query.k < 0:
-                raise ValueError(f"k must be >= 0, got {query.k}")
-
-    # ------------------------------------------------------------------ #
-    # Query surface
-    # ------------------------------------------------------------------ #
-    def distances(self, source: int) -> np.ndarray:
-        """All input-graph distances from ``source`` (read-only row),
-        stitched source shard → overlay → every shard."""
-        self._check_vertex(source, "source")
-        return self._stitched(int(source)).dist
-
-    def route(self, source: int, target: int) -> Route:
-        """Exact distance ``source → target`` plus (when parents are
-        tracked) a stitched path whose hops are composite edges carrying
-        exact input-graph distances."""
-        self._check_vertex(source, "source")
-        self._check_vertex(target, "target")
-        source, target = int(source), int(target)
-        st = self._stitched(source)
-        distance = float(st.dist[target])
-        path: tuple[int, ...] | None = None
-        if self._track_parents and np.isfinite(distance):
-            path = self._route_path(source, target, st, distance)
-        return Route(source=source, target=target, distance=distance, path=path)
-
-    def nearest(self, source: int, k: int) -> Nearest:
-        """The ``k`` closest vertices to ``source``, graph-wide."""
-        query = KNearest(source, k)
-        self._validate(query)
-        return nearest_from_row(
-            int(source), self._stitched(int(source)).dist, int(k)
-        )
-
-    def batch(self, queries: Sequence) -> list:
-        """Mixed batch, answered in input order.  Queries sharing a
-        source share one stitched row (router LRU + per-shard backend
-        caches underneath)."""
-        normalized = [normalize_query(q) for q in queries]
-        for q in normalized:
-            self._validate(q)
-        answers = []
-        for q in normalized:
-            if isinstance(q, SingleSource):
-                answers.append(self._stitched(q.source).dist)
-            elif isinstance(q, PointToPoint):
-                answers.append(self.route(q.source, q.target))
-            else:
-                answers.append(
-                    nearest_from_row(
-                        int(q.source), self._stitched(q.source).dist, int(q.k)
-                    )
-                )
-        return answers
-
-    def warm(self, sources: Iterable[int]) -> None:
-        """Pre-stitch known-hot sources (and thereby pre-solve their
-        shards' boundary rows, the shared working set)."""
-        checked = []
-        for s in sources:
-            self._check_vertex(s, "source")
-            checked.append(int(s))
-        for s in checked:
-            self._stitched(s)
-
-    # ------------------------------------------------------------------ #
-    # Observability
-    # ------------------------------------------------------------------ #
-    def instrument(self, registry=None) -> str:
-        """Attach the router to a metrics registry; returns its
-        ``service`` label value.
-
-        The sharded mirror of :meth:`RoutingService.instrument
-        <repro.serve.service.RoutingService.instrument>`: one
-        :class:`~repro.obs.metrics.EngineTelemetry` observer shared by
-        every local shard's solver (engine histograms aggregate across
-        shards — the ``engine`` label already distinguishes what
-        matters), and one weakly-held scrape-time collector emitting
-        ``planner_*`` families per local shard (``shard`` label = shard
-        id), the router's own ``router_stitched_*`` LRU families, and
-        per-backend ``shard_backend_*`` health/latency families (remote
-        shards included — their planner counters live on their *own*
-        server's scrape).  Idempotent per registry; ``None`` = the
-        process-global default.
-        """
-        from ..obs.metrics import EngineTelemetry, get_default_registry
-
-        if registry is None:
-            registry = get_default_registry()
-        if self._obs_registry is registry:
-            return self._obs_label
-        self._obs_registry = registry
-        self._obs_label = next_instance_label("router")
-        telemetry = EngineTelemetry(registry)
-        for solver in self._solvers:
-            if solver is not None:
-                solver.set_observer(telemetry)
-        registry.register_collector(self._collect_metrics)
-        return self._obs_label
-
-    def _collect_metrics(self):
-        """Scrape-time collector: per-shard planner counters, the
-        stitched-row LRU, per-backend health/latency, and the query
-        total."""
-        from ..obs.metrics import MetricFamily, Sample
-
-        svc = ("service", self._obs_label)
-        entries = [
-            ((svc, ("shard", str(s))), planner.stats())
-            for s, planner in enumerate(self._planners)
-            if planner is not None
-        ]
-        fams = planner_cache_families(entries)
-        with self._cache_lock:
-            stitched = {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-                "cached_rows": len(self._cache),
-            }
-        fams.extend(stitched_cache_families((svc,), stitched))
+    def _surface_families(self, base: tuple) -> list:
+        """The stitched-row cache and per-backend health/latency."""
+        fams = stitched_cache_families(base, self._planner.stats())
         fams.extend(
             backend_families(
                 [
-                    ((svc, ("shard", str(s)), ("kind", backend.kind)), backend)
+                    (base + (("shard", str(s)), ("kind", backend.kind)), backend)
                     for s, backend in enumerate(self._backends)
                     if backend is not None
                 ]
             )
         )
-        queries = MetricFamily(
-            "service_queries_answered_total",
-            "counter",
-            "SSSP queries answered (the amortization denominator)",
-        )
-        queries.samples.append(
-            Sample(
-                "",
-                (svc,),
-                float(
-                    sum(
-                        solver.queries_answered
-                        for solver in self._solvers
-                        if solver is not None
-                    )
-                ),
-            )
-        )
-        fams.append(queries)
         return fams
 
     # ------------------------------------------------------------------ #
@@ -781,150 +632,88 @@ class ShardRouter:
 
     def shard_of(self, vertex: int) -> int:
         """The shard a vertex lives in (input-graph ids)."""
-        self._check_vertex(vertex, "vertex")
-        return int(self._labels[int(vertex)])
+        return int(self._topo.labels[check_vertex(vertex, "vertex", self._topo.n)])
 
     def topology(self) -> dict:
-        """Shard topology: per-shard vertex/boundary counts, resolved
-        engines, and the overlay size.
+        """Shard topology: per-shard vertex/boundary counts and the
+        overlay size.
 
-        A remote shard's engine resolves on its own server, so it
-        reports ``None`` here; :meth:`stats` fills it in from the
-        shard's live ``/stats``.
+        Every shard's engine resolves in its own service, so it reports
+        ``None`` here; :meth:`stats` fills it in from the shard's stats.
         """
-        shards = []
-        for s in range(self.n_shards):
-            planner = self._planners[s]
-            shards.append(
-                {
-                    "shard": s,
-                    "vertices": int(len(self._shard_vertices[s])),
-                    "boundary": int(len(self._boundary_ov[s])),
-                    "engine": planner.engine if planner is not None else None,
-                }
+        shards = [
+            {
+                "shard": s,
+                "vertices": int(len(verts)),
+                "boundary": int(len(boundary)),
+                "engine": None,
+            }
+            for s, (verts, boundary) in enumerate(
+                zip(self._stitcher.shard_vertices, self._stitcher.boundary_ov)
             )
+        ]
         return {
             "shards": shards,
             "overlay": {
-                "vertices": int(self._n_ov),
-                "edges": int(self._overlay.m),
+                "vertices": int(len(self._topo.overlay_vertices)),
+                "edges": int(self._topo.overlay_graph.m),
             },
         }
 
     def stats(self) -> dict:
-        """Aggregated planner counters plus sharding topology.
+        """Aggregated shard counters plus sharding topology.
 
-        Per-shard planner counters (hits, misses, solves, …) are summed
-        — remote shards report theirs over ``GET /stats`` — the
-        ``stitched`` block is the router's own full-row LRU; and the
-        satellite topology — artifact version, shard count, per-shard
-        vertex/boundary counts — rides along for ``GET /stats``.
+        Every shard is a :class:`~repro.serve.service.RoutingService`,
+        so its ``per_shard`` entry is read one way whatever the
+        transport: from ``backend.stats()`` — the service's own
+        ``stats()`` in process, its ``GET /stats`` across the wire.  An
+        entry carries the shard's planner counters, resolved engine,
+        ``queries_answered`` and preprocessing provenance
+        (``preferred_engine``, ``reorder``, sanitized ``locality``); the
+        counters are also summed into the top level.  ``engine`` is the
+        engine every answering shard runs, ``"mixed"`` when they differ
+        and ``None`` when no shard answered.  A shard whose server is
+        unreachable appears as ``{"unavailable": true}`` instead of
+        failing the whole call.
 
-        Parity with :meth:`RoutingService.stats
-        <repro.serve.service.RoutingService.stats>`: the same
-        ``engines`` registry listing, and a ``per_shard`` table giving
-        every shard's full planner counter snapshot plus its
-        preprocessing provenance (``preferred_engine``, ``reorder``,
-        sanitized ``locality``) — the aggregate totals above stay, the
-        table is where a per-shard imbalance shows up.
-
-        New with the backend seam: a ``backends`` table — one row per
-        shard backend with its kind, endpoint, health, consecutive
-        failures, and p50 row-fetch latency (ms) from the backend's own
-        histogram.  A shard whose server is unreachable appears in
-        ``per_shard`` as ``{"unavailable": true}`` instead of failing
-        the whole stats call.
+        ``stitched`` is the router's own stitched-row cache;
+        ``backends`` has one row per shard backend (kind, endpoint,
+        health, consecutive failures, p50 row-fetch latency in ms); the
+        satellite topology and the ``engines`` registry listing ride
+        along as in the service's ``stats()``.
         """
-        from ..engine.registry import available_engines, get_engine
-
-        agg = {key: 0 for key in _AGG_KEYS}
+        agg = dict.fromkeys(_AGG_KEYS, 0)
         engines = set()
         per_shard = []
         backends_table = []
-        queries = 0
         topo = self.topology()
         for s, backend in enumerate(self._backends):
             if backend is None:
                 continue
             backends_table.append(backend.backend_stats())
+            shard = topo["shards"][s]
+            entry = {key: shard[key] for key in ("shard", "vertices", "boundary")}
+            per_shard.append(entry)
             try:
                 pstats = backend.stats()
             except ShardUnavailableError as exc:
-                per_shard.append(
-                    {
-                        "shard": s,
-                        "vertices": int(len(self._shard_vertices[s])),
-                        "boundary": int(len(self._boundary_ov[s])),
-                        "unavailable": True,
-                        "error": str(exc),
-                    }
-                )
+                entry.update(unavailable=True, error=str(exc))
                 continue
-            if "engine" in pstats:
-                engines.add(pstats["engine"])
-                topo["shards"][s]["engine"] = pstats["engine"]
-            for key in agg:
-                agg[key] += pstats.get(key, 0)
-            solver = self._solvers[s]
-            queries += (
-                solver.queries_answered
-                if solver is not None
-                else int(pstats.get("queries_answered", 0))
-            )
-            if self._sharded is not None:
-                pre = self._sharded.shards[s]
-                provenance = {
-                    "preferred_engine": getattr(pre, "preferred_engine", ""),
-                    "reorder": getattr(pre, "reorder", "natural"),
-                    "locality": {
-                        "before": json_finite(
-                            getattr(pre, "locality_before", float("nan"))
-                        ),
-                        "after": json_finite(
-                            getattr(pre, "locality_after", float("nan"))
-                        ),
-                    },
-                }
-            else:
-                # a remote shard's provenance comes from its own stats
-                provenance = {
-                    "preferred_engine": pstats.get("preferred_engine", ""),
-                    "reorder": pstats.get("reorder", "natural"),
-                    "locality": pstats.get(
-                        "locality", {"before": None, "after": None}
-                    ),
-                }
-            entry = {
-                "shard": s,
-                "vertices": int(len(self._shard_vertices[s])),
-                "boundary": int(len(self._boundary_ov[s])),
-            }
-            if self._planners[s] is not None:
-                entry.update(pstats)
-            else:
-                entry.update(
-                    {
-                        key: pstats[key]
-                        for key in (*_AGG_KEYS, "engine", "queries_answered")
-                        if key in pstats
-                    }
-                )
-            entry.update(provenance)
-            per_shard.append(entry)
-        with self._cache_lock:
-            stitched = {
-                "capacity": self._capacity,
-                "cached_rows": len(self._cache),
-                "hits": self._hits,
-                "misses": self._misses,
-                "lookups": self._lookups,
-                "evictions": self._evictions,
-            }
+            engines.add(pstats["engine"])
+            shard["engine"] = pstats["engine"]
+            for key in _AGG_KEYS:
+                agg[key] += pstats[key]
+            entry.update((key, pstats[key]) for key in _SHARD_KEYS)
+        if len(engines) == 1:
+            engine = engines.pop()
+        else:
+            engine = "mixed" if engines else None
+        stitched = self._planner.stats()
         return {
             **agg,
-            "engine": engines.pop() if len(engines) == 1 else "mixed",
-            "queries_answered": queries,
-            "n": self._n,
+            "engine": engine,
+            "queries_answered": sum(e.get("queries_answered", 0) for e in per_shard),
+            "n": self._topo.n,
             "k": self._topo.k,
             "rho": self._topo.rho,
             "heuristic": self._topo.heuristic,
@@ -934,7 +723,7 @@ class ShardRouter:
             "edge_cut": self._topo.edge_cut,
             "balance": self._topo.balance,
             "artifact_version": SHARDED_ARTIFACT_VERSION,
-            "stitched": stitched,
+            "stitched": {key: stitched[key] for key in _STITCHED_KEYS},
             "backends": backends_table,
             "engines": {
                 name: get_engine(name).description
@@ -970,7 +759,8 @@ class ShardRouter:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ShardRouter(n={self._n}, shards={self.n_shards}, "
+            f"ShardRouter(n={self._topo.n}, shards={self.n_shards}, "
             f"partition={self._topo.partition_method!r}, "
-            f"cut={self._topo.edge_cut}, overlay={self._n_ov})"
+            f"cut={self._topo.edge_cut}, "
+            f"overlay={len(self._topo.overlay_vertices)})"
         )

@@ -24,22 +24,20 @@ concurrently::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from ..core.solver import PreprocessedSSSP
 from ..graphs.csr import CSRGraph
+from ..preprocess.pipeline import ShardedPreprocessResult
 from .artifacts import ARTIFACT_VERSION, load_artifact, save_artifact
-from .obs_bridge import next_instance_label, planner_cache_families
-from .planner import Nearest, QueryPlanner, Route
+from .planner import QueryPlanner
 from .shm import DistanceMatrix, solve_many_shm
-from .surface import json_finite
+from .surface import PlannerSurface, json_finite
 
-__all__ = ["RoutingService"]
+__all__ = ["RoutingService", "shard_services"]
 
 
-class RoutingService:
+class RoutingService(PlannerSurface):
     """Synchronous query-serving facade over a preprocessed graph.
 
     Parameters
@@ -107,8 +105,6 @@ class RoutingService:
             n_jobs=query_jobs,
             stripes=cache_stripes,
         )
-        self._obs_registry = None
-        self._obs_label = ""
 
     # ------------------------------------------------------------------ #
     # Construction / persistence
@@ -161,30 +157,8 @@ class RoutingService:
         return save_artifact(path, self._solver.preprocessing)
 
     # ------------------------------------------------------------------ #
-    # Queries
+    # Bulk path (single queries come from PlannerSurface)
     # ------------------------------------------------------------------ #
-    def distances(self, source: int) -> np.ndarray:
-        """All input-graph distances from ``source`` (read-only row)."""
-        return self._planner.distances(source)
-
-    def route(self, source: int, target: int) -> Route:
-        """Exact distance ``source → target`` plus (when parents are
-        tracked) the realizing path in the augmented graph."""
-        return self._planner.route(source, target)
-
-    def nearest(self, source: int, k: int) -> Nearest:
-        """The ``k`` closest vertices to ``source``."""
-        return self._planner.nearest(source, k)
-
-    def batch(self, queries: Sequence) -> list:
-        """Mixed batch (query records, ints, or ``(s, t)`` pairs) —
-        deduplicated, coalesced onto one solve, answered in order."""
-        return self._planner.execute(queries)
-
-    def warm(self, sources: Iterable[int]) -> None:
-        """Pre-solve known-hot sources (depots, landmarks) at boot."""
-        self._planner.warm(sources)
-
     def distance_matrix(
         self,
         sources: Iterable[int],
@@ -207,59 +181,11 @@ class RoutingService:
         )
 
     # ------------------------------------------------------------------ #
-    # Observability
+    # Observability (instrument() comes from PlannerSurface)
     # ------------------------------------------------------------------ #
-    def instrument(self, registry=None) -> str:
-        """Attach this service to a metrics registry; returns its
-        ``service`` label value.
-
-        Two things happen, neither touching the query hot path:
-
-        * an :class:`~repro.obs.metrics.EngineTelemetry` observer is
-          installed on the solver, so every solve folds its
-          step/substep/relaxation counts into the per-engine histograms;
-        * a scrape-time collector (held by weak reference — a dropped
-          service silently leaves the scrape) is registered that shapes
-          :meth:`QueryPlanner.stats` into ``planner_*`` families under a
-          process-unique ``service`` label and ``shard="0"``.
-
-        ``registry=None`` uses the process-global default.  Idempotent
-        per registry; instrumenting a second registry moves the service
-        (one observer, one label).  The HTTP front end calls this
-        automatically for any surface that has it.
-        """
-        from ..obs.metrics import EngineTelemetry, get_default_registry
-
-        if registry is None:
-            registry = get_default_registry()
-        if self._obs_registry is registry:
-            return self._obs_label
-        self._obs_registry = registry
-        self._obs_label = next_instance_label("service")
-        self._solver.set_observer(EngineTelemetry(registry))
-        registry.register_collector(self._collect_metrics)
-        return self._obs_label
-
-    def _collect_metrics(self):
-        """Scrape-time collector: planner counters + query totals."""
-        from ..obs.metrics import MetricFamily, Sample
-
-        base = (("service", self._obs_label), ("shard", "0"))
-        fams = planner_cache_families([(base, self._planner.stats())])
-        queries = MetricFamily(
-            "service_queries_answered_total",
-            "counter",
-            "SSSP queries answered (the amortization denominator)",
-        )
-        queries.samples.append(
-            Sample(
-                "",
-                (("service", self._obs_label),),
-                float(self._solver.queries_answered),
-            )
-        )
-        fams.append(queries)
-        return fams
+    def _shard_services(self) -> list:
+        """The single-graph service is its own shard 0."""
+        return [(0, self)]
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -268,6 +194,11 @@ class RoutingService:
     def solver(self) -> PreprocessedSSSP:
         """The underlying preprocessed facade."""
         return self._solver
+
+    @property
+    def planner(self) -> QueryPlanner:
+        """The planner every query of this service runs through."""
+        return self._planner
 
     def stats(self) -> dict:
         """Planner counters plus preprocessing provenance.
@@ -342,3 +273,22 @@ class RoutingService:
             f"{s['cached_rows']}/{s['capacity']} rows cached, "
             f"{s['hits']} hits / {s['misses']} misses)"
         )
+
+
+def shard_services(
+    sharded: ShardedPreprocessResult, **knobs
+) -> list[RoutingService | None]:
+    """One :class:`RoutingService` per shard of a sharded preprocessing,
+    built with the serving ``knobs`` of the constructor; ``None`` for an
+    empty shard, which can never own a query vertex.
+
+    What a shard server serves, and what a local
+    :class:`~repro.serve.router.ShardRouter`'s
+    :class:`~repro.serve.backends.LocalBackend` objects wrap.
+    """
+    return [
+        RoutingService(solver=PreprocessedSSSP.from_preprocessed(pre), **knobs)
+        if len(verts)
+        else None
+        for pre, verts in zip(sharded.shards, sharded.shard_vertices)
+    ]

@@ -20,7 +20,6 @@ from repro.core.solver import PreprocessedSSSP
 from repro.obs.trace import trace_request
 from repro.serve import (
     LocalBackend,
-    QueryPlanner,
     RemoteBackend,
     RoutingHTTPServer,
     RoutingService,
@@ -91,28 +90,27 @@ def small_graph():
 
 
 @pytest.fixture(scope="module")
-def planner(small_graph):
+def service(small_graph):
     solver = PreprocessedSSSP(small_graph, k=2, rho=8)
-    return QueryPlanner(solver, capacity=16), solver
+    return RoutingService(solver=solver, cache_capacity=16)
 
 
 class TestLocalBackend:
-    def test_protocol_conformance(self, planner):
-        backend = LocalBackend(0, *planner)
+    def test_protocol_conformance(self, service):
+        backend = LocalBackend(0, service)
         assert isinstance(backend, ShardBackend)
 
-    def test_rows_match_planner(self, small_graph, planner):
-        pl, solver = planner
-        backend = LocalBackend(2, pl, solver)
+    def test_rows_match_planner(self, small_graph, service):
+        backend = LocalBackend(2, service)
         single = backend.source_row(5)
-        assert np.array_equal(single, pl.distances(5))
+        assert np.array_equal(single, service.distances(5))
         batch = backend.rows([1, 5, 9])
         assert len(batch) == 3
         for s, row in zip([1, 5, 9], batch):
-            assert np.array_equal(row, pl.distances(s))
+            assert np.array_equal(row, service.distances(s))
 
-    def test_backend_stats_shape(self, planner):
-        backend = LocalBackend(1, *planner)
+    def test_backend_stats_shape(self, service):
+        backend = LocalBackend(1, service)
         backend.source_row(0)
         st = backend.backend_stats()
         assert st["kind"] == "local"
@@ -124,8 +122,8 @@ class TestLocalBackend:
         assert st["row_fetches"] >= 1
         assert st["row_fetch_p50_ms"] is not None
 
-    def test_healthz(self, planner):
-        backend = LocalBackend(0, *planner)
+    def test_healthz(self, service):
+        backend = LocalBackend(0, service)
         assert backend.healthz()["status"] == "ok"
 
 
