@@ -1,15 +1,19 @@
 """Engine ablation: wall-clock and instrumentation across all solvers.
 
 Not a paper artifact per se — the paper reports steps, not seconds — but
-the design decisions DESIGN.md calls out (vectorized engine vs faithful
-BST engine; Radius-Stepping vs the ∆-stepping / Dijkstra / Bellman–Ford
-baselines) deserve a timing ablation.  All solvers must agree on
-distances, and the vectorized engine should not be slower than the BST
-engine (that is its reason to exist).
+the engine's design choices (vectorized engine vs faithful BST engine;
+Radius-Stepping vs the ∆-stepping / Dijkstra / Bellman–Ford baselines)
+deserve a timing ablation.  All solvers must agree on distances, and the
+vectorized engine should not be slower than the BST engine (that is its
+reason to exist).  The ``test_scipy_floor`` row times SciPy's C Dijkstra
+on the same augmented graph and source, so every engine row reads
+against the floor.
 """
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from repro.core import (
     bellman_ford,
@@ -74,6 +78,18 @@ def test_radius_stepping_vectorized(benchmark, workload):
     res = benchmark(radius_stepping, pre.graph, 0, pre.radii)
     assert np.allclose(res.dist, ref)
     assert res.max_substeps <= 2 + 2  # Thm 3.2 at k=2
+
+
+def test_scipy_floor(benchmark, workload):
+    """SciPy's C Dijkstra with predecessors on the augmented graph and
+    source the vectorized row solves: the floor beside it."""
+    _, pre, ref = workload
+    aug = pre.graph
+    mat = csr_matrix((aug.weights, aug.indices, aug.indptr), shape=(aug.n, aug.n))
+    dist, _pred = benchmark(
+        scipy_dijkstra, mat, indices=0, return_predecessors=True
+    )
+    assert np.allclose(dist, ref)
 
 
 def test_solve_many_batched(benchmark, workload):

@@ -18,13 +18,14 @@ Engineering
 This function is a thin adapter over the unified relaxation engine in
 :mod:`repro.engine`: the generic Algorithm-1 loop
 (:func:`repro.engine.driver.run_engine`) runs under a
-:class:`repro.engine.schedules.RadiusBucketSchedule`, which realizes
+:class:`repro.engine.schedules.RadiusBucketSchedule`, which serves
 Algorithm 2's two ordered sets — ``R`` keyed by ``δ(v) + r(v)`` yields
 ``d_i`` (its *extract-min*) and ``Q`` keyed by ``δ(v)`` yields the
-active set (its *split* at ``d_i``) — with O(1) batched pushes into
-lazy calendar-queue buckets.  Swap the schedule to change the
-algorithm: the ∆-stepping / Dijkstra / Bellman–Ford baselines are
-one-class schedule plugins over the same loop.  The faithful
+active set (its *split* at ``d_i``) — from one flat array of the
+reached, unsettled vertices: ``d_i`` is a vectorized min over it and
+the split a filter, in O(|frontier|) per step.  Swap the schedule to
+change the algorithm: the ∆-stepping / Dijkstra / Bellman–Ford
+baselines are one-class schedule plugins over the same loop.  The faithful
 treap-based engine with parallel split/union/difference and PRAM cost
 accounting lives in :mod:`repro.core.radius_stepping_bst`.
 

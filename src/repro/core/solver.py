@@ -9,7 +9,7 @@ and answers any number of single-source queries against them.
 
 Queries dispatch by *engine name* through
 :mod:`repro.engine.registry`, so every registered engine —
-Radius-Stepping on calendar-queue buckets, the faithful BST reference,
+Radius-Stepping on one flat frontier, the faithful BST reference,
 the §3.4 unweighted engine, the baseline schedules, and any plugin
 registered at runtime — is servable through one facade.  Batched
 multi-source queries (:meth:`solve_many`) fan out over a fork-based
@@ -272,7 +272,7 @@ class PreprocessedSSSP:
         registered (the per-graph measured winner an artifact carries),
         then the §3.4 unweighted engine when the augmented graph has
         unit weights, then ``"vectorized"`` — Radius-Stepping on the
-        calendar-queue buckets, the one radius substrate.
+        flat frontier, the one radius substrate.
 
         Public because the serving layer keys caches and artifacts by
         the *resolved* name — two requests for ``"auto"`` and

@@ -2,14 +2,13 @@
 
 One kernel (:mod:`repro.engine.kernel`), one driver loop
 (:mod:`repro.engine.driver`), pluggable step schedules
-(:mod:`repro.engine.schedules`) — Radius-Stepping on one substrate,
-the calendar-queue buckets of :mod:`repro.engine.buckets` — and a
+(:mod:`repro.engine.schedules`) — Radius-Stepping, ∆, ∆* and ρ all
+served by one flat frontier of reached, unsettled vertices — and a
 table-driven, name-based registry (:mod:`repro.engine.registry`) that
 :class:`repro.core.solver.PreprocessedSSSP` dispatches through.  The
 solvers in :mod:`repro.core` are thin adapters over these pieces.
 """
 
-from .buckets import LazyBucketQueue
 from .kernel import RelaxationKernel, gather_frontier_arcs
 from .schedules import (
     BellmanFordSchedule,
@@ -19,7 +18,6 @@ from .schedules import (
     RadiusBucketSchedule,
     RhoSchedule,
     StepSchedule,
-    default_bucket_width,
     default_rho,
 )
 from .driver import run_engine
@@ -38,13 +36,11 @@ __all__ = [
     "DeltaStarSchedule",
     "DijkstraSchedule",
     "EngineSpec",
-    "LazyBucketQueue",
     "RadiusBucketSchedule",
     "RelaxationKernel",
     "RhoSchedule",
     "StepSchedule",
     "available_engines",
-    "default_bucket_width",
     "default_rho",
     "gather_frontier_arcs",
     "get_engine",

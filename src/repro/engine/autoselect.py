@@ -93,8 +93,10 @@ def race_engines(
     Returns
     -------
     Mean seconds per solve for each engine that completed at least one
-    solve without error.  Engines that raise on this graph (e.g.
-    ``unweighted`` on weighted input) are silently dropped.
+    solve.  An engine that raises ``ValueError`` — the documented "not
+    applicable to this graph" signal, e.g. ``unweighted`` on weighted
+    input — is dropped; any other exception is a broken engine and
+    propagates instead of quietly losing the race.
     """
     if engines is None:
         registered = set(available_engines())
@@ -116,7 +118,7 @@ def race_engines(
                 spent += dt
                 if spent >= budget:
                     break
-        except Exception:
+        except ValueError:
             continue  # engine inapplicable to this graph: drop from the race
         if elapsed:
             timings[name] = float(np.mean(elapsed))

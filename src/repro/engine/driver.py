@@ -8,7 +8,9 @@ One loop serves every schedule in :mod:`repro.engine.schedules`:
 4. **Lines 5–9** — Bellman–Ford substeps through the kernel until every
    tentative distance ≤ ``d_i`` is stable, feeding each substep's
    improvements back to the schedule as decrease-keys.
-5. **Line 10** — settle everything the step touched within ``d_i``.
+5. **Line 10** — settle everything the step touched within ``d_i``,
+   deduplicated by the kernel's sort-based
+   :meth:`~repro.engine.kernel.RelaxationKernel.unique`.
 
 Run with :class:`~repro.engine.schedules.RadiusBucketSchedule` this
 takes the same steps and substeps, step by step, as the faithful
@@ -117,7 +119,7 @@ def run_engine(
             step_settles.append(newly_active)
 
         # ---- Line 10: S_i = {v | δ(v) ≤ d_i} ------------------------------
-        newly = np.unique(np.concatenate(step_settles))
+        newly = kernel.unique(np.concatenate(step_settles))
         kernel.settle(newly)
         if finish_step is not None:
             finish_step(newly)

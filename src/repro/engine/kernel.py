@@ -19,6 +19,12 @@ Design notes
 ------------
 * ``np.minimum.at`` is an unbuffered scatter: duplicate targets combine
   correctly, exactly like a CRCW priority-write.
+* The improved set is read off the per-arc pre-scatter values: a
+  vertex's distance strictly drops iff some arc's candidate beats its
+  pre-scatter distance, so only those arcs are scattered and their
+  heads, deduplicated by :meth:`RelaxationKernel.unique` (a sort and an
+  adjacent difference: O(k log k) in the winning arcs, no hashing and
+  no O(n) pass), are the improved set.
 * Parent tracking uses **strict improvement against the pre-scatter
   distances**: an arc wins ``parent[v]`` only when it actually lowered
   ``δ(v)``.  (The seed engines tested ``cand <= dist_after``, which let
@@ -53,16 +59,16 @@ def gather_frontier_arcs(
     vertex for every arc, with no per-vertex Python loop.  This is the
     shared CSR "multi-arange" primitive under every frontier solver.
     """
-    counts = graph.indptr[frontier + 1] - graph.indptr[frontier]
-    total = int(counts.sum())
+    starts = graph.indptr[frontier]
+    counts = graph.indptr[frontier + 1] - starts
+    cum = counts.cumsum()
+    total = int(cum[-1]) if len(cum) else 0
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    starts = np.repeat(graph.indptr[frontier], counts)
-    cum = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-    tails = np.repeat(frontier, counts)
-    return starts + within, tails
+    # arc i of frontier vertex j sits at starts[j] + (i - cum[j-1])
+    offsets = (starts - (cum - counts)).repeat(counts)
+    return np.arange(total, dtype=np.int64) + offsets, frontier.repeat(counts)
 
 
 class RelaxationKernel:
@@ -158,15 +164,15 @@ class RelaxationKernel:
         """
         graph = self.graph
         arcpos, tails = gather_frontier_arcs(graph, frontier)
-        if arc_mask is not None and len(arcpos):
-            keep = arc_mask[arcpos]
-            arcpos = arcpos[keep]
-            tails = tails[keep]
-        if exclude_settled and len(arcpos):
-            keep = ~self.settled[graph.indices[arcpos]]
-            arcpos = arcpos[keep]
-            tails = tails[keep]
-        n_arcs = len(arcpos)
+        targets = graph.indices[arcpos]
+        # Filtered arcs stay in place under a mask: one compaction, of
+        # the winning arcs only, is cheaper than compacting every array
+        # per filter.
+        keep = arc_mask[arcpos] if arc_mask is not None else None
+        if exclude_settled:
+            unsettled = ~self.settled[targets]
+            keep = unsettled if keep is None else keep & unsettled
+        n_arcs = len(arcpos) if keep is None else int(np.count_nonzero(keep))
         self.relaxations += n_arcs
         if charge_label is not None and self.ledger is not None:
             self.ledger.charge(
@@ -177,23 +183,41 @@ class RelaxationKernel:
         if n_arcs == 0:
             return _EMPTY, 0
         dist = self.dist
-        targets = graph.indices[arcpos]
         cand = dist[tails] + graph.weights[arcpos]
-        uniq = np.unique(targets)
-        before = dist[uniq].copy()
-        if self.parent is not None:
-            pre = dist[targets]  # per-arc pre-scatter values (fancy index copies)
+        # Only arcs beating their head's pre-scatter distance can lower
+        # it, so they alone are scattered; their heads are the improved set.
+        wins = cand < dist[targets]
+        if keep is not None:
+            wins &= keep
+        idx = wins.nonzero()[0]
+        targets = targets[idx]
+        cand = cand[idx]
         np.minimum.at(dist, targets, cand)  # WriteMin / priority-write
         if self.parent is not None:
-            winners = (cand <= dist[targets]) & (cand < pre)
-            self.parent[targets[winners]] = tails[winners]
-        improved = uniq[dist[uniq] < before]
-        return improved, n_arcs
+            winners = cand <= dist[targets]
+            self.parent[targets[winners]] = tails[idx[winners]]
+        return self.unique(targets), n_arcs
+
+    @staticmethod
+    def unique(values: np.ndarray) -> np.ndarray:
+        """``np.unique`` for int arrays by sort and adjacent difference.
+
+        O(k log k) in the input length, with no hashing and no O(n)
+        scratch pass, so tiny frontiers stay cheap.
+        """
+        values = values.copy()
+        values.sort()
+        if len(values) > 1:
+            keep = np.empty(len(values), dtype=bool)
+            keep[0] = True
+            np.not_equal(values[1:], values[:-1], out=keep[1:])
+            values = values[keep]
+        return values
 
     def relax_source(self, source: int, *, charge: bool = True) -> np.ndarray:
         """Algorithm 1, Line 2: relax every arc out of the source.
 
-        Returns the improved vertices (the initial heap/bucket seed).
+        Returns the improved vertices (the schedule's first push).
         """
         improved, _ = self.relax(
             np.array([source], dtype=np.int64), exclude_settled=True

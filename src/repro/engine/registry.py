@@ -25,9 +25,9 @@ and simply skips the live hook for them.
 
 Built-in engines
 ----------------
-``vectorized``    Radius-Stepping on calendar-queue buckets (``auto``'s
+``vectorized``    Radius-Stepping on one flat frontier (``auto``'s
                   default).
-``bucket``        the same schedule under its substrate's name.
+``bucket``        an alias for the same schedule.
 ``bst``           the faithful Algorithm-2 treap reference.
 ``unweighted``    the §3.4 BFS-style specialization (unit weights only).
 ``dijkstra``      equal-distance batched Dijkstra (``r ≡ 0``).
@@ -204,13 +204,13 @@ _SCHEDULE_ENGINES = (
         "vectorized",
         _radius_schedule,
         "radius-stepping",
-        "Radius-Stepping on lazy calendar-queue buckets (auto's default)",
+        "Radius-Stepping on one flat frontier (auto's default)",
     ),
     (
         "bucket",
         _radius_schedule,
         "radius-stepping-bucket",
-        "Radius-Stepping on lazy calendar-queue buckets",
+        "Radius-Stepping on one flat frontier (alias of vectorized)",
     ),
     (
         "dijkstra",

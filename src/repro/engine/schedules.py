@@ -5,7 +5,8 @@ freedom is the round distance ``d_i`` chosen on Line 4 (and, dually,
 which vertices form the initial active set of Lines 5–9).  Dong, Gu &
 Sun's stepping framework (arXiv:2105.06145) makes the same observation:
 Dijkstra, ∆-stepping and ρ-stepping are *step schedules* plugged into
-one lazy-batched engine.  This module is that factoring for this
+one lazy-batched engine, and the schedule is separate from the
+structure that serves it.  This module is that factoring for this
 library: a :class:`StepSchedule` answers three questions —
 
 * :meth:`~StepSchedule.next_bound` — Line 4's extract-min: the next
@@ -19,18 +20,27 @@ and :func:`repro.engine.driver.run_engine` supplies the loop.  Concrete
 schedules:
 
 ========================  ====================================================
-:class:`RadiusBucketSchedule`  Radius-Stepping: Algorithm 2's R (by ``δ + r``)
-                           on lazy calendar-queue buckets, Q as a flat
-                           frontier split at ``d_i``.
+:class:`RadiusBucketSchedule`  Radius-Stepping: ``d_i = min(δ + r)`` over the
+                           flat frontier, split at ``d_i``.
 :class:`DijkstraSchedule`  ``r ≡ 0``: equal-distance batched Dijkstra on
                            one lazy binary heap (R and Q coincide).
 :class:`DeltaSchedule`     fixed bucket boundaries ``d_i = (j+1)·∆``.
 :class:`DeltaStarSchedule` ∆*-stepping: floating window ``d_i = min + ∆``
                            with a light/heavy arc split.
 :class:`RhoSchedule`       ρ-stepping: ``d_i`` = the ρ-th smallest frontier
-                           distance (partition-select over lazy buckets).
+                           distance (``np.partition`` over the frontier).
 :class:`BellmanFordSchedule`  ``d_i = ∞``: one step, substeps = rounds.
 ========================  ====================================================
+
+The radius, ∆, ∆* and ρ schedules share one *flat frontier*: the
+reached, unsettled vertices, appended as segments on first touch and
+compacted (settled vertices dropped) when a step reads them.  Every
+reached, unsettled vertex is exactly one fresh entry of Algorithm 2's
+ordered sets, so a vectorized min, partition or filter over the
+frontier yields the same ``d_i`` and the same split as extract-min and
+split on ordered sets.  That costs O(|frontier|) per step: an
+implementation choice the measurements judge, not the PRAM bound of
+the treap reference (:mod:`repro.core.radius_stepping_bst`).
 
 Custom schedules only need the four-method protocol — see
 ``examples/engine_plugins.py`` for a worked third-party schedule.
@@ -44,7 +54,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .buckets import LazyBucketQueue
 from .kernel import RelaxationKernel
 
 __all__ = [
@@ -55,9 +64,10 @@ __all__ = [
     "DeltaStarSchedule",
     "RhoSchedule",
     "BellmanFordSchedule",
-    "default_bucket_width",
     "default_rho",
 ]
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @runtime_checkable
@@ -95,107 +105,80 @@ def default_rho(graph) -> int:
     return max(64, -(-graph.n // 16))
 
 
-def default_bucket_width(graph) -> float:
-    """Bucket width heuristic for calendar-queue schedules.
+class _FlatFrontier:
+    """The reached, unsettled vertices: the one structure behind the
+    radius, ∆, ∆* and ρ schedules.
 
-    A calendar queue wants a handful of live entries per bucket; keys
-    advance by roughly one edge weight per relaxation, so the mean
-    weight (floored at the smallest positive weight) is a robust
-    default.  Falls back to 1.0 on edgeless / all-zero-weight graphs.
-
-    Since the queues self-tune (``LazyBucketQueue(auto_resize=True)``,
-    the :class:`RadiusBucketSchedule` default), this is only the
-    starting hint — Brown's resize rule takes over once the live key
-    population says otherwise.
+    :meth:`push` appends each first-touched vertex once, as one array
+    segment per call; each step concatenates the segments and drops
+    settled vertices.  Subclasses give the rule for ``d_i`` as
+    ``_bound(dist, frontier)`` over a non-empty compacted frontier and
+    its tentative distances.
     """
-    if graph.num_arcs == 0:
-        return 1.0
-    mean_w = float(graph.weights.mean())
-    min_pos = graph.min_positive_weight
-    width = max(mean_w, min_pos if math.isfinite(min_pos) else 0.0)
-    return width if width > 0 and math.isfinite(width) else 1.0
-
-
-class RadiusBucketSchedule:
-    """Radius-Stepping on lazy calendar-queue buckets.
-
-    Algorithm 2 keeps two ordered sets: ``R`` keyed by ``δ(v) + r(v)``,
-    whose minimum is Line 4's ``d_i``, and ``Q`` keyed by ``δ(v)``,
-    split at ``d_i`` for Line 5's active set.  Only ``R`` needs an
-    ordered structure; it lives in a :class:`LazyBucketQueue`, whose
-    extract-min returns exact fresh keys (not bucket boundaries), so the
-    ``d_i`` sequence is the treap reference's
-    (:func:`repro.core.radius_stepping_bst.radius_stepping_bst`, pinned
-    by the engine tests).  Every push is an O(1) batched append;
-    ordering work happens only in the vectorized per-bucket scans.
-    ``Q``'s sole operation is a *split* — a filter, not an ordering —
-    so it is kept as a lazy flat frontier: segments of first-reached
-    vertices, concatenated and partitioned by ``δ(v) ≤ d_i`` once per
-    step.
-
-    By default (``width=None``) the :func:`default_bucket_width`
-    heuristic is only a *starting hint*: the queue recalibrates itself
-    from the live key population via Brown's calendar-queue resize rule
-    (see :class:`LazyBucketQueue`), so no graph can be pathological for
-    the fixed-width guess.  Passing an explicit ``width`` pins it unless
-    ``auto_resize=True`` is also given.
-    """
-
-    name = "radius-bucket"
-
-    def __init__(
-        self,
-        radii: np.ndarray | None,
-        *,
-        width: float | None = None,
-        auto_resize: bool | None = None,
-    ) -> None:
-        self._radii = radii
-        self._width = width
-        self._auto = auto_resize
 
     def bind(self, kernel: RelaxationKernel) -> None:
         self._kernel = kernel
-        n = kernel.graph.n
-        self.r = np.zeros(n) if self._radii is None else self._radii
-        width = self._width or default_bucket_width(kernel.graph)
-        auto = self._auto if self._auto is not None else self._width is None
-        has_inf = bool(np.isinf(self.r).any())
-        self._rq = LazyBucketQueue(  # by δ(v) + r(v)
-            width, maybe_inf=has_inf, auto_resize=auto
-        )
-        self._reached = np.zeros(n, dtype=bool)
-        self._reached[kernel.settled.nonzero()[0]] = True
-        self._segments: list[np.ndarray] = []  # lazy frontier (Q)
-
-    def _radius_key(self, verts: np.ndarray) -> np.ndarray:
-        return self._kernel.dist[verts] + self.r[verts]
+        self._reached = kernel.settled.copy()
+        self._segments: list[np.ndarray] = []
 
     def push(self, improved: np.ndarray) -> None:
-        if len(improved) == 0:
-            return
-        self._rq.push(improved, self._kernel.dist[improved] + self.r[improved])
         first_touch = improved[~self._reached[improved]]
         if len(first_touch):
             self._reached[first_touch] = True
             self._segments.append(first_touch)
 
-    def next_bound(self) -> float | None:
-        return self._rq.min_fresh_key(self._radius_key, self._kernel.settled)
-
-    def split_active(self, bound: float) -> np.ndarray:
+    def _compact(self) -> np.ndarray:
+        """The reached, unsettled vertices, compacted into one segment."""
         segments = self._segments
         if not segments:
-            return np.empty(0, dtype=np.int64)
+            return _EMPTY
         frontier = segments[0] if len(segments) == 1 else np.concatenate(segments)
         frontier = frontier[~self._kernel.settled[frontier]]
-        below = self._kernel.dist[frontier] <= bound
+        self._segments = [frontier]
+        return frontier
+
+    def next_bound(self) -> float | None:
+        frontier = self._compact()
+        if len(frontier) == 0:
+            return None
+        return self._bound(self._kernel.dist[frontier], frontier)
+
+    def split_active(self, bound: float) -> np.ndarray:
+        frontier = self._compact()
+        dist = self._kernel.dist[frontier]
+        below = dist <= bound
         active = frontier[below]
         self._segments = [frontier[~below]]
         # Q's (δ(v), v) key order, so downstream arc order (and with it
         # parent tie-breaks) does not depend on discovery order
-        order = np.lexsort((active, self._kernel.dist[active]))
-        return active[order]
+        return active[np.lexsort((active, dist[below]))]
+
+
+class RadiusBucketSchedule(_FlatFrontier):
+    """Radius-Stepping: Algorithm 2's two ordered sets on the flat frontier.
+
+    Algorithm 2 keeps ``R`` keyed by ``δ(v) + r(v)``, whose minimum is
+    Line 4's ``d_i``, and ``Q`` keyed by ``δ(v)``, split at ``d_i`` for
+    Line 5's active set.  Each reached, unsettled vertex holds exactly
+    one fresh key in each, so ``d_i`` is ``min(δ + r)`` over the
+    frontier (``∞`` when every key is ``∞``) and the split is a filter
+    by ``δ(v) ≤ d_i`` — the treap reference's ``d_i`` sequence and
+    splits exactly
+    (:func:`repro.core.radius_stepping_bst.radius_stepping_bst`, pinned
+    by the engine tests).
+    """
+
+    name = "radius-bucket"
+
+    def __init__(self, radii: np.ndarray | None) -> None:
+        self._radii = radii
+
+    def bind(self, kernel: RelaxationKernel) -> None:
+        super().bind(kernel)
+        self.r = np.zeros(kernel.graph.n) if self._radii is None else self._radii
+
+    def _bound(self, dist: np.ndarray, frontier: np.ndarray) -> float:
+        return float((dist + self.r[frontier]).min())
 
 
 class DijkstraSchedule:
@@ -207,7 +190,8 @@ class DijkstraSchedule:
     ``d_i`` and the split pops every fresh entry at ``d_i``.  Decrease-key
     is a re-push; an entry is stale once its vertex settled or its key
     no longer equals ``δ(v)``.  Every step here settles a single
-    distance, where a few ``heappop`` calls cost less than a bucket scan.
+    distance, where a few ``heappop`` calls cost less than a scan of
+    the whole frontier.
     """
 
     name = "dijkstra"
@@ -244,11 +228,12 @@ class DijkstraSchedule:
         return np.array(active, dtype=np.int64)
 
 
-class DeltaSchedule:
+class DeltaSchedule(_FlatFrontier):
     """∆-stepping's fixed boundaries inside the unified engine.
 
     ``d_i`` is the upper boundary ``(j+1)·∆`` of the lowest non-empty
-    distance bucket.  Unlike the classic light/heavy formulation of
+    distance bucket, i.e. of the frontier's minimum ``δ``.  Unlike the
+    classic light/heavy formulation of
     :func:`repro.core.delta_stepping.delta_stepping` (kept as the
     instrumented paper baseline), all arcs of the active set are relaxed
     together and vertices landing exactly on a boundary settle with the
@@ -265,32 +250,17 @@ class DeltaSchedule:
     def bind(self, kernel: RelaxationKernel) -> None:
         from ..core.delta_stepping import suggest_delta  # avoid import cycle
 
-        self._kernel = kernel
+        super().bind(kernel)
         # suggest_delta clamps degenerate weight ranges (all-zero
         # weights, edgeless graphs) to a positive finite floor, so the
-        # bucket width below is always legal.
+        # bucket index in _bound is always defined.
         self.delta = self._delta or suggest_delta(kernel.graph)
-        # tentative distances of improved vertices are always finite
-        self._q = LazyBucketQueue(self.delta, maybe_inf=False)
 
-    def _dist_key(self, verts: np.ndarray) -> np.ndarray:
-        return self._kernel.dist[verts]
-
-    def push(self, improved: np.ndarray) -> None:
-        if len(improved):
-            self._q.push(improved, self._kernel.dist[improved])
-
-    def next_bound(self) -> float | None:
-        low = self._q.min_fresh_key(self._dist_key, self._kernel.settled)
-        if low is None:
-            return None
-        return (math.floor(low / self.delta) + 1) * self.delta
-
-    def split_active(self, bound: float) -> np.ndarray:
-        return self._q.pop_fresh_until(bound, self._dist_key, self._kernel.settled)
+    def _bound(self, dist: np.ndarray, frontier: np.ndarray) -> float:
+        return (math.floor(float(dist.min()) / self.delta) + 1) * self.delta
 
 
-class DeltaStarSchedule:
+class DeltaStarSchedule(DeltaSchedule):
     """∆*-stepping — a floating ``min + ∆`` window with a light/heavy split.
 
     Dong, Gu & Sun's ∆*-variant of ∆-stepping: instead of
@@ -311,37 +281,15 @@ class DeltaStarSchedule:
 
     name = "delta-star"
 
-    def __init__(self, delta: float | None = None) -> None:
-        if delta is not None and not (delta > 0 and math.isfinite(delta)):
-            raise ValueError("delta must be positive and finite")
-        self._delta = delta
-
     def bind(self, kernel: RelaxationKernel) -> None:
-        from ..core.delta_stepping import suggest_delta  # avoid import cycle
-
-        self._kernel = kernel
-        self.delta = self._delta or suggest_delta(kernel.graph)
-        self._q = LazyBucketQueue(self.delta, maybe_inf=False)
+        super().bind(kernel)
         #: driver hook — substeps relax only these arcs (the light class)
         self.substep_arc_mask = kernel.graph.weights <= self.delta
         self._heavy = ~self.substep_arc_mask
         self._has_heavy = bool(self._heavy.any())
 
-    def _dist_key(self, verts: np.ndarray) -> np.ndarray:
-        return self._kernel.dist[verts]
-
-    def push(self, improved: np.ndarray) -> None:
-        if len(improved):
-            self._q.push(improved, self._kernel.dist[improved])
-
-    def next_bound(self) -> float | None:
-        low = self._q.min_fresh_key(self._dist_key, self._kernel.settled)
-        if low is None:
-            return None
-        return low + self.delta
-
-    def split_active(self, bound: float) -> np.ndarray:
-        return self._q.pop_fresh_until(bound, self._dist_key, self._kernel.settled)
+    def _bound(self, dist: np.ndarray, frontier: np.ndarray) -> float:
+        return float(dist.min()) + self.delta
 
     def finish_step(self, settled: np.ndarray) -> None:
         """Driver hook (Line 10): one batched heavy-arc relaxation over
@@ -357,51 +305,34 @@ class DeltaStarSchedule:
         self.push(improved)
 
 
-class RhoSchedule:
+class RhoSchedule(_FlatFrontier):
     """ρ-stepping — settle the ρ nearest frontier vertices per step.
 
     Dong, Gu & Sun's other sibling: ``d_i`` is the ρ-th smallest
-    tentative distance on the unsettled frontier, found by
-    partition-select over the lazy calendar-queue buckets
-    (:meth:`~repro.engine.buckets.LazyBucketQueue.kth_fresh_key` — no
-    global sort, only the buckets below the answer are scanned).  Each
-    step then settles exactly those ρ vertices (plus boundary ties),
-    interpolating between Dijkstra (ρ = 1, one extract-min per step)
-    and Bellman–Ford (ρ = n, everything at once); the engine's substep
-    loop keeps any choice exact, so larger ρ trades wasted intra-batch
-    re-relaxations for fewer, fatter steps.
+    tentative distance on the unsettled frontier (the largest when the
+    frontier holds fewer than ρ), found by one O(|frontier|)
+    ``np.partition``.  Each step then settles exactly those ρ vertices
+    (plus boundary ties), interpolating between Dijkstra (ρ = 1, one
+    extract-min per step) and Bellman–Ford (ρ = n, everything at once);
+    the engine's substep loop keeps any choice exact, so larger ρ
+    trades wasted intra-batch re-relaxations for fewer, fatter steps.
     """
 
     name = "rho"
 
-    def __init__(
-        self, rho: int | None = None, *, width: float | None = None
-    ) -> None:
+    def __init__(self, rho: int | None = None) -> None:
         if rho is not None and rho < 1:
             raise ValueError(f"rho >= 1 required, got {rho}")
         self._rho = rho
-        self._width = width
 
     def bind(self, kernel: RelaxationKernel) -> None:
-        self._kernel = kernel
+        super().bind(kernel)
         self.rho = self._rho or default_rho(kernel.graph)
-        width = self._width or default_bucket_width(kernel.graph)
-        self._q = LazyBucketQueue(
-            width, maybe_inf=False, auto_resize=self._width is None
-        )
 
-    def _dist_key(self, verts: np.ndarray) -> np.ndarray:
-        return self._kernel.dist[verts]
-
-    def push(self, improved: np.ndarray) -> None:
-        if len(improved):
-            self._q.push(improved, self._kernel.dist[improved])
-
-    def next_bound(self) -> float | None:
-        return self._q.kth_fresh_key(self.rho, self._dist_key, self._kernel.settled)
-
-    def split_active(self, bound: float) -> np.ndarray:
-        return self._q.pop_fresh_until(bound, self._dist_key, self._kernel.settled)
+    def _bound(self, dist: np.ndarray, frontier: np.ndarray) -> float:
+        if len(dist) <= self.rho:
+            return float(dist.max())
+        return float(np.partition(dist, self.rho - 1)[self.rho - 1])
 
 
 class BellmanFordSchedule:

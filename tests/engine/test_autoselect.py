@@ -57,6 +57,22 @@ class TestRaceEngines:
     def test_all_inapplicable_yields_empty(self, graph):
         assert race_engines(graph, engines=("unweighted",), samples=1) == {}
 
+    def test_broken_engine_propagates(self, graph, monkeypatch):
+        """Only ``ValueError`` means "inapplicable": a schedule that
+        crashes must fail the race, not quietly lose it."""
+        import repro.engine.autoselect as autoselect
+
+        real = autoselect.solve_with_engine
+
+        def solve(name, *args, **kwargs):
+            if name == "delta":
+                raise RuntimeError("delta schedule made no progress (empty step)")
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(autoselect, "solve_with_engine", solve)
+        with pytest.raises(RuntimeError, match="no progress"):
+            race_engines(graph, engines=("dijkstra", "delta"), samples=1)
+
     def test_empty_candidate_tuple_rejected(self, graph):
         with pytest.raises(ValueError, match="no candidate"):
             race_engines(graph, engines=())

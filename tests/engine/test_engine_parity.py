@@ -18,7 +18,10 @@ from repro.core import dijkstra, radius_stepping_bst
 from repro.engine import (
     BellmanFordSchedule,
     DeltaSchedule,
+    DeltaStarSchedule,
     RadiusBucketSchedule,
+    RelaxationKernel,
+    RhoSchedule,
     available_engines,
     get_engine,
     register_engine,
@@ -223,8 +226,13 @@ class TestCrossEngineFamilies:
         assert_valid_parents(g, res.dist, res.parent, 0)
 
 
+_PARITY_CASES = [
+    pytest.param(50, 120, seed, 60, 8, id=str(seed)) for seed in range(4)
+] + [pytest.param(80, 200, 13, 50, 12, id="n80-rho12")]
+
+
 class TestBucketTreapEquivalence:
-    """The calendar-queue schedule serves the exact fresh-key sequence of
+    """The flat-frontier schedule yields the same ``d_i`` and splits as
     Algorithm 2's ordered sets, so it must agree with the faithful treap
     reference on *instrumentation*, not just distances: steps, substeps
     and every step's (radius, substeps, settled).  Relaxation totals are
@@ -232,10 +240,10 @@ class TestBucketTreapEquivalence:
     substep, the engine only the vertices that changed
     (``test_relabel_equivariance.py`` pins the engine's totals)."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_full_parity(self, seed):
-        g = random_connected_graph(50, 120, seed=seed, weight_high=60)
-        pre = build_kr_graph(g, k=2, rho=8, heuristic="dp")
+    @pytest.mark.parametrize("n, m, seed, weight_high, rho", _PARITY_CASES)
+    def test_full_parity(self, n, m, seed, weight_high, rho):
+        g = random_connected_graph(n, m, seed=seed, weight_high=weight_high)
+        pre = build_kr_graph(g, k=2, rho=rho, heuristic="dp")
         a = radius_stepping_bst(pre.graph, 0, pre.radii, track_trace=True)
         b = run_engine(
             pre.graph, 0, RadiusBucketSchedule(pre.radii), track_trace=True
@@ -257,37 +265,186 @@ class TestBucketTreapEquivalence:
         assert np.array_equal(a.dist, b.dist)
         assert (a.steps, a.substeps) == (b.steps, b.substeps)
 
-    def test_bucket_width_override(self):
-        g = random_connected_graph(30, 70, seed=2)
-        for width in (0.5, 5.0, 500.0):
-            res = run_engine(
-                g, 0, RadiusBucketSchedule(np.zeros(g.n), width=width)
-            )
-            assert np.allclose(res.dist, dijkstra(g, 0).dist)
 
-    @pytest.mark.parametrize("hint", [1e-6, 1e5])
-    def test_auto_resize_full_parity_under_bad_hint(self, hint):
-        """Self-tuning (Brown 1988 §4) makes the width a hint only: even
-        a pathological starting width must reproduce the treap
-        reference's distances AND step/substep accounting exactly."""
-        g = random_connected_graph(80, 200, seed=13, weight_high=50)
-        pre = build_kr_graph(g, k=2, rho=12, heuristic="dp")
-        a = radius_stepping_bst(pre.graph, 0, pre.radii, track_trace=True)
-        b = run_engine(
-            pre.graph,
-            0,
-            RadiusBucketSchedule(pre.radii, width=hint, auto_resize=True),
-            track_trace=True,
+def _bound(schedule, n=8):
+    """``schedule`` bound to a fresh kernel on an ``n``-vertex path
+    (source 0); tests set tentative distances by hand through
+    :func:`_improve`, as relaxations would."""
+    g = from_edge_list(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    kernel = RelaxationKernel(g, 0)
+    schedule.bind(kernel)
+    return kernel
+
+
+def _improve(kernel, schedule, dists):
+    """Lower ``{vertex: δ}`` and tell the schedule (its decrease-key)."""
+    verts = np.array(sorted(dists), dtype=np.int64)
+    kernel.dist[verts] = [dists[v] for v in verts.tolist()]
+    schedule.push(verts)
+
+
+FRONTIER_SCHEDULES = [
+    pytest.param(lambda: RadiusBucketSchedule(None), id="radius"),
+    pytest.param(lambda: DeltaSchedule(1.0), id="delta"),
+    pytest.param(lambda: DeltaStarSchedule(1.0), id="delta-star"),
+    pytest.param(lambda: RhoSchedule(1), id="rho"),
+]
+
+
+class TestFlatFrontier:
+    """The one flat frontier behind the radius, ∆, ∆* and ρ schedules:
+    ``d_i`` and every split at schedule level, split order (δ, v)."""
+
+    def test_rho_beyond_frontier_gives_max(self):
+        for rho, want in ((2, 4.0), (3, 6.0), (10, 6.0)):
+            s = RhoSchedule(rho)
+            k = _bound(s)
+            _improve(k, s, {1: 2.0, 2: 6.0, 3: 4.0})
+            assert s.next_bound() == want
+        # next_bound is a peek: the split still sees the whole frontier
+        assert s.split_active(math.inf).tolist() == [1, 3, 2]
+
+    def test_rho_partition_picks_kth_distance(self):
+        dists = {1: 5.0, 2: 1.0, 3: 9.0, 4: 3.0, 5: 7.0}
+        for rho, want in ((1, 1.0), (3, 5.0), (5, 9.0)):
+            s = RhoSchedule(rho)
+            k = _bound(s)
+            _improve(k, s, dists)
+            assert s.next_bound() == want
+
+    def test_all_infinite_radii_drain_in_one_step(self):
+        s = RadiusBucketSchedule(np.full(8, math.inf))
+        k = _bound(s)
+        _improve(k, s, {3: 5.0, 1: 2.0, 2: 2.0})
+        assert s.next_bound() == math.inf
+        assert s.split_active(math.inf).tolist() == [1, 2, 3]
+        assert len(s.split_active(math.inf)) == 0  # drained
+        g = random_connected_graph(30, 70, seed=5)
+        res = run_engine(
+            g, 0, RadiusBucketSchedule(np.full(g.n, math.inf)), track_trace=True
         )
-        assert np.array_equal(a.dist, b.dist)
-        assert (a.steps, a.substeps, a.max_substeps) == (
-            b.steps,
-            b.substeps,
-            b.max_substeps,
+        assert res.steps == 1
+        assert (res.trace[0].radius, res.trace[0].settled) == (math.inf, g.n - 1)
+
+    def test_radius_bound_mixes_finite_and_infinite_keys(self):
+        radii = np.zeros(8)
+        radii[1] = math.inf
+        s = RadiusBucketSchedule(radii)
+        k = _bound(s)
+        _improve(k, s, {1: 1.0, 2: 3.0})
+        assert s.next_bound() == 3.0  # δ(2) + 0 beats δ(1) + ∞
+        k.settle(s.split_active(3.0))
+        assert s.next_bound() is None
+
+    def test_delta_boundary_settles_in_its_step(self):
+        s = DeltaSchedule(4.0)
+        k = _bound(s)
+        _improve(k, s, {1: 2.0, 2: 4.0, 3: 4.5})
+        assert s.next_bound() == 4.0
+        assert s.split_active(4.0).tolist() == [1, 2]
+        assert s.split_active(math.inf).tolist() == [3]  # above the bound stayed
+        g = from_edge_list(4, [(0, 1, 2.0), (0, 2, 4.0), (0, 3, 4.5)])
+        res = run_engine(g, 0, DeltaSchedule(4.0), track_trace=True)
+        assert [(t.radius, t.settled) for t in res.trace] == [(4.0, 2), (8.0, 1)]
+
+    @pytest.mark.parametrize("make", FRONTIER_SCHEDULES)
+    def test_settled_never_reenter_a_split(self, make):
+        s = make()
+        k = _bound(s)
+        s.push(np.empty(0, dtype=np.int64))
+        assert s.next_bound() is None
+        _improve(k, s, {1: 1.0, 2: 2.0, 3: 3.0})
+        k.settle(np.array([2]))
+        _improve(k, s, {3: 1.5})  # a re-improved vertex is listed once
+        assert s.next_bound() is not None
+        assert s.split_active(math.inf).tolist() == [1, 3]
+        k.settle(np.array([1, 3]))
+        _improve(k, s, {4: 2.5})
+        k.settle(np.array([4]))
+        assert s.next_bound() is None
+        assert len(s.split_active(math.inf)) == 0
+
+    @pytest.mark.parametrize("make", FRONTIER_SCHEDULES)
+    def test_frontier_is_history_free(self, make):
+        """Decrease-keys leave no trace: a frontier that saw δ(1) = 5, 4
+        and then 3 answers like one that only ever saw δ(1) = 3."""
+        a, b = make(), make()
+        ka, kb = _bound(a), _bound(b)
+        _improve(ka, a, {1: 5.0, 2: 7.0, 3: 3.0})
+        _improve(ka, a, {1: 4.0})
+        _improve(ka, a, {1: 3.0, 2: 6.5})
+        _improve(kb, b, {1: 3.0, 2: 6.5, 3: 3.0})
+        assert a.next_bound() == b.next_bound()
+        assert a.split_active(4.0).tolist() == b.split_active(4.0).tolist() == [1, 3]
+        assert a.split_active(math.inf).tolist() == [2]
+
+    @pytest.mark.parametrize("make", FRONTIER_SCHEDULES)
+    def test_split_keeps_vertices_above_the_bound(self, make):
+        """A split takes δ ≤ bound, ties at the bound included, in
+        (δ, v) order; the rest waits for a later split."""
+        s = make()
+        k = _bound(s)
+        _improve(k, s, {4: 2.0, 1: 3.0, 2: 2.0, 3: 3.5})
+        assert s.split_active(3.0).tolist() == [2, 4, 1]
+        assert s.next_bound() is not None
+        assert s.split_active(math.inf).tolist() == [3]
+
+    @pytest.mark.parametrize("make", FRONTIER_SCHEDULES)
+    def test_next_bound_is_a_peek(self, make):
+        s = make()
+        k = _bound(s)
+        _improve(k, s, {1: 2.0, 2: 1.0, 3: 2.0})
+        assert s.next_bound() == s.next_bound()
+        assert s.split_active(math.inf).tolist() == [2, 1, 3]
+
+    @pytest.mark.parametrize("make", FRONTIER_SCHEDULES)
+    def test_engine_splits_in_dist_vertex_order(self, make):
+        """Whole runs on a tie-heavy graph: every split the driver gets
+        is sorted by (δ, v), and the run stays exact."""
+        g = random_integer_weights(
+            random_connected_graph(60, 150, seed=3), low=1, high=4, seed=4
         )
-        assert [(t.radius, t.substeps, t.settled) for t in a.trace] == [
-            (t.radius, t.substeps, t.settled) for t in b.trace
-        ]
+        s = make()
+        splits = []
+        split_active = s.split_active
+
+        def recording_split(bound):
+            active = split_active(bound)
+            splits.append((active, s._kernel.dist[active].copy()))
+            return active
+
+        s.split_active = recording_split
+        res = run_engine(g, 0, s)
+        assert np.array_equal(res.dist, dijkstra(g, 0).dist)
+        assert len(splits) == res.steps
+        for active, dist in splits:
+            order = np.lexsort((active, dist))
+            assert np.array_equal(order, np.arange(len(active)))
+
+    @pytest.mark.parametrize("make", FRONTIER_SCHEDULES)
+    def test_split_matches_lazy_heap(self, make):
+        """Random improvements and settles: the split yields the fresh
+        entries of a lazy binary heap, in its pop order."""
+        import heapq
+
+        n = 200
+        rng = np.random.default_rng(7)
+        s = make()
+        k = _bound(s, n)
+        heap = []
+        for v in range(1, n):
+            _improve(k, s, {v: float(rng.uniform(0, 100))})
+            heapq.heappush(heap, (k.dist[v], v))
+        for v in rng.choice(np.arange(1, n), 60, replace=False).tolist():
+            _improve(k, s, {v: k.dist[v] * 0.5})
+            heapq.heappush(heap, (k.dist[v], v))
+        k.settle(rng.choice(np.arange(1, n), 40, replace=False))
+        want = []
+        while heap:
+            key, v = heapq.heappop(heap)
+            if not k.settled[v] and key == k.dist[v]:
+                want.append(v)
+        assert s.split_active(math.inf).tolist() == want
 
 
 class TestScheduleSemantics:
@@ -316,15 +473,11 @@ class TestScheduleSemantics:
             assert_valid_parents(g, res.dist, res.parent, 2)
 
     def test_rho_schedule_rejects_bad_rho(self):
-        from repro.engine import RhoSchedule
-
         for bad in (0, -3):
             with pytest.raises(ValueError):
                 RhoSchedule(bad)
 
     def test_delta_star_schedule_rejects_bad_delta(self):
-        from repro.engine import DeltaStarSchedule
-
         for bad in (0.0, -2.0, math.inf):
             with pytest.raises(ValueError):
                 DeltaStarSchedule(bad)
@@ -332,8 +485,6 @@ class TestScheduleSemantics:
     def test_rho_one_settles_like_dijkstra(self):
         """ρ = 1 must settle one frontier vertex per step (plus exact
         ties), interpolating down to batched Dijkstra."""
-        from repro.engine import RhoSchedule
-
         g = random_connected_graph(30, 70, seed=8, weight_high=1000)
         res = run_engine(g, 0, RhoSchedule(1), track_trace=True)
         ref = solve_with_engine("dijkstra", g, 0, None, track_trace=True)
@@ -343,16 +494,12 @@ class TestScheduleSemantics:
     def test_rho_n_single_step(self):
         """ρ ≥ n pops the whole frontier every step — Bellman–Ford-like
         step counts on a connected graph."""
-        from repro.engine import RhoSchedule
-
         g = random_connected_graph(25, 60, seed=9)
         res = run_engine(g, 0, RhoSchedule(g.n))
         assert np.allclose(res.dist, dijkstra(g, 0).dist)
         assert res.steps <= 2
 
     def test_rho_steps_shrink_as_rho_grows(self):
-        from repro.engine import RhoSchedule
-
         g = random_connected_graph(120, 300, seed=10)
         steps = [
             run_engine(g, 0, RhoSchedule(rho)).steps for rho in (1, 8, 64)
@@ -363,8 +510,6 @@ class TestScheduleSemantics:
         """∆*-stepping's d_i = min + ∆ floats with the frontier: every
         traced radius must exceed its step's minimum fresh key by
         exactly ∆, and the sequence must be strictly increasing."""
-        from repro.engine import DeltaStarSchedule
-
         g = random_connected_graph(40, 100, seed=11, weight_high=15)
         res = run_engine(g, 0, DeltaStarSchedule(4.0), track_trace=True)
         assert np.array_equal(res.dist, dijkstra(g, 0).dist)
@@ -375,8 +520,6 @@ class TestScheduleSemantics:
         """A graph whose only route crosses a heavy arc: the heavy edge
         must still be relaxed (once, at settle time) and the distances
         must stay exact."""
-        from repro.engine import DeltaStarSchedule
-
         g = from_edge_list(4, [(0, 1, 1.0), (1, 2, 50.0), (2, 3, 1.0)])
         res = run_engine(g, 0, DeltaStarSchedule(2.0), track_parents=True)
         assert res.dist.tolist() == [0.0, 1.0, 51.0, 52.0]
