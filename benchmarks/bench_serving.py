@@ -1,4 +1,4 @@
-"""Serving-layer benchmark: warm starts, cache hits, batches, threads.
+"""Serving-layer benchmark: warm starts, cache hits, threads.
 
 The serving subsystem's claims, measured and gated on road-map
 workloads:
@@ -12,10 +12,7 @@ workloads:
 2. **Query cache** — repeating a mixed workload against the planner
    must be served from the LRU row cache with a measured speedup
    (``BENCH_SERVING_MIN_CACHE_SPEEDUP`` floor) and zero extra solves.
-3. **Shared-memory batches** — ``solve_many_shm`` must be bit-identical
-   to the pickled ``solve_many`` on distances, parents and per-row
-   instrumentation (asserted, not just timed).
-4. **Concurrent serving** — 8 threads hammering one planner with a
+3. **Concurrent serving** — 8 threads hammering one planner with a
    cache-hot mixed workload: the striped/single-flight design must
    beat a single-global-lock baseline by
    ``BENCH_SERVING_MIN_CONC_SPEEDUP`` (default ≥ 2×) in throughput,
@@ -42,13 +39,7 @@ from repro.core.solver import PreprocessedSSSP
 from repro.graphs.generators import road_network
 from repro.graphs.weights import random_integer_weights
 from repro.preprocess import build_kr_graph
-from repro.serve import (
-    KNearest,
-    QueryPlanner,
-    load_artifact,
-    save_artifact,
-    solve_many_shm,
-)
+from repro.serve import KNearest, QueryPlanner, load_artifact, save_artifact
 
 pytestmark = pytest.mark.paper_artifact("serving subsystem")
 
@@ -83,7 +74,7 @@ def _timed(fn, *args, repeats=1, **kwargs):
 
 class TestServing:
     """The PR-4 acceptance gate: warm-start ≥ 5× cold, measured cache
-    speedup, shm/pickle bit-identity, and a JSON perf artifact."""
+    speedup, and a JSON perf artifact."""
 
     def test_serving_stack_on_big_road(self, big_road, tmp_path, report_sink):
         g = big_road
@@ -116,30 +107,6 @@ class TestServing:
         rng = np.random.default_rng(5)
         sources = rng.choice(g.n, BATCH_SOURCES, replace=False)
 
-        # Pickle vs shared-memory batch path: identical rows, and the
-        # matrix path's wall time recorded alongside.  Both run over the
-        # same 2-worker pool so per-row results really cross a process
-        # boundary (inline n_jobs=1 would never serialize anything).
-        times["batch_pickle"], results = _timed(
-            sp.solve_many, sources, track_parents=True, n_jobs=2, repeats=2
-        )
-        t0 = time.perf_counter()
-        dm = solve_many_shm(sp, sources, track_parents=True, n_jobs=2)
-        times["batch_shm"] = time.perf_counter() - t0
-        try:
-            for i, res in enumerate(results):
-                assert np.array_equal(dm.dist[i], res.dist)
-                assert np.array_equal(dm.parent[i], res.parent)
-                got = dm.result(i)
-                assert (got.steps, got.substeps, got.relaxations) == (
-                    res.steps,
-                    res.substeps,
-                    res.relaxations,
-                )
-        finally:
-            dm.close()
-            dm.unlink()
-
         # Cache: one mixed workload (full rows, routes, k-nearest over a
         # handful of hub sources), first pass solves, repeats must be
         # pure cache reads.
@@ -163,7 +130,6 @@ class TestServing:
             "workload": f"road_network(n={g.n}, m={g.m}), weights 1..100",
             "k": K,
             "rho": RHO,
-            "batch_sources": int(BATCH_SOURCES),
             "seconds": {k: round(v, 5) for k, v in times.items()},
             "speedup": {
                 "warm_start": round(warm_speedup, 2),
@@ -171,9 +137,6 @@ class TestServing:
                     times["cold_preprocess"] / times["warm_load_mmap"], 2
                 ),
                 "cache_hit": round(cache_speedup, 2),
-                "shm_vs_pickle": round(
-                    times["batch_pickle"] / times["batch_shm"], 2
-                ),
             },
             "planner_stats": {
                 k: v for k, v in stats.items() if isinstance(v, int)
@@ -190,9 +153,6 @@ class TestServing:
                         f"cold preprocess {times['cold_preprocess']:.3f}s vs "
                         f"warm artifact load {times['warm_load'] * 1e3:.1f}ms "
                         f"({warm_speedup:.0f}x)",
-                        f"batch of {BATCH_SOURCES}: pickle "
-                        f"{times['batch_pickle']:.3f}s, shm "
-                        f"{times['batch_shm']:.3f}s (bit-identical)",
                         f"mixed workload x{len(workload)}: miss pass "
                         f"{times['cache_miss_pass'] * 1e3:.1f}ms, hit pass "
                         f"{times['cache_hit_pass'] * 1e3:.2f}ms "

@@ -4,9 +4,11 @@ Every benchmark regenerates one of the paper's tables or figures at the
 ``tiny`` scale preset (n ≈ 1k per graph) so the whole suite completes in
 minutes on one core, and prints the rendered paper-style output — run
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-only -s
 
-to see the regenerated tables alongside the timings.  The
+to see the regenerated tables alongside the timings (``bench_*.py``
+does not match pytest's default ``test_*.py`` file pattern, so the
+files are named explicitly).  The
 ``--scale large`` CLI (``python -m repro.experiments``) produces the same
 reports closer to paper scale.
 """

@@ -13,8 +13,8 @@ The serving subsystem (``repro.serve``) turns the paper's
 4. **query traffic** — run a mixed batch of single-source,
    point-to-point and k-nearest queries through the caching planner,
    repeat it to show the LRU cache absorbing the repeats,
-5. **bulk path** — produce an (n_sources × n) distance matrix in shared
-   memory and cross-check it bit-for-bit against the pickle path,
+5. **bulk rows** — stack one ``solve_many`` fan-out into an
+   (n_sources × n) distance matrix,
    and validate every answer against Dijkstra on the input graph.
 
 Run:  python examples/routing_service.py
@@ -29,7 +29,7 @@ import numpy as np
 from repro import RoutingService, dijkstra
 from repro.graphs.generators import road_network
 from repro.graphs.weights import random_integer_weights
-from repro.serve import KNearest, load_artifact, solve_many_shm
+from repro.serve import KNearest, load_artifact
 
 K, RHO = 2, 24
 
@@ -107,19 +107,17 @@ def main(n: int = 1200, k: int = K, rho: int = RHO) -> None:
         np.sort(ref.dist)[1 : len(nearest.distances) + 1], nearest.distances
     ), "k-nearest distances must be the k smallest"
 
-    # -- 5. bulk shared-memory path ------------------------------------------
+    # -- 5. bulk rows -------------------------------------------------------
     bulk_sources = rng.choice(graph.n, 16, replace=False)
-    pickled = warm.solver.solve_many(bulk_sources, track_parents=True)
-    with solve_many_shm(
-        warm.solver, bulk_sources, track_parents=True, n_jobs=2
-    ) as dm:
-        for i, res in enumerate(pickled):
-            assert np.array_equal(dm.dist[i], res.dist)
-            assert np.array_equal(dm.parent[i], res.parent)
-        closest = int(dm.dist.sum(axis=1).argmin())
+    matrix = np.stack(
+        [r.dist for r in warm.solver.solve_many(bulk_sources, n_jobs=2)]
+    )
+    for s, row in zip(bulk_sources, matrix):
+        assert np.array_equal(row, dijkstra(graph, int(s)).dist)
+    closest = int(matrix.sum(axis=1).argmin())
     print(
-        f"shared-memory matrix ({len(bulk_sources)} x {graph.n}): "
-        f"bit-identical to the pickle path; most central source: "
+        f"distance matrix ({len(bulk_sources)} x {graph.n}) from one "
+        f"solve_many fan-out, every row exact; most central source: "
         f"vertex {int(bulk_sources[closest])}"
     )
 

@@ -65,14 +65,12 @@ from .preprocess import (
 from .pram import Ledger
 from .analysis import max_steps_bound, max_substeps_bound
 from .serve import (
-    DistanceMatrix,
     QueryPlanner,
     RoutingHTTPServer,
     RoutingService,
     load_artifact,
     load_solver,
     save_artifact,
-    solve_many_shm,
 )
 
 __version__ = "1.0.0"
@@ -80,7 +78,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BallSearchResult",
     "CSRGraph",
-    "DistanceMatrix",
     "GraphValidationError",
     "Ledger",
     "PreprocessedSSSP",
@@ -123,7 +120,6 @@ __all__ = [
     "register_engine",
     "run_engine",
     "save_artifact",
-    "solve_many_shm",
     "unit_weights",
     "validate_graph",
     "write_edge_list",

@@ -12,10 +12,12 @@ Queries dispatch by *engine name* through
 Radius-Stepping on one flat frontier, the faithful BST reference,
 the §3.4 unweighted engine, the baseline schedules, and any plugin
 registered at runtime — is servable through one facade.  Batched
-multi-source queries (:meth:`solve_many`) fan out over a fork-based
-process pool with the augmented CSR graph shared copy-on-write
-(:func:`repro.parallel.parallel_map_shared`), returning results in
-deterministic input order for any worker count.
+multi-source queries (:meth:`solve_many`) are the one multi-source
+path: they fan out over a fork-based process pool with the augmented
+CSR graph shared copy-on-write (:func:`repro.parallel.parallel_map`),
+returning results in deterministic input order for any worker count.
+Every source is type- and range-checked
+(:func:`repro.graphs.validate.check_vertex`) before any id translation.
 
 When preprocessing ran under a locality reordering
 (``build_kr_graph(reorder=...)``, :mod:`repro.graphs.reorder`), the
@@ -40,8 +42,9 @@ import numpy as np
 
 from ..engine.registry import get_engine, solve_with_engine
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 from ..obs.trace import span
-from ..parallel.pool import parallel_map_shared
+from ..parallel.pool import parallel_map
 from ..preprocess.pipeline import PreprocessResult, build_kr_graph
 from .result import SsspResult
 
@@ -212,8 +215,8 @@ class PreprocessedSSSP:
 
         Set when preprocessing ran under ``reorder=...``; every public
         query on this facade already translates through it, so callers
-        only need it to reach the internal numbering deliberately (the
-        shared-memory batch path, shard partitioning)."""
+        only need it to reach the internal numbering deliberately (to
+        check a parent row against :attr:`graph`, say)."""
         return self._perm
 
     @property
@@ -229,21 +232,17 @@ class PreprocessedSSSP:
         :meth:`distances` by one, :meth:`solve_many` and
         :meth:`mean_steps` by the number of *requested* sources
         (duplicates included — the denominator counts answered queries,
-        not distinct solves), and external batch paths such as
-        :func:`repro.serve.shm.solve_many_shm` through
-        :meth:`count_queries`.
+        not distinct solves).
         """
         return self._queries
 
     def count_queries(self, n: int = 1) -> None:
         """Charge ``n`` answered queries to the amortization counter.
 
-        Hook for query paths living outside this class (the serving
-        layer's shared-memory batch path) so ``queries_answered`` stays
-        the one true denominator.  Lock-protected: a threaded serving
-        front end charges this counter from many threads, and a bare
-        ``+=`` is a read-modify-write that loses increments under
-        preemption.
+        Every query path of this class charges through here.
+        Lock-protected: a threaded serving front end charges this
+        counter from many threads, and a bare ``+=`` is a
+        read-modify-write that loses increments under preemption.
         """
         with self._queries_lock:
             self._queries += int(n)
@@ -312,8 +311,11 @@ class PreprocessedSSSP:
         carry exact shortest-path weights, so augmentation never changes
         the metric (Lemma 4.1 discussion) — and they are indexed by
         *input* vertex ids even when preprocessing reordered the graph
-        (the facade translates at the boundary).
+        (the facade translates at the boundary).  A bool or non-integer
+        ``source`` raises :class:`TypeError`, one outside ``[0, n)``
+        :class:`ValueError`.
         """
+        source = check_vertex(source, "source", self.graph.n)
         self.count_queries(1)
         name = self.resolve_engine(engine)
         internal = source if self._perm is None else int(self._perm[source])
@@ -357,9 +359,13 @@ class PreprocessedSSSP:
         staged once and inherited copy-on-write by every worker — no
         per-query graph serialization — and chunked results are
         reassembled in input order, so the output is identical for any
-        ``n_jobs``.
+        ``n_jobs``.  Every source is checked as in :meth:`solve` before
+        anything is solved.
         """
-        source_arr = np.asarray(list(sources), dtype=np.int64)
+        n = self.graph.n
+        source_arr = np.asarray(
+            [check_vertex(s, "source", n) for s in sources], dtype=np.int64
+        )
         name = self.resolve_engine(engine)
         # fail fast (unknown engine, unsupported parents) before forking
         spec = get_engine(name)
@@ -375,9 +381,7 @@ class PreprocessedSSSP:
             "solver.solve_many", engine=name, sources=int(len(unique)),
             n_jobs=int(n_jobs),
         ):
-            blocks = parallel_map_shared(
-                _solve_chunk, payload, internal, n_jobs=n_jobs
-            )
+            blocks = parallel_map(_solve_chunk, payload, internal, n_jobs=n_jobs)
         flat = [res for block in blocks for res in block]
         if self._observer is not None:
             # Telemetry is folded here, in the parent, from the returned

@@ -39,6 +39,7 @@ Design notes
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -118,6 +119,9 @@ class RelaxationKernel:
         ledger=None,
     ) -> None:
         n = graph.n
+        # a plain int, so a bool cannot reach the indexing below as a
+        # mask (dist[True] writes every entry); a float raises TypeError
+        source = operator.index(source)
         if not (0 <= source < n):
             raise ValueError(f"source {source} out of range [0, {n})")
         self.graph = graph

@@ -1,8 +1,10 @@
-"""Structural validation for CSR graphs.
+"""Structural validation for CSR graphs and the vertex ids queried on them.
 
 The paper assumes a connected, simple, undirected graph whose lightest
 non-zero edge weight is 1 (Section 1).  These helpers enforce (and can
-restore, via :func:`normalize_weights`) those preconditions.
+restore, via :func:`normalize_weights`) those preconditions, and
+:func:`check_vertex` is the one vertex-id check every query entry point
+runs — the solver facade, the query planner and the shard router.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import numpy as np
 
 __all__ = [
     "GraphValidationError",
+    "check_vertex",
+    "coerce_vertex",
     "validate_csr_arrays",
     "validate_graph",
     "check_min_weight_normalized",
@@ -20,6 +24,35 @@ __all__ = [
 
 class GraphValidationError(ValueError):
     """Raised when graph arrays violate a structural invariant."""
+
+
+def coerce_vertex(value, what: str) -> int:
+    """Strict vertex-id coercion for query entry points.
+
+    ``bool`` is an ``int`` subclass, so ``True`` would silently become
+    vertex 1 under a plain ``isinstance(..., int)`` check — reject it
+    (and anything non-integral) instead of guessing."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{what} must be an integer vertex id, not a bool")
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(
+            f"{what} must be an integer vertex id, got "
+            f"{type(value).__name__} {value!r}"
+        )
+    return int(value)
+
+
+def check_vertex(value, what: str, n: int) -> int:
+    """Type- and range-check a query vertex up front; returns it as an
+    ``int``.  numpy would accept a negative index and silently serve
+    the answer for vertex ``n + v``, and ``bool`` would silently mean
+    vertex 0/1 — unacceptable from a query API."""
+    v = coerce_vertex(value, what)
+    if not 0 <= v < n:
+        raise ValueError(
+            f"{what} {v} out of range for a graph with n={n} vertices"
+        )
+    return v
 
 
 def validate_csr_arrays(indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray) -> None:

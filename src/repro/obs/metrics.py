@@ -441,6 +441,16 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.append(ref)
 
+    def unregister_collector(
+        self, fn: Callable[[], Iterable[MetricFamily]]
+    ) -> None:
+        """Remove ``fn`` from the scrape (a no-op when it is not
+        registered).  Bound methods match by equality, so passing
+        ``obj.method`` again finds the collector ``obj.method``
+        registered."""
+        with self._lock:
+            self._collectors = [r for r in self._collectors if r() != fn]
+
     def collect(self) -> list[MetricFamily]:
         """Every family — registered and collected — sorted by name.
 

@@ -154,9 +154,9 @@ def count_shortcuts_sweep(
     sources = sample_sources(graph.n, num_sources, seed=seed)
     blocks = parallel_map(
         _count_chunk,
+        graph,
         sources,
         n_jobs=n_jobs,
-        fn_args=(graph,),
         fn_kwargs={
             "ks": tuple(ks),
             "rhos": tuple(rhos),

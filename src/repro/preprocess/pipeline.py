@@ -26,7 +26,7 @@ import numpy as np
 
 from ..graphs.build import add_shortcuts, induced_subgraph
 from ..graphs.csr import CSRGraph
-from ..parallel.pool import parallel_map, parallel_map_shared
+from ..parallel.pool import parallel_map
 from .backends import HEURISTICS, get_ball_backend
 
 __all__ = [
@@ -268,9 +268,9 @@ def build_kr_graph(
         else:
             blocks = parallel_map(
                 _shortcuts_for_chunk,
+                graph,
                 sources,
                 n_jobs=n_jobs,
-                fn_args=(graph,),
                 fn_kwargs={
                     "k": k,
                     "rho": rho,
@@ -401,7 +401,7 @@ def _preprocess_shard_chunk(payload: tuple, shard_ids: np.ndarray):
     """Pool worker: per-shard induced subgraph + (k,ρ)-preprocessing.
 
     The full graph and shard labels arrive fork-inherited copy-on-write
-    (:func:`repro.parallel.parallel_map_shared`); each worker carves out
+    (:func:`repro.parallel.parallel_map`); each worker carves out
     its shards' induced subgraphs locally, so no subgraph is ever
     pickled through the task pipe.
     """
@@ -479,7 +479,7 @@ def build_sharded_kr_graph(
         "calibration_budget": calibration_budget,
     }
     with clock.stage("shard_preprocess"):
-        blocks = parallel_map_shared(
+        blocks = parallel_map(
             _preprocess_shard_chunk,
             (graph, part.labels, kwargs),
             np.arange(n_shards, dtype=np.int64),

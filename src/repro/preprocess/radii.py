@@ -72,9 +72,9 @@ def compute_radii_sweep(
     sources = np.arange(graph.n, dtype=np.int64)
     blocks = parallel_map(
         _radii_for_chunk,
+        graph,
         sources,
         n_jobs=n_jobs,
-        fn_args=(graph,),
         fn_kwargs={"rhos": tuple(rhos), "backend": backend},
     )
     stacked = np.concatenate(blocks, axis=0)

@@ -8,10 +8,6 @@ becomes a production serving story in cooperating parts:
   milliseconds instead of re-running ``build_kr_graph``.  Sharded
   preprocessing persists as a manifest-checksummed bundle *directory*
   of per-shard artifacts plus the boundary overlay.
-* :mod:`~repro.serve.shm` — batch results written straight into a
-  ``multiprocessing.shared_memory`` distance matrix
-  (:class:`DistanceMatrix`), bit-identical to the pickled
-  ``solve_many`` path without the per-row serialization.
 * :mod:`~repro.serve.planner` — :class:`QueryPlanner`: an LRU
   source-row cache over a row source (engine rows, or the router's
   stitched rows), request deduplication, and coalescing of mixed
@@ -85,7 +81,6 @@ from .planner import (
 )
 from .router import ShardRouter
 from .service import RoutingService
-from .shm import DistanceMatrix, solve_many_shm
 from .surface import QuerySurface, json_finite
 
 __all__ = [
@@ -97,7 +92,6 @@ __all__ = [
     "ArtifactError",
     "ArtifactGraphMismatchError",
     "ArtifactVersionError",
-    "DistanceMatrix",
     "KNearest",
     "LocalBackend",
     "Nearest",
@@ -125,5 +119,4 @@ __all__ = [
     "save_sharded_artifact",
     "serve",
     "stamp_endpoints",
-    "solve_many_shm",
 ]

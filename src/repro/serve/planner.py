@@ -18,8 +18,8 @@ s" — tiny reads against a source row someone else already paid for.
 * **Request deduplication**: queries in one batch sharing a source
   collapse onto one solve.
 * **Batch coalescing**: all cache-missing sources of a mixed batch go
-  to ``solve_many`` as *one* fan-out (one pool, one copy-on-write
-  staging), not one solver call per request.
+  to the row source as *one* ``solve`` call, not one solver call per
+  request.
 
 Where rows come from is a **row source**: an object with
 ``solve(sources) -> rows`` (one row per source, each with a read-only
@@ -68,6 +68,7 @@ import numpy as np
 from ..core.result import parent_path
 from ..core.solver import PreprocessedSSSP
 from ..engine.registry import get_engine
+from ..graphs.validate import check_vertex, coerce_vertex
 from ..obs.trace import annotate, span
 
 __all__ = [
@@ -77,8 +78,6 @@ __all__ = [
     "Route",
     "Nearest",
     "QueryPlanner",
-    "check_vertex",
-    "coerce_vertex",
     "nearest_from_row",
     "normalize_query",
     "validate_query",
@@ -194,35 +193,6 @@ class _InFlight:
         self.error: BaseException | None = None
 
 
-def coerce_vertex(value, what: str) -> int:
-    """Strict vertex-id coercion for the serving API.
-
-    ``bool`` is an ``int`` subclass, so ``True`` would silently become
-    vertex 1 under a plain ``isinstance(..., int)`` check — reject it
-    (and anything non-integral) instead of guessing."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{what} must be an integer vertex id, not a bool")
-    if not isinstance(value, (int, np.integer)):
-        raise TypeError(
-            f"{what} must be an integer vertex id, got "
-            f"{type(value).__name__} {value!r}"
-        )
-    return int(value)
-
-
-def check_vertex(value, what: str, n: int) -> int:
-    """Type- and range-check a query vertex up front; returns it as an
-    ``int``.  numpy would accept a negative index and silently serve
-    the answer for vertex ``n + v``, and ``bool`` would silently mean
-    vertex 0/1 — unacceptable from a serving API."""
-    v = coerce_vertex(value, what)
-    if not 0 <= v < n:
-        raise ValueError(
-            f"{what} {v} out of range for a graph with n={n} vertices"
-        )
-    return v
-
-
 def validate_query(query, n: int) -> None:
     """Check a normalized query against a graph with ``n`` vertices —
     the one validation every query surface runs."""
@@ -294,24 +264,20 @@ class _EngineRows:
     dropped service's row cache would live until a full collection.
     """
 
-    __slots__ = ("solver", "engine", "track_parents", "n_jobs", "n", "graph_hash")
+    __slots__ = ("solver", "engine", "track_parents", "n", "graph_hash")
 
     def __init__(
-        self, solver: PreprocessedSSSP, engine: str, track_parents: bool, n_jobs: int
+        self, solver: PreprocessedSSSP, engine: str, track_parents: bool
     ) -> None:
         self.solver = solver
         self.engine = engine
         self.track_parents = track_parents
-        self.n_jobs = n_jobs
         self.n = solver.graph.n
         self.graph_hash = solver.graph.content_hash()
 
     def solve(self, sources: list[int]) -> list[_Row]:
         results = self.solver.solve_many(
-            sources,
-            engine=self.engine,
-            track_parents=self.track_parents,
-            n_jobs=self.n_jobs,
+            sources, engine=self.engine, track_parents=self.track_parents
         )
         # Pop each result as its row is built, so its int64 parent is
         # freed before the next row's int32 copy: the batch never holds
@@ -342,7 +308,6 @@ class QueryPlanner:
         query misses, nothing is stored — concurrent identical misses
         still collapse onto one solve via single-flight).
     track_parents: cache parent rows too, enabling :meth:`route` paths.
-    n_jobs: worker processes for coalesced batch solves.
     stripes: lock stripes for concurrent access.  The effective count
         is clamped to ``capacity`` so every stripe owns at least one
         slot; ``stripes=1`` restores the serial planner's exact global
@@ -358,7 +323,6 @@ class QueryPlanner:
         engine: str = "auto",
         capacity: int = 256,
         track_parents: bool = False,
-        n_jobs: int = 1,
         stripes: int = 8,
     ) -> None:
         resolved = solver.resolve_engine(engine)
@@ -374,9 +338,7 @@ class QueryPlanner:
                     f"the {resolved} engine does not track parents; "
                     "pass track_parents=False or pick another engine"
                 )
-        self._setup(
-            _EngineRows(solver, resolved, track_parents, n_jobs), capacity, stripes
-        )
+        self._setup(_EngineRows(solver, resolved, track_parents), capacity, stripes)
 
     @classmethod
     def from_rows(

@@ -69,6 +69,7 @@ from ..core.dijkstra import dijkstra
 from ..engine.registry import available_engines, get_engine
 from ..graphs.build import from_arc_arrays
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 from ..obs.trace import span
 from ..preprocess.pipeline import ShardedPreprocessResult, build_sharded_kr_graph
 from .artifacts import (
@@ -85,7 +86,7 @@ from .backends import (
     ShardUnavailableError,
 )
 from .obs_bridge import backend_families, stitched_cache_families
-from .planner import QueryPlanner, check_vertex
+from .planner import QueryPlanner
 from .service import shard_services
 from .surface import PlannerSurface
 
@@ -345,8 +346,6 @@ class ShardRouter(PlannerSurface):
         for each local shard service's row cache.
     track_parents: record predecessors so :meth:`route` returns stitched
         paths.
-    query_jobs: worker processes for each local shard service's
-        coalesced solves.
     """
 
     _obs_prefix = "router"
@@ -369,7 +368,6 @@ class ShardRouter(PlannerSurface):
         cache_stripes: int = 8,
         track_parents: bool = True,
         preprocess_jobs: int = 1,
-        query_jobs: int = 1,
     ) -> None:
         if backends is not None:
             if topology is None:
@@ -410,7 +408,6 @@ class ShardRouter(PlannerSurface):
                 cache_capacity=cache_capacity,
                 cache_stripes=cache_stripes,
                 track_parents=track_parents,
-                query_jobs=query_jobs,
             )
             backends = [
                 None if service is None else LocalBackend(s, service)

@@ -2,9 +2,9 @@
 
 One object wires the whole serving stack together: the preprocessed
 (k,ρ)-graph (built cold, or warm-started from a persisted artifact,
-optionally memory-mapped), the engine registry, the caching/coalescing
-:class:`~repro.serve.planner.QueryPlanner`, and the shared-memory bulk
-path.  It is the embeddable core a network front end calls into — and
+optionally memory-mapped), the engine registry, and the
+caching/coalescing :class:`~repro.serve.planner.QueryPlanner`.  It is
+the embeddable core a network front end calls into — and
 that is safe: the planner underneath is thread-safe (striped cache,
 single-flight solves), so :mod:`repro.serve.http`'s
 ``ThreadingHTTPServer`` worker threads all drive one service instance
@@ -17,21 +17,18 @@ concurrently::
                                        expect_graph=graph)  # milliseconds
     svc.route(3, 94).distance                       # cached after 1st query
     svc.batch([(3, 94), KNearest(3, 5), 17])        # one coalesced solve
-    with svc.distance_matrix(range(64), n_jobs=8) as dm:   # bulk, zero-copy
-        closest = dm.dist.argmin(axis=0)
+    rows = np.stack([r.dist for r in svc.solver.solve_many(range(64), n_jobs=8)])
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
 
 from ..core.solver import PreprocessedSSSP
 from ..graphs.csr import CSRGraph
 from ..preprocess.pipeline import ShardedPreprocessResult
 from .artifacts import ARTIFACT_VERSION, load_artifact, save_artifact
 from .planner import QueryPlanner
-from .shm import DistanceMatrix, solve_many_shm
 from .surface import PlannerSurface, json_finite
 
 __all__ = ["RoutingService", "shard_services"]
@@ -64,7 +61,6 @@ class RoutingService(PlannerSurface):
         and, on unit-weight graphs, lets ``engine="auto"`` keep the
         specialized parentless §3.4 engine instead of falling back to
         the general one.
-    query_jobs: worker processes for coalesced batch solves.
     """
 
     def __init__(
@@ -80,7 +76,6 @@ class RoutingService(PlannerSurface):
         cache_stripes: int = 8,
         track_parents: bool = True,
         preprocess_jobs: int = 1,
-        query_jobs: int = 1,
         reorder: str = "natural",
         reorder_seed: int = 0,
     ) -> None:
@@ -102,7 +97,6 @@ class RoutingService(PlannerSurface):
             engine=engine,
             capacity=cache_capacity,
             track_parents=track_parents,
-            n_jobs=query_jobs,
             stripes=cache_stripes,
         )
 
@@ -155,30 +149,6 @@ class RoutingService(PlannerSurface):
     def save_artifact(self, path: str | Path) -> Path:
         """Persist this service's preprocessing for future warm starts."""
         return save_artifact(path, self._solver.preprocessing)
-
-    # ------------------------------------------------------------------ #
-    # Bulk path (single queries come from PlannerSurface)
-    # ------------------------------------------------------------------ #
-    def distance_matrix(
-        self,
-        sources: Iterable[int],
-        *,
-        track_parents: bool = False,
-        n_jobs: int = 1,
-    ) -> DistanceMatrix:
-        """Bulk path: an (n_sources × n) shared-memory matrix.
-
-        Bypasses the row cache — this is for huge batches (all-pairs
-        slices, matrix analytics) where materializing pickled results
-        would dominate; use as a context manager to free the segment.
-        """
-        return solve_many_shm(
-            self._solver,
-            sources,
-            engine=self._planner.engine,
-            track_parents=track_parents,
-            n_jobs=n_jobs,
-        )
 
     # ------------------------------------------------------------------ #
     # Observability (instrument() comes from PlannerSurface)

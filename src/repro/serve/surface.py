@@ -157,13 +157,16 @@ class PlannerSurface:
 
         ``registry=None`` uses the process-global default.  Idempotent
         per registry; instrumenting a second registry moves the surface
-        (one observer, one label).  The HTTP front end calls this
-        automatically for any surface that has it.
+        (one observer, one label): its collector leaves the first
+        registry's scrape.  The HTTP front end calls this automatically
+        for any surface that has it.
         """
         if registry is None:
             registry = get_default_registry()
         if self._obs_registry is registry:
             return self._obs_label
+        if self._obs_registry is not None:
+            self._obs_registry.unregister_collector(self._collect_metrics)
         self._obs_registry = registry
         self._obs_label = next_instance_label(self._obs_prefix)
         telemetry = EngineTelemetry(registry)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import dijkstra
 from repro.core.solver import PreprocessedSSSP
+from repro.graphs import from_edge_list, unit_weights
 from repro.graphs.generators import grid_2d
 
 from tests.helpers import random_connected_graph
@@ -93,6 +94,17 @@ class TestDispatch:
         _, sp = solver
         assert sp.solve_many([], n_jobs=4) == []
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_disconnected_graph_rows(self, n_jobs):
+        """A row reads ``inf`` outside its source's component."""
+        g = unit_weights(from_edge_list(6, [(0, 1, 1.0), (2, 3, 1.0)]))
+        sp = PreprocessedSSSP(g, k=1, rho=1, heuristic="full")
+        rows = np.stack([r.dist for r in sp.solve_many([0, 2], n_jobs=n_jobs)])
+        assert rows[0, 1] == 1.0
+        assert np.isinf(rows[0, 2:]).all()
+        assert rows[1, 3] == 1.0
+        assert np.isinf(rows[1, [0, 1, 4, 5]]).all()
+
 
 class TestSourceDedup:
     """Repeated sources are solved once and fanned back in input order."""
@@ -157,8 +169,8 @@ class TestQueryCounter:
         assert sp.queries_answered == 8
 
     def test_count_queries_hook(self):
-        """External batch paths (the serving layer's shared-memory
-        matrix) charge the same counter through count_queries."""
+        """count_queries charges the same counter every query path
+        charges."""
         g = random_connected_graph(20, 50, seed=3)
         sp = PreprocessedSSSP(g, k=1, rho=4, heuristic="full")
         sp.count_queries(5)

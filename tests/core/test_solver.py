@@ -86,3 +86,47 @@ class TestAmortization:
         sp = PreprocessedSSSP(web, k=3, rho=16, heuristic="dp")
         res = sp.solve(0)
         assert res.max_substeps <= 3 + 2
+
+
+class TestSourceValidation:
+    """Both query entry points check every source before any id
+    translation: a bool is not vertex 0/1 (``dist[True] = 0.0`` would
+    zero the whole row), a float is not truncated, and a negative id
+    does not wrap through the reordering permutation to vertex n + v."""
+
+    @pytest.fixture(scope="class", params=["natural", "rcm"])
+    def facade(self, request):
+        return PreprocessedSSSP(grid_2d(5, 5), k=2, rho=4, reorder=request.param)
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_])
+    def test_bool_rejected(self, facade, bad):
+        with pytest.raises(TypeError, match="bool"):
+            facade.solve(bad)
+        with pytest.raises(TypeError, match="bool"):
+            facade.solve_many([0, bad])
+
+    @pytest.mark.parametrize("bad", [2.0, 2.7, np.float64(3.0), "4"])
+    def test_non_integer_rejected(self, facade, bad):
+        with pytest.raises(TypeError, match="integer vertex id"):
+            facade.solve(bad)
+        with pytest.raises(TypeError, match="integer vertex id"):
+            facade.solve_many([bad])
+
+    @pytest.mark.parametrize("bad", [-1, -3, 25, np.int64(26)])
+    def test_out_of_range_rejected(self, facade, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            facade.solve(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            facade.solve_many([1, bad])
+
+    def test_rejected_batch_is_not_charged(self, facade):
+        before = facade.queries_answered
+        with pytest.raises(ValueError):
+            facade.solve_many([0, 1, -1])
+        assert facade.queries_answered == before
+
+    def test_numpy_integer_sources_accepted(self, facade):
+        ref = dijkstra(grid_2d(5, 5), 7).dist
+        assert np.array_equal(facade.solve(np.int32(7)).dist, ref)
+        (res,) = facade.solve_many(np.array([7], dtype=np.int64))
+        assert np.array_equal(res.dist, ref)

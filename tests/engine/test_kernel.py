@@ -55,6 +55,16 @@ class TestRelax:
         with pytest.raises(ValueError):
             RelaxationKernel(from_edge_list(2, [(0, 1, 1.0)]), 5)
 
+    def test_bool_source_is_not_a_mask(self):
+        """``dist[True] = 0.0`` would zero every entry; the kernel
+        indexes with the source as a plain int."""
+        g = from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        k = RelaxationKernel(g, True)
+        assert k.dist.tolist() == [np.inf, 0.0, np.inf]
+        assert k.settled.tolist() == [False, True, False]
+        with pytest.raises(TypeError):
+            RelaxationKernel(g, 1.0)
+
 
 class TestParentTracking:
     def test_tie_does_not_rewrite_parent(self):

@@ -12,7 +12,7 @@ import pytest
 from repro.core import dijkstra
 from repro.core.solver import PreprocessedSSSP
 from repro.engine.registry import available_engines, get_engine
-from repro.serve import KNearest, RoutingService, solve_many_shm
+from repro.serve import KNearest, RoutingService
 
 from tests.helpers import random_connected_graph
 
@@ -90,21 +90,15 @@ class TestSolverBoundary:
             assert np.array_equal(a.dist, b.dist)
 
     def test_solve_many_parallel_workers(self, pair):
+        """Pool workers externalize their rows: parents come back in
+        input ids, each realizing its distance."""
         base, re = pair
-        got = re.solve_many([1, 30, 66], n_jobs=2, track_parents=True)
-        want = base.solve_many([1, 30, 66])
-        for a, b in zip(want, got):
+        sources = [1, 30, 66]
+        got = re.solve_many(sources, n_jobs=2, track_parents=True)
+        want = base.solve_many(sources)
+        for s, a, b in zip(sources, want, got):
             assert np.array_equal(a.dist, b.dist)
-
-
-class TestSharedMemory:
-    def test_distance_matrix_rows_external(self, graph, pair):
-        base, re = pair
-        sources = [4, 21, 50]
-        with solve_many_shm(re, sources, track_parents=True, n_jobs=2) as dm:
-            for i, s in enumerate(sources):
-                assert np.array_equal(dm.dist[i], base.solve(s).dist)
-                _assert_valid_external_parents(re, dm.dist[i], dm.parent[i], s)
+            _assert_valid_external_parents(re, b.dist, b.parent, s)
 
 
 class TestService:

@@ -102,12 +102,6 @@ class TestQueries:
         assert np.array_equal(answers[1], ref)
         assert len(answers[2].vertices) == 3
 
-    def test_distance_matrix_parity(self, graph, service):
-        sources = [0, 5, 5, 19]
-        with service.distance_matrix(sources, n_jobs=2) as dm:
-            for i, s in enumerate(sources):
-                assert np.array_equal(dm.dist[i], dijkstra(graph, s).dist)
-
     def test_warm_sources(self, service):
         service.warm([40, 41])
         before = service.stats()["solves"]

@@ -23,6 +23,7 @@ from repro.core.solver import PreprocessedSSSP
 from repro.graphs.generators import grid_2d
 from repro.graphs.weights import random_integer_weights
 from repro.obs import MetricsRegistry
+from repro.obs.expo import parse, render
 from repro.serve import QueryPlanner, RoutingService, ShardCluster, ShardRouter
 
 K, RHO = 2, 12
@@ -113,6 +114,36 @@ class TestOneStatsPath:
         assert stats["engine"] is None
         assert stats["queries_answered"] == 0
         assert all(entry["unavailable"] for entry in stats["per_shard"])
+
+
+class TestInstrumentMoves:
+    """Instrumenting a second registry moves the surface: the first
+    registry's scrape loses its planner series, the second carries them
+    under the new ``service`` label."""
+
+    @staticmethod
+    def _services(registry) -> set:
+        exp = parse(render(registry))
+        return {
+            dict(labels)["service"]
+            for labels in exp.series("planner_cache_lookups_total")
+        }
+
+    @pytest.mark.parametrize("kind", ["service", "router"])
+    def test_second_registry_takes_the_series(self, kind, graph, sharded):
+        if kind == "service":
+            surface = RoutingService(graph, k=K, rho=RHO)
+        else:
+            surface = ShardRouter(sharded=sharded)
+        first, second = MetricsRegistry(), MetricsRegistry()
+        old = surface.instrument(first)
+        surface.distances(3)
+        assert self._services(first) == {old}
+        new = surface.instrument(second)
+        assert new != old
+        assert self._services(first) == set()
+        assert self._services(second) == {new}
+        assert surface.instrument(second) == new  # idempotent
 
 
 class TestPlannerLifetime:

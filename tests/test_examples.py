@@ -61,7 +61,7 @@ def test_routing_service(capsys):
     out = capsys.readouterr().out
     assert "warm start from artifact" in out
     assert "cache hits" in out
-    assert "bit-identical to the pickle path" in out
+    assert "every row exact" in out
 
 
 def test_sharded_service(capsys):
