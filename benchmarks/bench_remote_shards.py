@@ -2,10 +2,10 @@
 
 The transport refactor's claim is that moving shard backends across
 HTTP keeps answers bit-identical and costs only the wire: binary row
-frames (no JSON float laundering), pooled connections, and batched
-``/internal/rows`` fetches that amortize one round trip over many
-boundary rows.  This bench measures and **gates** that claim on a
-loopback :class:`~repro.serve.cluster.ShardCluster`:
+frames (no JSON float laundering), pooled connections, and one seeded
+solve per reached shard per stitch (``POST /internal/solve``).  This
+bench measures and **gates** that claim on a loopback
+:class:`~repro.serve.cluster.ShardCluster`:
 
 1. **Parity first** — remote answers are asserted bit-identical to the
    in-process router before any timing is trusted.
@@ -14,9 +14,6 @@ loopback :class:`~repro.serve.cluster.ShardCluster`:
    the *same* sharded preprocessing, gated by
    ``BENCH_REMOTE_MAX_OVERHEAD`` (fraction; loopback default 1.0 —
    CI relaxes via env because shared runners jitter at the ms scale).
-3. **Batched vs per-row fetch** — the same boundary rows pulled through
-   one batched ``rows()`` call vs one ``source_row()`` round trip each;
-   the speedup is the reason the stitch layer batches.
 
 Results land in ``BENCH_remote.json`` (path via ``BENCH_REMOTE_JSON``).
 """
@@ -39,8 +36,6 @@ pytestmark = pytest.mark.paper_artifact("remote shard stitch overhead")
 N, K, RHO = 3000, 2, 24
 N_SHARDS = 4
 COLD_SOURCES = 12
-BATCH_ROWS = 32
-FETCH_REPS = 30
 
 
 @pytest.fixture(scope="module")
@@ -83,23 +78,7 @@ class TestRemoteStitchOverhead:
         with ShardCluster(sharded) as cluster:
             remote_p50 = _cold_p50_ms(cluster.router, sources)
 
-            # -- 3. batched rows vs one round trip per row ------------------
-            backend = next(b for b in cluster.router.backends if b is not None)
-            counts = np.bincount(sharded.labels, minlength=N_SHARDS)
-            locals_ = list(range(min(BATCH_ROWS, int(counts[backend.shard]))))
-            backend.rows(locals_)  # server-side cache warm: timing is transport
-            t0 = time.perf_counter()
-            for _ in range(FETCH_REPS):
-                backend.rows(locals_)
-            batched_ms = (time.perf_counter() - t0) / FETCH_REPS * 1e3
-            t0 = time.perf_counter()
-            for _ in range(FETCH_REPS):
-                for s in locals_:
-                    backend.source_row(s)
-            per_row_ms = (time.perf_counter() - t0) / FETCH_REPS * 1e3
-
         overhead = remote_p50 / local_p50 - 1.0
-        batch_speedup = per_row_ms / batched_ms
         max_overhead = float(os.environ.get("BENCH_REMOTE_MAX_OVERHEAD", "1.0"))
         payload = {
             "workload": (
@@ -112,12 +91,6 @@ class TestRemoteStitchOverhead:
             },
             "remote_overhead": round(overhead, 4),
             "gate_max_overhead": max_overhead,
-            "row_fetch_ms": {
-                "batched_rows": round(batched_ms, 3),
-                "per_row": round(per_row_ms, 3),
-                "rows_per_fetch": len(locals_),
-                "batch_speedup": round(batch_speedup, 2),
-            },
         }
         out_path = os.environ.get("BENCH_REMOTE_JSON", "BENCH_remote.json")
         with open(out_path, "w") as fh:
@@ -125,20 +98,11 @@ class TestRemoteStitchOverhead:
         report_sink.append(
             (
                 f"remote shard stitch (road n={g.n}, {N_SHARDS} shards)",
-                "\n".join(
-                    [
-                        f"cold stitch p50: local {local_p50:.1f}ms, "
-                        f"remote {remote_p50:.1f}ms ({overhead:+.1%})",
-                        f"{len(locals_)} warm rows: batched {batched_ms:.1f}ms, "
-                        f"per-row {per_row_ms:.1f}ms "
-                        f"({batch_speedup:.1f}x from batching)",
-                    ]
-                ),
+                f"cold stitch p50: local {local_p50:.1f}ms, "
+                f"remote {remote_p50:.1f}ms ({overhead:+.1%})",
             )
         )
         # The gate: crossing the wire must not blow up the stitch —
         # loopback remote stays within the configured fraction of the
         # in-process router on cold stitched queries.
         assert overhead <= max_overhead, payload
-        # batching must actually amortize round trips
-        assert batched_ms < per_row_ms, payload

@@ -4,9 +4,9 @@
 ``examples/sharded_service.py`` stitches shards that all live in one
 process.  This example lifts that seam onto the network: every shard is
 served by its **own HTTP server** (in production, its own box), and the
-front-end router fetches distance rows across the wire as compact
-binary float64 frames — so the stitched answers stay *bit-identical*
-to the in-process router, sockets and all.
+front-end router fetches source rows and seeded shard solves across
+the wire as compact binary float64 frames — so the stitched answers
+stay *bit-identical* to the in-process router, sockets and all.
 
 The walkthrough:
 

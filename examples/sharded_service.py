@@ -140,7 +140,7 @@ def main(n: int = 1200, n_shards: int = N_SHARDS, k: int = K, rho: int = RHO) ->
         f"stitched-row cache: {stats['stitched']['hits']} hits, "
         f"{stats['stitched']['misses']} misses; "
         f"{stats['queries_answered']} shard-level solves "
-        f"(boundary rows dominate, and the LRU amortizes them)"
+        f"(per stitch: one source row plus one seeded solve per shard)"
     )
 
 

@@ -40,7 +40,9 @@ from typing import Iterable
 
 import numpy as np
 
+from ..engine.driver import run_engine
 from ..engine.registry import get_engine, solve_with_engine
+from ..engine.schedules import RadiusBucketSchedule
 from ..graphs.csr import CSRGraph
 from ..graphs.validate import check_vertex
 from ..obs.trace import span
@@ -228,15 +230,16 @@ class PreprocessedSSSP:
     def queries_answered(self) -> int:
         """Number of queries so far — the amortization denominator.
 
-        Every query path increments it: :meth:`solve` and
-        :meth:`distances` by one, :meth:`solve_many` and
+        Every query path increments it: :meth:`solve`,
+        :meth:`distances` and :meth:`solve_seeded` by one,
+        :meth:`solve_many` and
         :meth:`mean_steps` by the number of *requested* sources
         (duplicates included — the denominator counts answered queries,
         not distinct solves).
         """
         return self._queries
 
-    def count_queries(self, n: int = 1) -> None:
+    def _count_queries(self, n: int) -> None:
         """Charge ``n`` answered queries to the amortization counter.
 
         Every query path of this class charges through here.
@@ -252,8 +255,10 @@ class PreprocessedSSSP:
 
         ``obs`` is a :class:`repro.obs.metrics.EngineTelemetry` —
         anything with ``bind(engine) -> handle`` where the handle has
-        ``record_step``/``record_run``.  :meth:`solve` passes the bound
-        handle live into the engine; :meth:`solve_many` folds run totals
+        ``record_step``/``record_run``.  :meth:`solve` and
+        :meth:`solve_seeded` pass the bound handle live into the engine
+        (a seeded solve under ``vectorized``, whose schedule it runs);
+        :meth:`solve_many` folds run totals
         in post-hoc from the returned results, because fork-pool workers
         mutate a copy-on-write *copy* of the registry that the parent
         never sees.  Opt-in: the facade does no telemetry until a
@@ -316,7 +321,7 @@ class PreprocessedSSSP:
         :class:`ValueError`.
         """
         source = check_vertex(source, "source", self.graph.n)
-        self.count_queries(1)
+        self._count_queries(1)
         name = self.resolve_engine(engine)
         internal = source if self._perm is None else int(self._perm[source])
         with span("solver.solve", engine=name, source=int(source)):
@@ -371,7 +376,7 @@ class PreprocessedSSSP:
         spec = get_engine(name)
         if track_parents and not spec.supports_parents:
             raise ValueError(f"the {name} engine does not track parents")
-        self.count_queries(len(source_arr))
+        self._count_queries(len(source_arr))
         unique, inverse = np.unique(source_arr, return_inverse=True)
         internal = unique if self._perm is None else self._perm[unique]
         payload = (
@@ -391,6 +396,48 @@ class PreprocessedSSSP:
             for res in flat:
                 bound.record_run(res)
         return [flat[i] for i in inverse]
+
+    def solve_seeded(
+        self, seed_dist: np.ndarray, *, track_parents: bool = False
+    ) -> SsspResult:
+        """Exact distances from many seeds at once: a virtual-source solve.
+
+        ``seed_dist`` is one float64 row in input ids: entry ``v`` is
+        ``v``'s initial tentative distance, ``inf`` meaning "not a
+        seed".  The answer is ``min over seeds (seed_dist[u] + d(u, v))``
+        for every ``v``, from one Radius-Stepping run on this facade's
+        radii (Algorithm 1 is exact from any initial tentative
+        distances).  With ``track_parents``, each seed no arc strictly
+        improves is a root (parent ``-1``).  Charges one query.
+
+        A row of the wrong length, or one holding NaN or a negative
+        entry, raises :class:`ValueError`.
+        """
+        n = self.graph.n
+        seed_dist = np.asarray(seed_dist, dtype=np.float64)
+        if seed_dist.shape != (n,):
+            raise ValueError(
+                f"seed row must have shape ({n},), got {seed_dist.shape}"
+            )
+        if not np.all(seed_dist >= 0):  # NaN compares false too
+            raise ValueError("seed distances must be >= 0 (and not NaN)")
+        self._count_queries(1)
+        internal = seed_dist if self._perm is None else seed_dist[self._inv]
+        vertices = np.flatnonzero(internal < np.inf)
+        obs = None if self._observer is None else self._observer.bind("vectorized")
+        with span("solver.solve_seeded", seeds=int(len(vertices))):
+            res = run_engine(
+                self.graph,
+                None,
+                RadiusBucketSchedule(self.radii),
+                seeds=(vertices, internal[vertices]),
+                track_parents=track_parents,
+                algorithm_name="radius-stepping-seeded",
+                obs=obs,
+            )
+        if obs is not None:
+            obs.record_run(res)
+        return externalize_result(res, self._perm, self._inv)
 
     def mean_steps(self, sources: Iterable[int], *, n_jobs: int = 1) -> float:
         """Average step count over ``sources`` — the §5.3 metric."""

@@ -3,6 +3,8 @@
 One loop serves every schedule in :mod:`repro.engine.schedules`:
 
 1. **Line 2** — relax the source's arcs (kernel, charged as ``init``).
+   A *seeded* run skips it: the seeds start at their given distances,
+   nothing starts settled, and the seeds are the schedule's first push.
 2. **Line 4** — ask the schedule for ``d_i`` (charged ``extract-min R``).
 3. **Line 5** — split the active set at ``d_i`` (charged ``split Q``).
 4. **Lines 5–9** — Bellman–Ford substeps through the kernel until every
@@ -18,6 +20,14 @@ Algorithm-2 treap engine (:mod:`repro.core.radius_stepping_bst`),
 which the engine-parity tests pin.  The frontier bookkeeping between
 substeps uses the kernel's O(1) membership mask instead of
 O(|within|·|changed|) ``np.isin`` scans.
+
+Seeds make the loop a virtual-source solve: Algorithm 1 is exact for
+any radii (§3), and for the same reason from any initial tentative
+distances, so seeding ``(vertices, dists)`` gives
+``min over seeds (dist + d(seed, v))`` for every ``v`` — the exact
+distances inside a shard from exact distances on its boundary, or
+overlay distances from a shard's boundary row.  With parents tracked,
+every root of the parent forest is a seed.
 """
 
 from __future__ import annotations
@@ -34,9 +44,10 @@ __all__ = ["run_engine"]
 
 def run_engine(
     graph: CSRGraph,
-    source: int,
+    source: int | None,
     schedule: StepSchedule,
     *,
+    seeds: tuple[np.ndarray, np.ndarray] | None = None,
     track_parents: bool = False,
     track_trace: bool = False,
     ledger=None,
@@ -49,7 +60,10 @@ def run_engine(
     Parameters
     ----------
     graph: validated undirected CSR graph with non-negative weights.
-    source: source vertex id.
+    source: source vertex id; ``None`` for a seeded run.
+    seeds: ``(vertices, dists)`` — start from these finite, non-negative
+        tentative distances instead of a source (see the module
+        docstring and :class:`~repro.engine.kernel.RelaxationKernel`).
     schedule: a :class:`~repro.engine.schedules.StepSchedule`; it is
         bound to this run's kernel and must not be reused concurrently.
     track_parents / track_trace / ledger: as in
@@ -64,10 +78,13 @@ def run_engine(
     """
     n = graph.n
     kernel = RelaxationKernel(
-        graph, source, track_parents=track_parents, ledger=ledger
+        graph, source, seeds=seeds, track_parents=track_parents, ledger=ledger
     )
     schedule.bind(kernel)
-    schedule.push(kernel.relax_source(source))
+    if seeds is None:
+        schedule.push(kernel.relax_source(source))
+    else:
+        schedule.push(np.flatnonzero(kernel.dist < np.inf))
     # Optional schedule hooks (∆*-stepping's light/heavy split): substeps
     # relax only the masked arc class; ``finish_step`` runs after Line 10
     # with the step's newly settled vertices, at their final distances.

@@ -79,7 +79,11 @@ class RelaxationKernel:
     ----------
     graph: validated undirected CSR graph with non-negative weights.
     source: source vertex; its distance is fixed at 0 and it starts
-        settled.
+        settled.  ``None`` when ``seeds`` are given.
+    seeds: ``(vertices, dists)`` initial tentative distances (finite,
+        non-negative; a repeated vertex keeps its least distance) for a
+        multi-source solve.  Nothing starts settled, and every seed is a
+        parent-forest root until an arc strictly improves it.
     track_parents: allocate and maintain a shortest-path-tree parent
         array.
     ledger: optional :class:`repro.pram.ledger.Ledger`.  When given,
@@ -113,24 +117,37 @@ class RelaxationKernel:
     def __init__(
         self,
         graph: CSRGraph,
-        source: int,
+        source: int | None,
         *,
+        seeds: tuple[np.ndarray, np.ndarray] | None = None,
         track_parents: bool = False,
         ledger=None,
     ) -> None:
         n = graph.n
-        # a plain int, so a bool cannot reach the indexing below as a
-        # mask (dist[True] writes every entry); a float raises TypeError
-        source = operator.index(source)
-        if not (0 <= source < n):
-            raise ValueError(f"source {source} out of range [0, {n})")
         self.graph = graph
         self.dist = np.full(n, np.inf)
-        self.dist[source] = 0.0
         self.parent = np.full(n, -1, dtype=np.int64) if track_parents else None
         self.settled = np.zeros(n, dtype=bool)
-        self.settled[source] = True
-        self.settled_count = 1
+        if seeds is None:
+            # a plain int, so a bool cannot reach the indexing below as a
+            # mask (dist[True] writes every entry); a float raises TypeError
+            source = operator.index(source)
+            if not (0 <= source < n):
+                raise ValueError(f"source {source} out of range [0, {n})")
+            self.dist[source] = 0.0
+            self.settled[source] = True
+            self.settled_count = 1
+        else:
+            if source is not None:
+                raise ValueError("pass a source or seeds, not both")
+            vertices = np.asarray(seeds[0], dtype=np.int64)
+            dists = np.asarray(seeds[1], dtype=np.float64)
+            if len(vertices) and not (0 <= vertices.min() and vertices.max() < n):
+                raise ValueError(f"seed vertex out of range [0, {n})")
+            if not np.all((dists >= 0) & (dists < np.inf)):
+                raise ValueError("seed distances must be finite and >= 0")
+            np.minimum.at(self.dist, vertices, dists)
+            self.settled_count = 0
         self.relaxations = 0
         self.ledger = ledger
         self.logn = max(1.0, math.log2(max(2, n)))

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..core.result import SsspResult
+from ..graphs.validate import check_vertex
 from .driver import run_engine
 from .schedules import (
     BellmanFordSchedule,
@@ -164,12 +165,17 @@ def solve_with_engine(
 ) -> SsspResult:
     """Dispatch one query through the registry (shared validation).
 
+    The source is checked once here for every engine, plugins included:
+    a bool or non-integer raises :class:`TypeError`, an id outside
+    ``[0, n)`` :class:`ValueError`.
+
     ``obs`` is an optional :class:`~repro.obs.metrics.EngineTelemetry`;
     the engine label is bound here (once per query, not per step) and
     run-level totals are folded in from the result after the solve, so
     every engine gets run telemetry even if it ignores the live hook.
     """
     spec = get_engine(name)
+    source = check_vertex(source, "source", graph.n)
     if track_parents and not spec.supports_parents:
         raise ValueError(f"the {name} engine does not track parents")
     bound = obs.bind(name) if obs is not None else None

@@ -24,8 +24,9 @@ becomes a production serving story in cooperating parts:
 * :mod:`~repro.serve.router` — :class:`ShardRouter`, the sharded
   implementation of the same surface: every shard is a
   :class:`RoutingService`, and exact cross-shard rows are stitched
-  through the boundary overlay behind the same planner core,
-  bit-identical answers (see ``examples/sharded_service.py``).
+  from one overlay solve and one seeded solve per shard behind the
+  same planner core, bit-identical answers (see
+  ``examples/sharded_service.py``).
 * :mod:`~repro.serve.backends` — :class:`ShardBackend`, the
   transport seam under the router: :class:`LocalBackend` wraps an
   in-process shard service, :class:`RemoteBackend` speaks HTTP to a

@@ -1,10 +1,11 @@
 """Shard backends — the transport seam under the stitch layer.
 
-The :class:`~repro.serve.router.ShardRouter` answers a query by folding
-per-shard distance rows over the boundary overlay (the stitching core).
-What it folds *over* is this module's :class:`ShardBackend` protocol —
-``source_row`` / batched ``rows`` / ``route`` / ``stats`` / ``healthz``
-— with two implementations:
+The :class:`~repro.serve.router.ShardRouter` answers a query with one
+source row from the source's shard, one solve on the boundary overlay,
+and one seeded solve per reached shard (the stitching core).  What it
+calls is this module's :class:`ShardBackend` protocol — ``source_row``
+/ ``solve_seeded`` / ``stats`` / ``healthz`` — with two
+implementations:
 
 * :class:`LocalBackend` wraps a shard's
   :class:`~repro.serve.service.RoutingService` in process and makes
@@ -14,13 +15,12 @@ What it folds *over* is this module's :class:`ShardBackend` protocol —
 * :class:`RemoteBackend` speaks to a shard's
   :class:`~repro.serve.http.RoutingHTTPServer` over a pool of stdlib
   :class:`http.client.HTTPConnection` objects: per-request deadline,
-  bounded retry-with-backoff on idempotent GETs, and ``X-Request-Id``
-  propagation from the ambient trace so one request id threads the
-  front end's span tree *and* every shard's slow log.  Distance rows
-  travel as a compact binary frame (:func:`encode_rows` /
-  :func:`decode_rows` — raw little-endian float64, no JSON float
-  round-trip, bit-identical by construction), routes over the existing
-  JSON contract.
+  bounded retry-with-backoff on every call (each is idempotent), and
+  ``X-Request-Id`` propagation from the ambient trace so one request id
+  threads the front end's span tree *and* every shard's slow log.  Seed
+  rows, distance rows and parent rows travel as a compact binary frame
+  (:func:`encode_rows` / :func:`decode_rows` — raw little-endian
+  float64, no JSON float round-trip, bit-identical by construction).
 
 Degraded mode is typed: a shard that stays down past its retry budget
 raises :class:`ShardUnavailableError` naming the shard and endpoint,
@@ -31,9 +31,10 @@ waits on an event, so shutdown interrupts it immediately instead of
 blocking for the remaining budget.
 
 Every backend tracks its own health (consecutive failures, failure
-total) and a row-fetch latency histogram; ``backend_stats()`` is the
-``backends`` table of ``ShardRouter.stats()`` and the source of the
-``shard_backend_*`` metric families.
+total) and a row-fetch latency histogram (source rows and seeded
+solves alike); ``backend_stats()`` is the ``backends`` table of
+``ShardRouter.stats()`` and the source of the ``shard_backend_*``
+metric families.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ import numpy as np
 
 from ..obs.metrics import LATENCY_BUCKETS, Histogram
 from ..obs.trace import current_trace
-from .planner import Route, SingleSource
 
 __all__ = [
-    "MAX_ROWS_PER_FETCH",
     "ROWS_CONTENT_TYPE",
     "LocalBackend",
     "RemoteBackend",
@@ -63,10 +62,6 @@ __all__ = [
     "decode_rows",
     "encode_rows",
 ]
-
-#: upper bound on sources per ``GET /internal/rows/...`` fetch — bounds
-#: both the URL length and the response size; clients chunk above it.
-MAX_ROWS_PER_FETCH = 64
 
 #: content type of the binary row frame.
 ROWS_CONTENT_TYPE = "application/x-repro-rows"
@@ -103,8 +98,9 @@ def encode_rows(rows: Sequence[np.ndarray]) -> bytes:
 
     All rows must share one length.  The payload is the rows' exact
     float64 bit patterns — a decoded row compares bit-identical to the
-    planner row it came from, which is what keeps remote stitching on
-    the same exactness contract as local stitching.
+    row it came from, which is what keeps remote stitching on the same
+    exactness contract as local stitching (a parent row, as float64, is
+    exact below 2⁵³).
     """
     if not rows:
         raise ValueError("encode_rows requires at least one row")
@@ -154,13 +150,16 @@ def decode_rows(data: bytes, *, expect_len: int | None = None) -> np.ndarray:
 class ShardBackend(Protocol):
     """What the stitching core needs from one shard, transport-agnostic.
 
-    Every shard is a :class:`~repro.serve.service.RoutingService`.
-    ``source_row`` / ``rows`` speak *shard-local* vertex ids and return
-    float64 distance rows over the shard's vertices; ``route`` answers
-    an intra-shard route in shard-local ids; ``stats`` is the shard
-    service's own ``stats()``.  ``backend_stats`` is the health/latency
-    snapshot the router's ``backends`` table and the
-    ``shard_backend_*`` metric families are built from.
+    Every shard is a :class:`~repro.serve.service.RoutingService`, and
+    every row speaks *shard-local* vertex ids.  ``source_row`` returns
+    the shard's cached float64 distance row of one source;
+    ``solve_seeded`` takes a seed row over the shard's vertices
+    (``inf`` = not a seed) and returns the seeded solve's distance row
+    and, with ``track_parents``, its int64 parent row (``None``
+    otherwise); ``stats`` is the shard service's own ``stats()``.
+    ``backend_stats`` is the health/latency snapshot the router's
+    ``backends`` table and the ``shard_backend_*`` metric families are
+    built from.
     """
 
     kind: str
@@ -169,9 +168,9 @@ class ShardBackend(Protocol):
 
     def source_row(self, local_source: int) -> np.ndarray: ...
 
-    def rows(self, local_sources: Sequence[int]) -> list[np.ndarray]: ...
-
-    def route(self, local_source: int, local_target: int) -> Route: ...
+    def solve_seeded(
+        self, seed: np.ndarray, *, track_parents: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]: ...
 
     def stats(self) -> dict: ...
 
@@ -257,12 +256,9 @@ class LocalBackend(_BaseBackend):
     :class:`~repro.serve.service.RoutingService`.
 
     Each method makes the call a shard server's handler makes for the
-    matching request (``/internal/row``, ``/internal/rows``, ``/route``,
-    ``/stats``, ``/internal/ready``): ``rows`` goes through the
-    service's ``batch``, so a batch of boundary sources coalesces onto
-    one ``solve_many`` fan-out and lands in the service's striped LRU,
-    and ``stats`` is the service's own snapshot — a local shard reports
-    exactly what a remote one does.
+    matching request (``/internal/row``, ``/internal/solve``,
+    ``/stats``, ``/internal/ready``), so ``stats`` is the service's own
+    snapshot — a local shard reports exactly what a remote one does.
     """
 
     kind = "local"
@@ -277,16 +273,13 @@ class LocalBackend(_BaseBackend):
         self._record_fetch(time.perf_counter() - t0)
         return row
 
-    def rows(self, local_sources: Sequence[int]) -> list[np.ndarray]:
-        if not len(local_sources):
-            return []
+    def solve_seeded(
+        self, seed: np.ndarray, *, track_parents: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         t0 = time.perf_counter()
-        out = self.service.batch([SingleSource(int(s)) for s in local_sources])
+        res = self.service.solve_seeded(seed, track_parents=track_parents)
         self._record_fetch(time.perf_counter() - t0)
-        return out
-
-    def route(self, local_source: int, local_target: int) -> Route:
-        return self.service.route(int(local_source), int(local_target))
+        return res.dist, res.parent
 
     def stats(self) -> dict:
         return self.service.stats()
@@ -310,8 +303,8 @@ class RemoteBackend(_BaseBackend):
         read are bounded by it, so a hung shard surfaces as a typed
         error within the deadline instead of pinning a thread.
     retries: extra attempts after the first, on connection errors and
-        5xx responses of idempotent GETs (every request this backend
-        makes is an idempotent read — rows, routes, stats).
+        5xx responses (every request this backend makes is idempotent —
+        rows, seeded solves, stats).
     backoff: initial sleep between attempts, doubling per retry.  The
         sleep waits on the close event, so :meth:`close` from another
         thread interrupts it immediately.
@@ -377,8 +370,9 @@ class RemoteBackend(_BaseBackend):
         conn.close()
 
     # -- request cycle ------------------------------------------------ #
-    def _request(self, path: str) -> bytes:
-        """One idempotent GET with deadline, retry and backoff.
+    def _request(self, path: str, body: bytes | None = None) -> bytes:
+        """One idempotent GET (or POST of ``body``) with deadline, retry
+        and backoff.
 
         Returns the 200 response body.  Connection errors and 5xx
         responses are retried up to the budget with doubling,
@@ -389,7 +383,8 @@ class RemoteBackend(_BaseBackend):
         """
         if self._closed.is_set():
             raise ShardUnavailableError(self.shard, self.endpoint, "backend closed")
-        headers = {}
+        method = "GET" if body is None else "POST"
+        headers = {} if body is None else {"Content-Type": ROWS_CONTENT_TYPE}
         trace = current_trace()
         if trace is not None:
             headers["X-Request-Id"] = trace.request_id
@@ -410,13 +405,13 @@ class RemoteBackend(_BaseBackend):
                 continue
             reusable = False
             try:
-                conn.request("GET", path, headers=headers)
+                conn.request(method, path, body=body, headers=headers)
                 resp = conn.getresponse()
-                body = resp.read()
+                payload = resp.read()
                 reusable = True
                 if resp.status == 200:
                     self._mark_success()
-                    return body
+                    return payload
                 if resp.status >= 500:
                     reason = f"HTTP {resp.status} on {path}"
                     self._mark_attempt_failure()
@@ -424,7 +419,7 @@ class RemoteBackend(_BaseBackend):
                 # 4xx: the shard is alive and rejecting this request —
                 # surface the typed error, do not burn the retry budget
                 self._mark_success()
-                raise _client_error(resp.status, body, path)
+                raise _client_error(resp.status, payload, path)
             except (OSError, http.client.HTTPException) as exc:
                 reason = f"{type(exc).__name__}: {exc}"
                 self._mark_attempt_failure()
@@ -444,21 +439,16 @@ class RemoteBackend(_BaseBackend):
         self._record_fetch(time.perf_counter() - t0)
         return rows[0]
 
-    def rows(self, local_sources: Sequence[int]) -> list[np.ndarray]:
-        sources = [int(s) for s in local_sources]
-        if not sources:
-            return []
-        out: list[np.ndarray] = []
+    def solve_seeded(
+        self, seed: np.ndarray, *, track_parents: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         t0 = time.perf_counter()
-        for lo in range(0, len(sources), MAX_ROWS_PER_FETCH):
-            chunk = sources[lo : lo + MAX_ROWS_PER_FETCH]
-            body = self._request(
-                "/internal/rows/" + ",".join(map(str, chunk))
-            )
-            mat = self._decode(body, len(chunk))
-            out.extend(mat[i] for i in range(len(chunk)))
+        path = "/internal/solve?parents=1" if track_parents else "/internal/solve"
+        mat = self._decode(
+            self._request(path, encode_rows([seed])), 2 if track_parents else 1
+        )
         self._record_fetch(time.perf_counter() - t0)
-        return out
+        return mat[0], mat[1].astype(np.int64) if track_parents else None
 
     def _decode(self, body: bytes, expect_rows: int) -> np.ndarray:
         try:
@@ -478,18 +468,6 @@ class RemoteBackend(_BaseBackend):
                 f"asked for {expect_rows} rows, frame holds {mat.shape[0]}",
             )
         return mat
-
-    def route(self, local_source: int, local_target: int) -> Route:
-        body = self._request(f"/route/{int(local_source)}/{int(local_target)}")
-        doc = json.loads(body)
-        distance = doc.get("distance")
-        path = doc.get("path")
-        return Route(
-            source=int(doc["source"]),
-            target=int(doc["target"]),
-            distance=float("inf") if distance is None else float(distance),
-            path=None if path is None else tuple(int(v) for v in path),
-        )
 
     def stats(self) -> dict:
         return json.loads(self._request("/stats"))

@@ -9,9 +9,12 @@ are — behind its own :class:`~repro.serve.http.RoutingHTTPServer`
 (bound to an ephemeral port), and the front end is a
 :meth:`ShardRouter.remote <repro.serve.router.ShardRouter.remote>`
 router whose :class:`~repro.serve.backends.RemoteBackend` transports
-speak real HTTP to those servers.  Every byte crosses a socket exactly
-as it would between boxes, so the cluster is both the integration
-harness for the remote stitch path and a faithful local stand-in for a
+speak real HTTP to those servers: ``GET /internal/ready`` at boot, then
+per stitch one ``GET /internal/row/{s}`` to the source's shard and one
+``POST /internal/solve`` (a seed row in, a distance and parent row
+out) to each reached shard.  Every byte crosses a socket exactly as it
+would between boxes, so the cluster is both the integration harness
+for the remote stitch path and a faithful local stand-in for a
 deployment: what passes here passes across machines.
 
 Shutdown ordering is the subtle part.  ``close()`` interrupts the

@@ -36,15 +36,18 @@ Endpoints
 ``POST /batch``              mixed query list, answered as one coalesced batch
 ``GET /internal/ready``      cheap readiness probe for cluster bootstrap
 ``GET /internal/row/{s}``    one distance row as a compact binary frame
-``GET /internal/rows/{csv}`` up to ``MAX_ROWS_PER_FETCH`` rows, one frame
+``POST /internal/solve``     one seeded solve: a seed row in, its distance
+                             row (and with ``?parents=1`` its parent row)
+                             out, one frame each way
 ===========================  ====================================================
 
 The ``/internal/*`` surface is the shard-to-router wire: rows travel as
 raw little-endian float64 frames (:func:`repro.serve.backends.encode_rows`
 — no JSON float round-trip, so a front-end
 :class:`~repro.serve.backends.RemoteBackend` stitches bit-identical
-answers), and ``/internal/rows`` funnels a whole boundary batch into one
-coalesced ``service.batch`` call.
+answers).  ``/internal/solve`` is the surface's ``solve_seeded``; a
+malformed frame or a bad seed row (wrong length, NaN, negative) is a
+400.
 
 Error contract: request problems (malformed paths, non-integer ids,
 out-of-range vertices, negative ``k``, bad JSON) map to **4xx** with a
@@ -96,7 +99,7 @@ import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlparse
+from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
@@ -105,9 +108,9 @@ from ..obs.expo import render as render_metrics
 from ..obs.metrics import get_default_registry
 from ..obs.trace import SlowQueryLog, new_request_id, trace_request
 from .backends import (
-    MAX_ROWS_PER_FETCH,
     ROWS_CONTENT_TYPE,
     ShardUnavailableError,
+    decode_rows,
     encode_rows,
 )
 from .planner import KNearest, Nearest, PointToPoint, Route, SingleSource
@@ -376,10 +379,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route_request(self, method: str):
         service = self.server.service
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
+        url = urlparse(self.path)
+        parts = [p for p in url.path.split("/") if p]
         if method == "POST":
             if parts == ["batch"]:
                 return self._batch(service)
+            if parts == ["internal", "solve"] and hasattr(service, "solve_seeded"):
+                return self._solve_seeded(service, url.query)
             raise _HTTPError(404, f"no POST endpoint at {self.path!r}")
         if not parts:
             return {
@@ -395,7 +401,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "POST /batch",
                     "GET /internal/ready",
                     "GET /internal/row/{s}",
-                    "GET /internal/rows/{csv}",
+                    "POST /internal/solve",
                 ],
             }
         if parts == ["healthz"]:
@@ -425,7 +431,7 @@ class _Handler(BaseHTTPRequestHandler):
         raise _HTTPError(404, f"no GET endpoint at {self.path!r}")
 
     def _internal(self, service: QuerySurface, parts: list[str]):
-        """The shard-to-router wire: readiness + binary row frames."""
+        """The shard-to-router wire: readiness + one binary row."""
         if parts == ["internal", "ready"]:
             health = service.healthz()
             return {"ready": health.get("status") == "ok", **health}
@@ -434,28 +440,13 @@ class _Handler(BaseHTTPRequestHandler):
             return _RawResponse(
                 encode_rows([service.distances(source)]), ROWS_CONTENT_TYPE
             )
-        if len(parts) == 3 and parts[1] == "rows":
-            tokens = [t for t in parts[2].split(",") if t]
-            if not tokens:
-                raise _HTTPError(
-                    400, "rows requires a comma-separated source list"
-                )
-            if len(tokens) > MAX_ROWS_PER_FETCH:
-                raise _HTTPError(
-                    400,
-                    f"at most {MAX_ROWS_PER_FETCH} rows per fetch, "
-                    f"got {len(tokens)}",
-                )
-            sources = [_parse_int(t, "source") for t in tokens]
-            # one coalesced batch: duplicate sources share one solve
-            answers = service.batch([SingleSource(s) for s in sources])
-            return _RawResponse(encode_rows(answers), ROWS_CONTENT_TYPE)
         raise _HTTPError(404, f"no GET endpoint at {self.path!r}")
 
-    def _batch(self, service: QuerySurface):
+    def _read_body(self) -> bytes:
+        """The request body, under the checks every POST shares."""
         length = self.headers.get("Content-Length")
         if length is None or not _INT_RE.match(length):
-            raise _HTTPError(411, "POST /batch requires a Content-Length header")
+            raise _HTTPError(411, "POST requires a Content-Length header")
         length = int(length)
         if length < 0:
             # rfile.read(-1) would block reading until EOF/timeout,
@@ -465,6 +456,23 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HTTPError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
         self._body_read = True  # connection stays reusable from here on
+        return raw
+
+    def _solve_seeded(self, service, query: str):
+        """``POST /internal/solve``: one seed-row frame in, the distance
+        row (plus, with ``?parents=1``, the parent row) out."""
+        flag = parse_qs(query).get("parents", ["0"])[-1]
+        if flag not in ("0", "1"):
+            raise _HTTPError(400, f"parents must be 0 or 1, got {flag!r}")
+        seeds = decode_rows(self._read_body())  # a bad frame is a ValueError
+        if seeds.shape[0] != 1:
+            raise _HTTPError(400, f"expected one seed row, got {seeds.shape[0]}")
+        res = service.solve_seeded(seeds[0], track_parents=flag == "1")
+        rows = [res.dist] if res.parent is None else [res.dist, res.parent]
+        return _RawResponse(encode_rows(rows), ROWS_CONTENT_TYPE)
+
+    def _batch(self, service: QuerySurface):
+        raw = self._read_body()
         try:
             doc = json.loads(raw)
         except json.JSONDecodeError as exc:

@@ -166,7 +166,7 @@ def backend_families(
     fetch = MetricFamily(
         "shard_backend_row_fetch_seconds",
         "histogram",
-        "row-fetch latency per backend (batched fetches count once)",
+        "row-fetch latency per backend (source rows and seeded solves)",
     )
     for base, backend in entries:
         st = backend.backend_stats()

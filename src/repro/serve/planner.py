@@ -23,11 +23,12 @@ s" — tiny reads against a source row someone else already paid for.
 
 Where rows come from is a **row source**: an object with
 ``solve(sources) -> rows`` (one row per source, each with a read-only
-``dist``), ``path(row, source, target) -> tuple | None``, and the
-``n`` / ``engine`` / ``graph_hash`` it reports.  The constructor wraps
-a solver as the engine row source; :meth:`QueryPlanner.from_rows` takes
-any other, so the shard router's stitched rows sit behind this same
-cache, validation and single-flight core.
+``dist`` and a ``parent`` array or ``None``) and the ``n`` /
+``engine`` / ``graph_hash`` it reports.  The constructor wraps a solver
+as the engine row source; :meth:`QueryPlanner.from_rows` takes any
+other, so the shard router's stitched rows sit behind this same cache,
+validation and single-flight core.  A route is the same parent walk
+for every row, engine or stitched.
 
 Concurrency model (an HTTP/gRPC front end calls one planner from many
 worker threads):
@@ -289,11 +290,6 @@ class _EngineRows:
             rows.append(_Row(res.dist, res.parent))
         return rows
 
-    def path(self, row: _Row, source: int, target: int) -> tuple[int, ...] | None:
-        if row.parent is None or not np.isfinite(row.dist[target]):
-            return None
-        return tuple(parent_path(row.parent, target))
-
 
 class QueryPlanner:
     """LRU-cached, batch-coalescing, thread-safe query executor.
@@ -527,12 +523,11 @@ class QueryPlanner:
         if isinstance(query, SingleSource):
             return row.dist
         if isinstance(query, PointToPoint):
-            return Route(
-                source=query.source,
-                target=query.target,
-                distance=float(row.dist[query.target]),
-                path=self._rows.path(row, query.source, query.target),
-            )
+            distance = float(row.dist[query.target])
+            path = None
+            if row.parent is not None and np.isfinite(distance):
+                path = tuple(parent_path(row.parent, query.target))
+            return Route(query.source, query.target, distance, path)
         return nearest_from_row(query.source, row.dist, query.k)
 
     # ------------------------------------------------------------------ #

@@ -1,42 +1,49 @@
 """`ShardRouter` — exact cross-shard query serving over shard backends.
 
 The sharded counterpart of :class:`~repro.serve.service.RoutingService`:
-a pure **stitching core** (virtual-source overlay Dijkstra + per-shard
-fold — no I/O of its own) over one :class:`~repro.serve.backends.ShardBackend`
-per shard, behind the same :class:`~repro.serve.surface.QuerySurface` —
-so the HTTP front end (or any embedder typed against the surface)
-cannot tell the difference, and neither can clients: answers are
-**bit-identical** to the unsharded service on integer-weighted graphs.
+a pure **stitching core** (no I/O of its own) over one
+:class:`~repro.serve.backends.ShardBackend` per shard, behind the same
+:class:`~repro.serve.surface.QuerySurface` — so the HTTP front end (or
+any embedder typed against the surface) cannot tell the difference,
+and neither can clients: answers are **bit-identical** to the
+unsharded service on integer-weighted graphs.
 
-How a query from source ``s`` (shard ``A``) is answered exactly:
+Every step is one seeded Radius-Stepping solve
+(:func:`~repro.engine.driver.run_engine` with ``seeds=``): Algorithm 1
+is exact from any initial tentative distances, so exact distances on a
+shard's boundary give exact distances inside it.  A query from source
+``s`` (shard ``A``) is answered in three steps:
 
-1. ``rowA`` — shard ``A``'s backend solves ``s`` on its own augmented
-   (k,ρ)-graph.  For every vertex of ``A`` reached without leaving the
-   shard, this is already the true distance (an induced subgraph keeps
-   every arc among its vertices).
-2. **Overlay solve** — append a virtual source to the overlay,
-   connected to each boundary vertex ``b ∈ ∂A`` with weight
-   ``rowA[b]``, and run one Dijkstra from it.  Because overlay arcs are
+1. ``rowA`` — shard ``A``'s backend answers ``s`` from its own cached
+   row (its own engine, on its own augmented (k,ρ)-graph).  For every
+   vertex of ``A`` reached without leaving the shard, this is already
+   the true distance (an induced subgraph keeps every arc among its
+   vertices).
+2. **Overlay solve** — one seeded solve on the prebuilt overlay graph,
+   seeded on ``∂A`` with ``rowA[∂A]``.  Because overlay arcs are
    original cut edges plus exact within-shard boundary distances, the
    result ``ov_dist[b]`` is the true full-graph distance ``d(s, b)``
    for *every* boundary vertex of every shard: any shortest path
    decomposes into maximal intra-shard segments joined by cut edges,
-   and each piece is an overlay arc (or the virtual seed).
-3. **Stitch** — for each shard ``C``, fetch its finite boundary rows in
-   one batched ``backend.rows(...)`` call and fold
-   ``ov_dist[b] + d_C(b, ·)`` into the full row with a min-scatter
-   (these boundary rows are the hot working set each shard's LRU
-   caches across queries).  Folding ``C = A`` too covers re-entrant
-   paths that leave the source shard and come back.
+   and each piece is an overlay arc (or a seed).
+3. **Shard solves** — each shard ``C`` with a finite boundary distance
+   answers one ``backend.solve_seeded`` seeded with ``ov_dist`` on
+   ``∂C``; its answer is ``C``'s part of the full row.  Shard ``A`` is
+   seeded with ``s`` at 0 plus only the boundary vertices the overlay
+   strictly improved, which covers re-entrant paths that leave the
+   source shard and come back.
 
 Every candidate distance is a float sum of input weights; on integer
 weights (< 2⁵³) such sums are exact, the candidate set contains the
-true distance, and all candidates dominate it — so the stitched min is
+true distance, and all candidates dominate it — so the stitched row is
 the exact metric, bit for bit what the unsharded planner computes.
-Routes are stitched the same way: source-shard path → overlay parent
-chain → target-shard path, with composite hops whose weights are exact
-input-graph distances (the same contract as
-:class:`~repro.serve.planner.Route` on the augmented graph).
+With parents tracked, the shard solves' parents map to global ids and
+each seed a shard solve leaves a root takes its overlay parent: a cut
+arc or an exact within-shard distance arc.  The result is one parent
+array over the whole graph, and a route is the same parent walk an
+engine row takes — composite hops whose weights are exact input-graph
+distances (the same contract as :class:`~repro.serve.planner.Route` on
+the augmented graph).  A route from a cached row calls no backend.
 
 Where the rows come *from* is the backend's business: every shard is
 a :class:`~repro.serve.service.RoutingService`, either in process
@@ -65,9 +72,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.dijkstra import dijkstra
+from ..engine.driver import run_engine
 from ..engine.registry import available_engines, get_engine
-from ..graphs.build import from_arc_arrays
+from ..engine.schedules import BellmanFordSchedule
 from ..graphs.csr import CSRGraph
 from ..graphs.validate import check_vertex
 from ..obs.trace import span
@@ -86,7 +93,7 @@ from .backends import (
     ShardUnavailableError,
 )
 from .obs_bridge import backend_families, stitched_cache_families
-from .planner import QueryPlanner
+from .planner import QueryPlanner, _Row
 from .service import shard_services
 from .surface import PlannerSurface
 
@@ -122,32 +129,14 @@ _SHARD_KEYS = (
 _STITCHED_KEYS = ("capacity", "cached_rows", "hits", "misses", "lookups", "evictions")
 
 
-class _Stitched:
-    """One cached stitched row: the full read-only distance row plus the
-    overlay solve it was stitched from (kept for route reconstruction)."""
-
-    __slots__ = ("dist", "ov_dist", "ov_parent")
-
-    def __init__(
-        self,
-        dist: np.ndarray,
-        ov_dist: np.ndarray,
-        ov_parent: np.ndarray | None,
-    ) -> None:
-        dist.setflags(write=False)
-        ov_dist.setflags(write=False)
-        self.dist = dist
-        self.ov_dist = ov_dist
-        self.ov_parent = ov_parent
-
-
 class _Stitcher:
     """The row source of the router's planner: exact full rows stitched
-    from shard backend rows over the boundary overlay.
+    from one source row, one overlay solve and one seeded solve per
+    reached shard.
 
     Owns the topology-derived arrays and does no I/O of its own — every
-    row comes from a backend.  It holds the backends and never the
-    router or its planner (see :meth:`QueryPlanner.from_rows`).
+    shard row comes from a backend.  It holds the backends and never
+    the router or its planner (see :meth:`QueryPlanner.from_rows`).
     """
 
     engine = "stitched"
@@ -174,150 +163,74 @@ class _Stitcher:
         ovv = topology.overlay_vertices
         self._ov_vertices = ovv
         self._overlay = topology.overlay_graph
-        self._n_ov = len(ovv)
-        self._ov_tails = np.repeat(
-            np.arange(self._n_ov, dtype=np.int64), self._overlay.degrees()
-        )
         self.boundary_ov = [
-            np.flatnonzero(self._labels[ovv] == s) if self._n_ov else ovv
+            np.flatnonzero(self._labels[ovv] == s) if len(ovv) else ovv
             for s in range(topology.n_shards)
         ]
         self._boundary_local = [self._local[ovv[b]] for b in self.boundary_ov]
 
-    def solve(self, sources: list[int]) -> list[_Stitched]:
+    def solve(self, sources: list[int]) -> list[_Row]:
         rows = []
         for source in sources:
             with span("router.stitch", source=source):
                 rows.append(self._stitch(source))
         return rows
 
-    def path(self, row: _Stitched, source: int, target: int) -> tuple[int, ...] | None:
-        distance = float(row.dist[target])
-        if not self._track_parents or not np.isfinite(distance):
-            return None
-        return self._route_path(int(source), int(target), row, distance)
-
-    def _virtual_solve(self, seeds_ov: np.ndarray, seed_dist: np.ndarray):
-        """One Dijkstra from a virtual source appended to the overlay,
-        wired to the source shard's boundary at the rowA distances."""
-        n_ov = self._n_ov
-        us = np.concatenate(
-            [self._ov_tails, np.full(len(seeds_ov), n_ov, dtype=np.int64)]
-        )
-        vs = np.concatenate([self._overlay.indices, seeds_ov])
-        ws = np.concatenate([self._overlay.weights, seed_dist])
-        virt = from_arc_arrays(n_ov + 1, us, vs, ws, symmetrize=True, validate=False)
-        return dijkstra(virt, n_ov, track_parents=self._track_parents)
-
-    def _stitch(self, source: int) -> _Stitched:
+    def _stitch(self, source: int) -> _Row:
         shard_a = int(self._labels[source])
-        backend_a = self._backends[shard_a]
         with span("router.source_row", shard=shard_a):
-            row_a = backend_a.source_row(int(self._local[source]))
-        dist = np.full(self.n, np.inf)
-        dist[self.shard_vertices[shard_a]] = row_a
-        ov_dist = np.full(self._n_ov, np.inf)
-        ov_parent: np.ndarray | None = None
-        seeds_ov = self.boundary_ov[shard_a]
+            row_a = self._backends[shard_a].source_row(int(self._local[source]))
+        # exact distances d(s, b) on every shard's boundary: the overlay
+        # seeded with the source shard's boundary row
         seed_dist = row_a[self._boundary_local[shard_a]]
-        finite = np.isfinite(seed_dist)
-        if self._n_ov and finite.any():
-            with span("router.overlay_solve", seeds=int(finite.sum())):
-                res = self._virtual_solve(seeds_ov[finite], seed_dist[finite])
-            ov_dist = res.dist[: self._n_ov]
-            ov_parent = res.parent
-            for shard_c in range(len(self._backends)):
-                b_ov = self.boundary_ov[shard_c]
-                if len(b_ov) == 0:
-                    continue
-                d_b = ov_dist[b_ov]
-                ok = np.isfinite(d_b)
-                if not ok.any():
-                    continue
-                backend_c = self._backends[shard_c]
-                verts = self.shard_vertices[shard_c]
-                with span(
-                    "router.fold_shard", shard=shard_c, boundary=int(ok.sum())
-                ):
-                    rows_c = backend_c.rows(
-                        [int(b) for b in self._boundary_local[shard_c][ok]]
-                    )
-                    best = dist[verts]
-                    for row_c, db in zip(rows_c, d_b[ok]):
-                        np.minimum(best, db + row_c, out=best)
-                    dist[verts] = best
-        return _Stitched(dist, ov_dist, ov_parent)
-
-    def _translate(self, shard: int, path) -> list[int] | None:
-        if path is None:
-            return None
-        verts = self.shard_vertices[shard]
-        return [int(verts[v]) for v in path]
-
-    def _route_path(
-        self, source: int, target: int, st: _Stitched, distance: float
-    ) -> tuple[int, ...] | None:
-        shard_a = int(self._labels[source])
-        shard_b = int(self._labels[target])
-        local_t = int(self._local[target])
-        if shard_b == shard_a:
-            # prefer the pure intra-shard path when it realizes the
-            # exact stitched distance (it usually does)
-            direct = self._backends[shard_a].route(
-                int(self._local[source]), local_t
+        finite = seed_dist < np.inf
+        with span("router.overlay_solve", seeds=int(finite.sum())):
+            overlay = run_engine(
+                self._overlay,
+                None,
+                BellmanFordSchedule(),
+                seeds=(self.boundary_ov[shard_a][finite], seed_dist[finite]),
+                track_parents=self._track_parents,
             )
-            if direct.path is not None and direct.distance == distance:
-                return tuple(self._translate(shard_a, direct.path))
-        if st.ov_parent is None:
-            return None
-        # entry point: the first boundary vertex of the target shard
-        # (ascending original id — deterministic) on an optimal path;
-        # the finite candidate rows come back in one batched fetch
-        candidates = [
-            (int(b_ov), int(local_b))
-            for b_ov, local_b in zip(
-                self.boundary_ov[shard_b], self._boundary_local[shard_b]
-            )
-            if np.isfinite(st.ov_dist[b_ov])
-        ]
-        rows_b = self._backends[shard_b].rows([lb for _, lb in candidates])
-        entry = -1
-        for (b_ov, _local_b), row_b in zip(candidates, rows_b):
-            if st.ov_dist[b_ov] + row_b[local_t] == distance:
-                entry = b_ov
-                break
-        if entry < 0:
-            # only reachable on non-exactly-representable weights, where
-            # no boundary decomposition reproduces the min bit for bit
-            return None
-        # overlay parent chain: virtual source -> ... -> entry
-        chain: list[int] = []
-        at = entry
-        while at != self._n_ov:
-            chain.append(at)
-            at = int(st.ov_parent[at])
-        chain.reverse()
-        first = chain[0]  # boundary vertex of shard A the path exits at
-        seg_a = self._backends[shard_a].route(
-            int(self._local[source]), int(self._local[self._ov_vertices[first]])
-        )
-        if seg_a.path is None:
-            return None
-        path = self._translate(shard_a, seg_a.path)
-        # overlay hops are composite edges (cut arcs or within-shard
-        # distance arcs) — their endpoints are the stitch points
-        for b_ov in chain[1:]:
-            path.append(int(self._ov_vertices[b_ov]))
-        seg_b = self._backends[shard_b].route(
-            int(self._local[self._ov_vertices[entry]]), local_t
-        )
-        if seg_b.path is None:
-            return None
-        tail = self._translate(shard_b, seg_b.path)
-        if tail and path and tail[0] == path[-1]:
-            tail = tail[1:]
-        path.extend(tail)
-        return tuple(path)
+        ov_dist, ov_parent = overlay.dist, overlay.parent
+        dist = np.full(self.n, np.inf)
+        parent = np.full(self.n, -1, dtype=np.int64) if self._track_parents else None
+        for shard_c, backend_c in enumerate(self._backends):
+            if backend_c is None:
+                continue
+            verts = self.shard_vertices[shard_c]
+            b_ov = self.boundary_ov[shard_c]
+            b_local = self._boundary_local[shard_c]
+            d_b = ov_dist[b_ov]
+            seed = np.full(len(verts), np.inf)
+            if shard_c == shard_a:
+                # only what the overlay strictly improved: a boundary
+                # vertex seeded at its own row_a distance would cut it
+                # off from the source in the parent forest
+                take = d_b < row_a[b_local]
+                seed[self._local[source]] = 0.0
+            else:
+                take = d_b < np.inf
+                if not take.any():
+                    continue
+            seeded = b_local[take]
+            seed[seeded] = d_b[take]
+            with span("router.fold_shard", shard=shard_c, boundary=len(seeded)):
+                dist_c, parent_c = backend_c.solve_seeded(
+                    seed, track_parents=self._track_parents
+                )
+            dist[verts] = dist_c
+            if parent is not None:
+                # shard-local parents to global ids; a seed the shard
+                # solve left a root takes its overlay parent (a cut arc
+                # or an exact within-shard distance arc)
+                glob = np.full(len(verts), -1, dtype=np.int64)
+                tree = parent_c >= 0
+                glob[tree] = verts[parent_c[tree]]
+                roots = parent_c[seeded] < 0
+                glob[seeded[roots]] = self._ov_vertices[ov_parent[b_ov[take][roots]]]
+                parent[verts] = glob
+        return _Row(dist, parent)
 
 
 class ShardRouter(PlannerSurface):
@@ -340,8 +253,8 @@ class ShardRouter(PlannerSurface):
     k, rho, heuristic, preprocess_jobs: per-shard preprocessing knobs.
     engine: engine selector for every local shard service.
     cache_capacity: LRU size for the router's stitched full rows *and*
-        each local shard service's row cache (the shards' hot entries
-        are the boundary rows stitching re-reads on every query).
+        each local shard service's row cache (the source rows of step 1;
+        seeded shard solves are not cached).
     cache_stripes: lock stripes for the router's stitched-row cache and
         for each local shard service's row cache.
     track_parents: record predecessors so :meth:`route` returns stitched

@@ -170,6 +170,13 @@ class RoutingService(PlannerSurface):
         """The planner every query of this service runs through."""
         return self._planner
 
+    def solve_seeded(self, seed_dist, *, track_parents: bool = False):
+        """One seeded solve on this service's graph
+        (:meth:`PreprocessedSSSP.solve_seeded`) — what a shard answers
+        for the router's stitch.  Not cached: a seed row is not a
+        source key."""
+        return self._solver.solve_seeded(seed_dist, track_parents=track_parents)
+
     def stats(self) -> dict:
         """Planner counters plus preprocessing provenance.
 

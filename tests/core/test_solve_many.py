@@ -150,8 +150,8 @@ class TestSourceDedup:
 
 class TestQueryCounter:
     """queries_answered is the amortization denominator: every query
-    path charges it — solve, solve_many (duplicates included), and
-    mean_steps."""
+    path charges it — solve, solve_many (duplicates included),
+    mean_steps and solve_seeded."""
 
     def test_counter_across_all_paths(self):
         g = random_connected_graph(30, 70, seed=2)
@@ -167,12 +167,7 @@ class TestQueryCounter:
         assert sp.queries_answered == 8
         sp.solve_many([], n_jobs=2)
         assert sp.queries_answered == 8
-
-    def test_count_queries_hook(self):
-        """count_queries charges the same counter every query path
-        charges."""
-        g = random_connected_graph(20, 50, seed=3)
-        sp = PreprocessedSSSP(g, k=1, rho=4, heuristic="full")
-        sp.count_queries(5)
-        sp.count_queries()
-        assert sp.queries_answered == 6
+        seed = np.full(g.n, np.inf)
+        seed[[3, 7]] = [0.0, 2.0]
+        sp.solve_seeded(seed)  # one seed row, one query
+        assert sp.queries_answered == 9

@@ -586,3 +586,22 @@ class TestRegistry:
             import repro.engine.registry as reg
 
             reg._REGISTRY.pop("test-every-reached", None)
+
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            (True, TypeError),
+            (np.True_, TypeError),
+            (2.0, TypeError),
+            (-1, ValueError),
+            (25, ValueError),
+        ],
+    )
+    def test_bad_source_raises_alike_on_every_engine(self, engine, source, error):
+        """A bool must never solve from vertex 1, nor a float from its
+        integer part: the dispatcher checks the source once, for every
+        engine (the treap reference and plugins included)."""
+        g = grid_2d(5, 5)
+        with pytest.raises(error, match="source"):
+            solve_with_engine(engine, g, source, np.ones(25))

@@ -9,6 +9,7 @@ the minimal Prometheus parser with every series intact.
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -259,6 +260,24 @@ class TestEngineTelemetry:
 
         exp = parse(render(reg))
         assert exp.value("engine_solves_total", engine=engine) == 4.0
+
+    def test_seeded_solve_records_under_vectorized(self):
+        """A seeded solve runs the vectorized engine's schedule, live
+        steps and run totals included."""
+        from repro.core.solver import PreprocessedSSSP
+        from tests.helpers import random_connected_graph
+
+        g = random_connected_graph(40, 90, seed=9)
+        sp = PreprocessedSSSP(g, k=1, rho=4, heuristic="full")
+        reg = MetricsRegistry()
+        sp.set_observer(EngineTelemetry(reg))
+        seed = np.full(g.n, np.inf)
+        seed[[2, 30]] = [0.0, 5.0]
+        res = sp.solve_seeded(seed)
+
+        exp = parse(render(reg))
+        assert exp.value("engine_solves_total", engine="vectorized") == 1.0
+        assert exp.value("engine_step_settled_count", engine="vectorized") == res.steps
 
     @pytest.mark.parametrize(
         "engine", [row[0] for row in _SCHEDULE_ENGINES]

@@ -2,8 +2,9 @@
 RemoteBackend's transport semantics against a live loopback server.
 
 The remote backend is the seam the whole multi-box story stands on, so
-its contract is tested at the wire level: bit-identical rows across the
-frame codec, X-Request-Id propagation into the shard's slow log, bounded
+its contract is tested at the wire level: bit-identical source rows and
+seeded solves (distances and parents) across the frame codec,
+X-Request-Id propagation into the shard's slow log, bounded
 retry with recovery on a flaky 5xx shard, fast typed failure on a dead
 port, 4xx re-raised as the error type the shard names (not as
 unavailability), and — the shutdown-ordering bugfix — ``close()`` from
@@ -26,7 +27,7 @@ from repro.serve import (
     ShardBackend,
     ShardUnavailableError,
 )
-from repro.serve.backends import MAX_ROWS_PER_FETCH, decode_rows, encode_rows
+from repro.serve.backends import decode_rows, encode_rows
 
 from tests.helpers import random_connected_graph
 
@@ -95,19 +96,35 @@ def service(small_graph):
     return RoutingService(solver=solver, cache_capacity=16)
 
 
+def _seed_row(n, seeds):
+    """A seed row over ``n`` vertices: ``{vertex: distance}``, inf
+    elsewhere."""
+    row = np.full(n, np.inf)
+    for v, d in seeds.items():
+        row[v] = d
+    return row
+
+
 class TestLocalBackend:
     def test_protocol_conformance(self, service):
         backend = LocalBackend(0, service)
         assert isinstance(backend, ShardBackend)
 
-    def test_rows_match_planner(self, small_graph, service):
+    def test_rows_match_service(self, small_graph, service):
         backend = LocalBackend(2, service)
         single = backend.source_row(5)
         assert np.array_equal(single, service.distances(5))
-        batch = backend.rows([1, 5, 9])
-        assert len(batch) == 3
-        for s, row in zip([1, 5, 9], batch):
-            assert np.array_equal(row, service.distances(s))
+        # one seed at 0 is the source row itself
+        dist, parent = backend.solve_seeded(_seed_row(small_graph.n, {5: 0.0}))
+        assert np.array_equal(dist, single) and parent is None
+        seed = _seed_row(small_graph.n, {1: 0.0, 9: 3.0})
+        dist, parent = backend.solve_seeded(seed, track_parents=True)
+        want = service.solve_seeded(seed, track_parents=True)
+        assert np.array_equal(dist, want.dist)
+        assert np.array_equal(parent, want.parent)
+        assert np.array_equal(
+            dist, np.minimum(service.distances(1), 3.0 + service.distances(9))
+        )
 
     def test_backend_stats_shape(self, service):
         backend = LocalBackend(1, service)
@@ -163,28 +180,35 @@ class TestRemoteBackend:
         finally:
             backend.close()
 
-    def test_rows_batch_and_chunking(self, small_graph, shard_server):
+    def test_solve_seeded_bit_identical(self, small_graph, shard_server):
         service, server = shard_server
         backend = _backend(server, expect_n=small_graph.n)
+        seed = _seed_row(small_graph.n, {3: 0.0, 20: 7.0, 41: 1.0})
         try:
-            # more sources than one fetch carries — forces chunking
-            sources = list(range(0, small_graph.n, 1))[: MAX_ROWS_PER_FETCH + 3]
-            rows = backend.rows(sources)
-            assert len(rows) == len(sources)
-            for s, row in zip(sources, rows):
-                assert np.array_equal(row, service.distances(s))
-            assert backend.rows([]) == []
+            want = service.solve_seeded(seed, track_parents=True)
+            dist, parent = backend.solve_seeded(seed)
+            assert dist.tobytes() == want.dist.tobytes() and parent is None
+            dist, parent = backend.solve_seeded(seed, track_parents=True)
+            assert dist.tobytes() == want.dist.tobytes()
+            assert parent.dtype == np.int64
+            assert np.array_equal(parent, want.parent)
+            # no seed at all: nothing reachable, nothing rooted
+            dist, parent = backend.solve_seeded(
+                _seed_row(small_graph.n, {}), track_parents=True
+            )
+            assert np.isinf(dist).all() and (parent == -1).all()
         finally:
             backend.close()
 
-    def test_route_parity(self, shard_server):
-        service, server = shard_server
-        backend = _backend(server)
+    def test_bad_seed_row_is_the_shards_400(self, small_graph, shard_server):
+        _svc, server = shard_server
+        backend = _backend(server, retries=0)
         try:
-            want = service.route(3, 41)
-            got = backend.route(3, 41)
-            assert got.distance == want.distance
-            assert got.path == want.path
+            with pytest.raises(ValueError, match="rejected"):
+                backend.solve_seeded(np.zeros(small_graph.n + 1))
+            with pytest.raises(ValueError, match="rejected"):
+                backend.solve_seeded(_seed_row(small_graph.n, {0: -1.0}))
+            assert backend.healthy
         finally:
             backend.close()
 

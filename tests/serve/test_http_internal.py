@@ -1,15 +1,17 @@
 """The shard-internal HTTP surface: binary row frames + readiness.
 
-``GET /internal/row`` / ``/internal/rows`` are what a RemoteBackend
-fetches over the wire, so the bar here is bit-equality against the
-service's own ``distances()`` — the frame codec must not launder floats
-through JSON.  Also pins the request-hygiene edges (bad ids, oversized
-batches, unknown internal paths) and the degraded-mode mapping: a
-surface raising :class:`ShardUnavailableError` surfaces as a typed 503
-naming the failing shard.
+``GET /internal/row`` and ``POST /internal/solve`` are what a
+RemoteBackend calls over the wire, so the bar here is bit-equality
+against the service's own ``distances()`` and ``solve_seeded()`` — the
+frame codec must not launder floats through JSON.  Also pins the
+request-hygiene edges (bad ids, bad seed rows and frames, a missing
+Content-Length, unknown internal paths) and the degraded-mode mapping:
+a surface raising :class:`ShardUnavailableError` surfaces as a typed
+503 naming the failing shard.
 """
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -22,11 +24,7 @@ from repro.serve import (
     RoutingService,
     ShardUnavailableError,
 )
-from repro.serve.backends import (
-    MAX_ROWS_PER_FETCH,
-    ROWS_CONTENT_TYPE,
-    decode_rows,
-)
+from repro.serve.backends import ROWS_CONTENT_TYPE, decode_rows, encode_rows
 
 from tests.helpers import random_connected_graph
 
@@ -45,12 +43,24 @@ def _get_raw(url: str):
         return resp.headers.get("Content-Type"), resp.read()
 
 
-def _get_error(url: str):
+def _get_error(url: str, data: bytes | None = None):
     try:
-        with urllib.request.urlopen(url, timeout=10) as resp:
+        with urllib.request.urlopen(url, data=data, timeout=10) as resp:
             pytest.fail(f"expected an HTTP error, got 200: {resp.read()!r}")
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _post_raw(url: str, body: bytes):
+    with urllib.request.urlopen(url, data=body, timeout=10) as resp:
+        return resp.headers.get("Content-Type"), resp.read()
+
+
+def _seed_frame(n, seeds):
+    row = np.full(n, np.inf)
+    for v, d in seeds.items():
+        row[v] = d
+    return row, encode_rows([row])
 
 
 class TestReady:
@@ -73,16 +83,20 @@ class TestBinaryRows:
         assert mat.shape == (1, g.n)
         assert mat[0].tobytes() == service.distances(7).tobytes()
 
-    def test_batch_rows_order_and_bits(self, stack):
+    def test_seeded_solve_bits_and_parents(self, stack):
         g, service, server = stack
-        sources = [9, 0, 9, 33]  # duplicates must come back in order
-        csv = ",".join(map(str, sources))
-        ctype, body = _get_raw(f"{server.url}/internal/rows/{csv}")
+        seed, frame = _seed_frame(g.n, {9: 0.0, 33: 4.0})
+        want = service.solve_seeded(seed, track_parents=True)
+        ctype, body = _post_raw(f"{server.url}/internal/solve", frame)
         assert ctype == ROWS_CONTENT_TYPE
         mat = decode_rows(body, expect_len=g.n)
-        assert mat.shape == (len(sources), g.n)
-        for row, s in zip(mat, sources):
-            assert row.tobytes() == service.distances(s).tobytes()
+        assert mat.shape == (1, g.n)
+        assert mat[0].tobytes() == want.dist.tobytes()
+        _ctype, body = _post_raw(f"{server.url}/internal/solve?parents=1", frame)
+        mat = decode_rows(body, expect_len=g.n)
+        assert mat.shape == (2, g.n)
+        assert mat[0].tobytes() == want.dist.tobytes()
+        assert np.array_equal(mat[1].astype(np.int64), want.parent)
 
     def test_unreachable_inf_survives_the_wire(self, stack):
         """JSON would turn inf into null; the binary frame must not."""
@@ -103,17 +117,37 @@ class TestRequestHygiene:
         code, _doc = _get_error(f"{server.url}/internal/row/99999")
         assert code == 400
 
-    def test_oversized_batch_400(self, stack):
-        _g, _svc, server = stack
-        csv = ",".join(["0"] * (MAX_ROWS_PER_FETCH + 1))
-        code, doc = _get_error(f"{server.url}/internal/rows/{csv}")
-        assert code == 400
-        assert str(MAX_ROWS_PER_FETCH) in doc["message"]
+    @pytest.mark.parametrize(
+        "bad", ["short", "nan", "negative", "two_rows", "magic", "parents_flag"]
+    )
+    def test_bad_seed_request_400(self, stack, bad):
+        g, _svc, server = stack
+        row, frame = _seed_frame(g.n, {0: 0.0})
+        path = "/internal/solve"
+        if bad == "short":
+            frame = encode_rows([row[:-1]])
+        elif bad == "nan":
+            row[3] = np.nan
+            frame = encode_rows([row])
+        elif bad == "negative":
+            row[3] = -1.0
+            frame = encode_rows([row])
+        elif bad == "two_rows":
+            frame = encode_rows([row, row])
+        elif bad == "magic":
+            frame = b"JUNK" + frame[4:]
+        else:
+            path += "?parents=yes"
+        code, doc = _get_error(f"{server.url}{path}", data=frame)
+        assert code == 400, doc
 
-    def test_empty_batch_400(self, stack):
+    def test_seeded_solve_requires_content_length(self, stack):
         _g, _svc, server = stack
-        code, _doc = _get_error(f"{server.url}/internal/rows/,")
-        assert code == 400
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"POST /internal/solve HTTP/1.1\r\nHost: t\r\n\r\n")
+            status_line = sock.recv(65536).split(b"\r\n", 1)[0]
+        assert b"411" in status_line
 
     def test_unknown_internal_path_404(self, stack):
         _g, _svc, server = stack
@@ -123,12 +157,19 @@ class TestRequestHygiene:
     def test_internal_is_one_metrics_endpoint_label(self, stack):
         """Unbounded endpoint labels would blow up series cardinality:
         every internal path folds into endpoint="internal"."""
-        _g, _svc, server = stack
+        g, _svc, server = stack
+        internal_ok = server.registry.counter(
+            "http_requests_total", "", ("endpoint", "status")
+        ).labels("internal", 200)
+        before = internal_ok.value
         _get_raw(f"{server.url}/internal/row/1")
+        _post_raw(f"{server.url}/internal/solve", _seed_frame(g.n, {1: 0.0})[1])
+        assert internal_ok.value == before + 2
         _ctype, body = _get_raw(f"{server.url}/metrics")
         text = body.decode()
         assert 'endpoint="internal"' in text
         assert 'endpoint="internal/row"' not in text
+        assert 'endpoint="internal/solve"' not in text
 
 
 class TestDegradedMapping:

@@ -172,6 +172,18 @@ class TestFaultInjection:
         after = cluster.router.distances(source)
         assert np.array_equal(before, after)
 
+    def test_cached_routes_survive_a_dead_shard(self, cluster):
+        """A route from a cached stitched row is a parent walk: it needs
+        no shard, not even the target's."""
+        labels = cluster.router.topology_info.labels
+        source = self._shard_of(cluster, 0)
+        cluster.router.distances(source)
+        cluster.shard_servers[1].close()
+        for target in map(int, np.flatnonzero(labels == 1)[::5]):
+            route = cluster.router.route(source, target)
+            assert route.distance == cluster.router.distances(source)[target]
+            assert route.path[0] == source and route.path[-1] == target
+
     def test_slow_shard_bounded_by_deadline(self, sharded):
         """A shard that stalls past the deadline surfaces as typed
         unavailability in bounded time, not a pinned thread."""
@@ -182,13 +194,13 @@ class TestFaultInjection:
             backend = cluster.router.backends[victim]
             service = cluster.shard_servers[victim].service
 
-            original = service.batch
+            original = service.solve_seeded
 
-            def stalled(queries):
+            def stalled(seed, **kw):
                 time.sleep(2.0)  # well past the 0.4s deadline
-                return original(queries)
+                return original(seed, **kw)
 
-            service.batch = stalled
+            service.solve_seeded = stalled
             try:
                 source = self._shard_of(cluster, 0)
                 t0 = time.perf_counter()
@@ -200,4 +212,4 @@ class TestFaultInjection:
                 assert elapsed < 1.8  # ~timeout, never the shard's stall
                 assert not backend.healthy
             finally:
-                service.batch = original
+                service.solve_seeded = original

@@ -168,6 +168,33 @@ class TestMultiBoundaryCrossing:
         assert total == route.distance
 
 
+@pytest.mark.parametrize("partition", PARTITIONERS)
+def test_zero_weight_cuts_route_without_parent_cycles(partition):
+    """Zero-weight arcs, cut arcs among them, make ties everywhere: the
+    stitched parent forest must stay acyclic, and every route must
+    telescope exactly to its distance."""
+    from repro.graphs.build import from_arc_arrays
+    from repro.preprocess import build_sharded_kr_graph
+
+    grid = grid_2d(7, 8)
+    tails = np.repeat(np.arange(grid.n), grid.degrees())
+    edge = tails < grid.indices
+    weights = np.random.default_rng(9).integers(0, 4, int(edge.sum()))
+    g = from_arc_arrays(grid.n, tails[edge], grid.indices[edge], weights)
+    sh = build_sharded_kr_graph(g, K, RHO, n_shards=N_SHARDS, partition=partition)
+    cut = sh.labels[np.repeat(np.arange(g.n), g.degrees())] != sh.labels[g.indices]
+    assert np.any(g.weights[cut] == 0)
+    router = ShardRouter(sharded=sh)
+    oracle = [dijkstra(g, u).dist for u in range(g.n)]
+    for s in range(0, g.n, 5):
+        assert np.array_equal(router.distances(s), oracle[s])
+        for t in range(g.n):
+            route = router.route(s, t)  # a parent cycle raises here
+            path = route.path
+            assert path[0] == s and path[-1] == t
+            assert sum(oracle[u][v] for u, v in zip(path, path[1:])) == route.distance
+
+
 class TestUnitWeightFamily:
     """The §3.4 unit-weight engine, on a preprocessing whose augmented
     graph stays unit-weight (k=1, tiny rho, full heuristic)."""
