@@ -43,7 +43,7 @@ import pytest
 from repro.graphs.generators import road_network, scale_free, small_world
 from repro.graphs.reorder import available_orderings, mean_neighbor_gap, reorder_graph
 from repro.graphs.weights import random_integer_weights
-from repro.preprocess.backends import get_ball_backend
+from repro.preprocess import batched_ball_search
 
 pytestmark = pytest.mark.paper_artifact("locality reordering throughput")
 
@@ -123,7 +123,6 @@ def test_reorder_throughput(report_sink):
     min_speedup = float(os.environ.get("BENCH_REORDER_MIN_SPEEDUP", "1.10"))
 
     orderings = available_orderings()
-    backend = get_ball_backend("batched")
     table: dict[str, dict] = {}
     for family, graph in _families().items():
         rng = np.random.default_rng(11)
@@ -142,7 +141,9 @@ def test_reorder_throughput(report_sink):
             best_ball = float("inf")
             for _ in range(REPEATS):
                 t0 = time.perf_counter()
-                backend.search(res.graph, sources, BALL_RHO, include_ties=False)
+                batched_ball_search(
+                    res.graph, sources, BALL_RHO, include_ties=False
+                )
                 best_ball = min(best_ball, time.perf_counter() - t0)
 
             rows[method] = {
@@ -171,7 +172,7 @@ def test_reorder_throughput(report_sink):
         "workload": (
             f"n={N} per family; substep: {N_FRONTIERS} hop-ball frontiers of "
             f"~{FRONTIER_TARGET} vertices x {SUBSTEP_REPS} reps; balls: "
-            f"batched backend, {BALL_SOURCES} sources at rho={BALL_RHO}; "
+            f"batched_ball_search, {BALL_SOURCES} sources at rho={BALL_RHO}; "
             f"best of {REPEATS}"
         ),
         "orderings": list(orderings),

@@ -2,7 +2,8 @@
 
 Not a paper artifact per se — the paper reports steps, not seconds — but
 the engine's design choices (vectorized engine vs faithful BST engine;
-Radius-Stepping vs the ∆-stepping / Dijkstra / Bellman–Ford baselines)
+Radius-Stepping vs the ∆-stepping / Dijkstra / Bellman–Ford baselines,
+the latter two timed as the ``delta`` and ``bellman-ford`` engines)
 deserve a timing ablation.  All solvers must agree on distances, and the
 vectorized engine should not be slower than the BST engine (that is its
 reason to exist).  The ``test_scipy_floor`` row times SciPy's C Dijkstra
@@ -16,13 +17,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from repro.core import (
-    bellman_ford,
-    delta_stepping,
     dijkstra,
     landmark_sssp,
     radius_stepping,
     radius_stepping_bst,
-    suggest_delta,
 )
 from repro.core.solver import PreprocessedSSSP
 from repro.engine import solve_with_engine
@@ -50,14 +48,13 @@ def test_dijkstra_baseline(benchmark, workload):
 
 def test_bellman_ford_baseline(benchmark, workload):
     g, _, ref = workload
-    res = benchmark(bellman_ford, g, 0)
+    res = benchmark(solve_with_engine, "bellman-ford", g, 0)
     assert np.allclose(res.dist, ref)
 
 
 def test_delta_stepping_baseline(benchmark, workload):
     g, _, ref = workload
-    delta = suggest_delta(g)
-    res = benchmark(delta_stepping, g, 0, delta)
+    res = benchmark(solve_with_engine, "delta", g, 0)
     assert np.allclose(res.dist, ref)
 
 

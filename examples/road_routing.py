@@ -9,7 +9,9 @@ This example plays a dispatch service on a synthetic road network (the
 library's Delaunay-based stand-in for the SNAP road maps): it preprocesses
 once, then answers shortest-path queries from many depot locations,
 reporting the per-query step counts — the paper's depth proxy — against
-the Dijkstra and ∆-stepping baselines.
+the Dijkstra and ∆-stepping baselines (∆-stepping is the ``delta``
+engine: the same Algorithm-1 loop under fixed bucket boundaries, with ∆
+from ``suggest_delta``).
 
 Run:  python examples/road_routing.py
 """
@@ -17,7 +19,7 @@ Run:  python examples/road_routing.py
 import numpy as np
 
 from repro import build_kr_graph, dijkstra, generators, radius_stepping
-from repro.core import delta_stepping, suggest_delta
+from repro.engine import solve_with_engine
 from repro.graphs import random_integer_weights
 
 NUM_DEPOTS = 8
@@ -43,13 +45,12 @@ def main(n: int = 1500, depots: int = NUM_DEPOTS, k: int = K, rho: int = RHO) ->
     # -- many-source query workload -------------------------------------------
     rng = np.random.default_rng(0)
     depot_ids = rng.choice(graph.n, size=depots, replace=False)
-    delta = suggest_delta(graph)
 
     print(f"{'depot':>6} {'dijkstra':>9} {'delta':>7} {'radius':>7} {'reduction':>10}")
     ratios = []
     for depot in depot_ids:
         base = dijkstra(graph, int(depot))
-        ds = delta_stepping(graph, int(depot), delta)
+        ds = solve_with_engine("delta", graph, int(depot))
         rs = radius_stepping(pre.graph, int(depot), pre.radii)
         assert (rs.dist == base.dist).all(), "routing table must be exact"
         ratios.append(base.steps / rs.steps)

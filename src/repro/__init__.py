@@ -2,9 +2,11 @@
 
 A complete reproduction of Blelloch, Gu, Sun & Tangwongsan's
 Radius-Stepping: the solver (two engines), the (k,rho)-graph
-preprocessing with greedy/DP shortcut heuristics, all baselines, the
-simulated-PRAM cost substrate, and drivers regenerating every table and
-figure of the paper's evaluation.
+preprocessing with greedy/DP shortcut heuristics, the baselines
+(∆-stepping, Bellman–Ford and batched Dijkstra run as step schedules of
+the same engine loop: ``solve_with_engine("delta" | "bellman-ford" |
+"dijkstra", ...)``), the simulated-PRAM cost substrate, and drivers
+regenerating every table and figure of the paper's evaluation.
 
 Quickstart::
 
@@ -36,9 +38,7 @@ from .graphs import (
 from .core import (
     SsspResult,
     StepTrace,
-    bellman_ford,
     bfs,
-    delta_stepping,
     dijkstra,
     dijkstra_minhop,
     radius_stepping,
@@ -93,12 +93,10 @@ __all__ = [
     "add_shortcuts",
     "available_engines",
     "ball_search",
-    "bellman_ford",
     "bfs",
     "build_kr_graph",
     "compute_radii",
     "compute_radii_sweep",
-    "delta_stepping",
     "dijkstra",
     "dijkstra_minhop",
     "from_arc_arrays",

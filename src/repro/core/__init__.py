@@ -1,8 +1,13 @@
-"""SSSP solvers: Radius-Stepping (both engines) and the baselines."""
+"""SSSP solvers: Radius-Stepping (all three engines) and the oracles.
 
-from .bellman_ford import bellman_ford
+The ∆-stepping and Bellman–Ford baselines are step schedules of the
+unified engine (the ``delta``, ``delta-star`` and ``bellman-ford``
+engines of :mod:`repro.engine.registry`); the modules here are the
+Radius-Stepping entry points, the sequential Dijkstra oracle, BFS and
+the landmark (hop-limited) baseline of Table 1.
+"""
+
 from .bfs import bfs, bfs_levels, gather_frontier_arcs
-from .delta_stepping import delta_stepping, suggest_delta
 from .dijkstra import dijkstra, dijkstra_minhop, dijkstra_steps
 from .landmark import hop_limited_distances, landmark_sssp, sample_landmarks
 from .radius_stepping import as_radii, radius_stepping
@@ -16,10 +21,8 @@ __all__ = [
     "SsspResult",
     "StepTrace",
     "as_radii",
-    "bellman_ford",
     "bfs",
     "bfs_levels",
-    "delta_stepping",
     "dijkstra",
     "dijkstra_minhop",
     "dijkstra_steps",
@@ -30,5 +33,4 @@ __all__ = [
     "sample_landmarks",
     "radius_stepping_bst",
     "radius_stepping_unweighted",
-    "suggest_delta",
 ]

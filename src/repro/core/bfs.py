@@ -13,6 +13,7 @@ import numpy as np
 
 from ..engine.kernel import gather_frontier_arcs
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 from .result import SsspResult
 
 # Historically defined here; canonical home is now the relaxation kernel.
@@ -27,8 +28,7 @@ def bfs_levels(graph: CSRGraph, source: int) -> tuple[np.ndarray, int]:
     eccentricity of the source — the BFS step count of Table 4's ρ=1 row.
     """
     n = graph.n
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
+    source = check_vertex(source, "source", n)
     levels = np.full(n, -1, dtype=np.int64)
     levels[source] = 0
     frontier = np.array([source], dtype=np.int64)

@@ -26,6 +26,7 @@ import heapq
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 from .result import SsspResult
 
 __all__ = ["dijkstra", "dijkstra_minhop", "dijkstra_steps"]
@@ -37,8 +38,7 @@ def dijkstra(graph: CSRGraph, source: int, *, track_parents: bool = True) -> Sss
     O((n + m) log n) time; distances are exact for non-negative weights.
     """
     n = graph.n
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
+    source = check_vertex(source, "source", n)
     dist = np.full(n, np.inf)
     parent = np.full(n, -1, dtype=np.int64) if track_parents else None
     dist[source] = 0.0
@@ -83,8 +83,7 @@ def dijkstra_minhop(graph: CSRGraph, source: int) -> tuple[np.ndarray, np.ndarra
     and ``parent`` realizes a min-hop shortest-path tree.
     """
     n = graph.n
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
+    source = check_vertex(source, "source", n)
     dist = np.full(n, np.inf)
     hops = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)

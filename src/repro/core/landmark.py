@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 from .bfs import gather_frontier_arcs
 from .result import SsspResult
 
@@ -65,6 +66,7 @@ def hop_limited_distances(
     """Exact distances over paths of at most ``t`` edges (t synchronous
     Bellman–Ford rounds — one CSR gather + scatter-min per round)."""
     n = graph.n
+    source = check_vertex(source, "source", n)
     dist = np.full(n, np.inf)
     dist[source] = 0.0
     changed = np.array([source], dtype=np.int64)
@@ -100,8 +102,7 @@ def landmark_sssp(
     more depth — the mirror image of Radius-Stepping's ρ.
     """
     n = graph.n
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
+    source = check_vertex(source, "source", n)
     landmarks = sample_landmarks(n, t, source, oversample=oversample, seed=seed)
     s_idx = int(np.searchsorted(landmarks, source))
 

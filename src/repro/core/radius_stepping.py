@@ -47,6 +47,7 @@ import numpy as np
 from ..engine.driver import run_engine
 from ..engine.schedules import RadiusBucketSchedule
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 from .result import SsspResult
 
 __all__ = ["radius_stepping", "as_radii"]
@@ -106,9 +107,7 @@ def radius_stepping(
     :class:`SsspResult` with exact distances (``inf`` when unreachable)
     and step/substep/relaxation instrumentation.
     """
-    n = graph.n
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
+    source = check_vertex(source, "source", graph.n)
     return run_engine(
         graph,
         source,

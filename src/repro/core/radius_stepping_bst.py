@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 from ..pram.ledger import Ledger
 from ..pram.ordered_set import VertexKeyedSet
 from .radius_stepping import as_radii
@@ -48,8 +49,7 @@ def radius_stepping_bst(
     :func:`repro.core.radius_stepping.radius_stepping` for large runs.
     """
     n = graph.n
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
+    source = check_vertex(source, "source", n)
     r = as_radii(graph, radii)
     indptr, indices, weights = graph.indptr, graph.indices, graph.weights
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..engine.kernel import RelaxationKernel
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 from .radius_stepping import as_radii
 from .result import SsspResult, StepTrace
 
@@ -60,8 +61,7 @@ def radius_stepping_unweighted(
     :class:`SsspResult` with hop distances (``inf`` when unreachable).
     """
     n = graph.n
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
+    source = check_vertex(source, "source", n)
     if not graph.is_unweighted:
         raise ValueError(
             "radius_stepping_unweighted requires unit weights; "

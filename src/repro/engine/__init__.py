@@ -19,6 +19,7 @@ from .schedules import (
     RhoSchedule,
     StepSchedule,
     default_rho,
+    suggest_delta,
 )
 from .driver import run_engine
 from .autoselect import pick_engine, race_engines
@@ -49,4 +50,5 @@ __all__ = [
     "register_engine",
     "run_engine",
     "solve_with_engine",
+    "suggest_delta",
 ]

@@ -17,9 +17,7 @@ One loop serves every schedule in :mod:`repro.engine.schedules`:
 Run with :class:`~repro.engine.schedules.RadiusBucketSchedule` this
 takes the same steps and substeps, step by step, as the faithful
 Algorithm-2 treap engine (:mod:`repro.core.radius_stepping_bst`),
-which the engine-parity tests pin.  The frontier bookkeeping between
-substeps uses the kernel's O(1) membership mask instead of
-O(|within|·|changed|) ``np.isin`` scans.
+which the engine-parity tests pin.
 
 Seeds make the loop a virtual-source solve: Algorithm 1 is exact for
 any radii (§3), and for the same reason from any initial tentative
@@ -127,13 +125,11 @@ def run_engine(
                 break
             schedule.push(improved)
             # Only updates with δ(v) ≤ d_i keep the substep loop running
-            # (Line 9's termination test); they join the active set.
-            within = improved[dist[improved] <= d_i]
-            # Vertices already active whose δ improved must be re-relaxed
-            # too: their out-edges now carry smaller tentative distances.
-            newly_active, re_relax = kernel.split_members(changed, within)
-            changed = np.concatenate([newly_active, re_relax])
-            step_settles.append(newly_active)
+            # (Line 9's termination test).  They are the next active set,
+            # vertices already active included: their out-edges now carry
+            # smaller tentative distances.
+            changed = improved[dist[improved] <= d_i]
+            step_settles.append(changed)
 
         # ---- Line 10: S_i = {v | δ(v) ≤ d_i} ------------------------------
         newly = kernel.unique(np.concatenate(step_settles))

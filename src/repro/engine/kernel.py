@@ -8,8 +8,7 @@ candidates into the distance array — the paper's priority-write
 (WriteMin).  The seed implementations each re-implemented that substep;
 :class:`RelaxationKernel` owns it once, together with the state it
 mutates (distances, parents, the settled set) and the cross-cutting
-concerns that ride on it (relaxation counting, PRAM ledger charging,
-an O(1)-membership scratch mask for frontier bookkeeping).
+concerns that ride on it (relaxation counting, PRAM ledger charging).
 
 Schedules (:mod:`repro.engine.schedules`) decide *which* vertices to
 relax and *when* to settle them; the kernel is the only code that
@@ -39,11 +38,11 @@ Design notes
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 
 __all__ = ["RelaxationKernel", "gather_frontier_arcs"]
 
@@ -79,7 +78,9 @@ class RelaxationKernel:
     ----------
     graph: validated undirected CSR graph with non-negative weights.
     source: source vertex; its distance is fixed at 0 and it starts
-        settled.  ``None`` when ``seeds`` are given.
+        settled.  Checked by :func:`~repro.graphs.validate.check_vertex`
+        (a bool or non-integer raises ``TypeError``, an id outside
+        ``[0, n)`` ``ValueError``).  ``None`` when ``seeds`` are given.
     seeds: ``(vertices, dists)`` initial tentative distances (finite,
         non-negative; a repeated vertex keeps its least distance) for a
         multi-source solve.  Nothing starts settled, and every seed is a
@@ -111,7 +112,6 @@ class RelaxationKernel:
         "relaxations",
         "ledger",
         "logn",
-        "_member",
     )
 
     def __init__(
@@ -129,11 +129,7 @@ class RelaxationKernel:
         self.parent = np.full(n, -1, dtype=np.int64) if track_parents else None
         self.settled = np.zeros(n, dtype=bool)
         if seeds is None:
-            # a plain int, so a bool cannot reach the indexing below as a
-            # mask (dist[True] writes every entry); a float raises TypeError
-            source = operator.index(source)
-            if not (0 <= source < n):
-                raise ValueError(f"source {source} out of range [0, {n})")
+            source = check_vertex(source, "source", n)
             self.dist[source] = 0.0
             self.settled[source] = True
             self.settled_count = 1
@@ -151,7 +147,6 @@ class RelaxationKernel:
         self.relaxations = 0
         self.ledger = ledger
         self.logn = max(1.0, math.log2(max(2, n)))
-        self._member = np.zeros(n, dtype=bool)
 
     # ------------------------------------------------------------------ #
     def relax(
@@ -257,19 +252,3 @@ class RelaxationKernel:
         if len(vertices):
             self.settled[vertices] = True
             self.settled_count += len(vertices)
-
-    def split_members(
-        self, members: np.ndarray, candidates: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Partition ``candidates`` by membership in ``members``.
-
-        Returns ``(fresh, seen)`` preserving candidate order.  Uses a
-        reusable boolean scratch mask, so each call is
-        O(|members| + |candidates|) — replacing the seed's
-        O(|members| · |candidates|) ``np.isin`` inner-loop tests.
-        """
-        mask = self._member
-        mask[members] = True
-        seen_mask = mask[candidates]
-        mask[members] = False  # restore scratch for the next call
-        return candidates[~seen_mask], candidates[seen_mask]

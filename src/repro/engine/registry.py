@@ -31,10 +31,13 @@ Built-in engines
 ``bst``           the faithful Algorithm-2 treap reference.
 ``unweighted``    the §3.4 BFS-style specialization (unit weights only).
 ``dijkstra``      equal-distance batched Dijkstra (``r ≡ 0``).
-``delta``         ∆-stepping boundaries in the unified engine.
+``delta``         ∆-stepping: fixed bucket boundaries ``(j+1)·∆``.
 ``delta-star``    ∆*-stepping: floating min+∆ window, light/heavy split.
 ``rho``           ρ-stepping: the ρ nearest frontier vertices per step.
-``bellman-ford``  single-step Bellman–Ford (``r ≡ ∞``).
+``bellman-ford``  single-step Bellman–Ford (``r ≡ ∞``), rounds as substeps.
+
+The ∆-stepping and Bellman–Ford baselines exist only as these engines,
+so an engine change reaches each of them in one place.
 """
 
 from __future__ import annotations

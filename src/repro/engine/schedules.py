@@ -65,6 +65,7 @@ __all__ = [
     "RhoSchedule",
     "BellmanFordSchedule",
     "default_rho",
+    "suggest_delta",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -228,16 +229,33 @@ class DijkstraSchedule:
         return np.array(active, dtype=np.int64)
 
 
+def suggest_delta(graph) -> float:
+    """Meyer & Sanders' rule of thumb ∆ = Θ(1 / max degree) scaled by the
+    mean edge weight — :class:`DeltaSchedule`'s default when no tuning
+    is done.
+
+    Always positive and finite: degenerate weight ranges (edgeless
+    graphs, or all-zero weights where ``min_positive_weight`` is ``inf``
+    and the mean is 0) clamp to a floor of 1.0, so the bucket index in
+    :meth:`DeltaSchedule._bound` is always defined.
+    """
+    deg = max(1, int(graph.degrees().max()) if graph.n else 1)
+    mean_w = float(graph.weights.mean()) if graph.num_arcs else 1.0
+    delta = max(graph.min_positive_weight, mean_w * 2.0 / deg)
+    if not (delta > 0 and math.isfinite(delta)):
+        return 1.0
+    return delta
+
+
 class DeltaSchedule(_FlatFrontier):
-    """∆-stepping's fixed boundaries inside the unified engine.
+    """∆-stepping (Meyer & Sanders) as a step schedule.
 
     ``d_i`` is the upper boundary ``(j+1)·∆`` of the lowest non-empty
     distance bucket, i.e. of the frontier's minimum ``δ``.  Unlike the
-    classic light/heavy formulation of
-    :func:`repro.core.delta_stepping.delta_stepping` (kept as the
-    instrumented paper baseline), all arcs of the active set are relaxed
-    together and vertices landing exactly on a boundary settle with the
-    lower bucket — distances are identical, step accounting differs.
+    classic light/heavy formulation, all arcs of the active set are
+    relaxed together and vertices landing exactly on a boundary settle
+    with the lower bucket; :class:`DeltaStarSchedule` keeps the
+    light/heavy split.
     """
 
     name = "delta"
@@ -248,12 +266,7 @@ class DeltaSchedule(_FlatFrontier):
         self._delta = delta
 
     def bind(self, kernel: RelaxationKernel) -> None:
-        from ..core.delta_stepping import suggest_delta  # avoid import cycle
-
         super().bind(kernel)
-        # suggest_delta clamps degenerate weight ranges (all-zero
-        # weights, edgeless graphs) to a positive finite floor, so the
-        # bucket index in _bound is always defined.
         self.delta = self._delta or suggest_delta(kernel.graph)
 
     def _bound(self, dist: np.ndarray, frontier: np.ndarray) -> float:
@@ -338,9 +351,11 @@ class RhoSchedule(_FlatFrontier):
 class BellmanFordSchedule:
     """``r ≡ ∞``: a single step whose substeps are Bellman–Ford rounds.
 
-    The standalone :func:`repro.core.bellman_ford.bellman_ford` counts
-    one extra round (it relaxes the source inside the loop; the engine's
-    Line 2 does it before the first substep) — distances are identical.
+    Line 2 relaxes the source before the first substep, so the substep
+    count is the source's min-hop eccentricity: the last substep finds
+    nothing left to improve (or no unsettled head) and confirms
+    quiescence, as Theorem 3.2's ``k + 2`` counts its confirming
+    substep.
     """
 
     name = "bellman-ford"

@@ -1,39 +1,22 @@
 """Preprocessing (Section 4): balls, radii, and (k,ρ)-shortcutting.
 
 Ball searches — the n truncated Dijkstras of Lemma 4.2 that everything
-here is built on — run through a named **backend registry**
-(:mod:`repro.preprocess.backends`), selected per call with
-``backend="scalar" | "batched"``:
+here is built on — run on the slot-based vectorized engine
+(:mod:`repro.preprocess.batched`), which grows whole blocks of balls
+with one flat CSR gather + scatter-min per round.  Shortcut *selection*
+(§4.2's greedy/DP/full heuristics) runs on the forest-level engine
+(:mod:`~repro.preprocess.select_batched`), over whole
+:class:`TreeBlock` slot blocks per NumPy pass.  ``n_jobs`` fans source
+chunks of either over the fork pool.
 
-* ``"scalar"`` — the reference: one heap Dijkstra per source
-  (:func:`ball_search`).
-* ``"batched"`` (default for :func:`compute_radii`,
-  :func:`compute_radii_sweep` and :func:`build_kr_graph`) — the
-  slot-based vectorized engine (:mod:`repro.preprocess.batched`) that
-  grows whole blocks of balls with one flat CSR gather + scatter-min per
-  round.
-
-Shortcut *selection* (§4.2's greedy/DP/full heuristics) has the same
-two-speed structure: the per-tree reference walkers
-(:mod:`~repro.preprocess.dp`, :mod:`~repro.preprocess.greedy`,
-:mod:`~repro.preprocess.shortcut_one`) and the forest-level engine
-(:mod:`~repro.preprocess.select_batched`) that runs them over whole
-:class:`TreeBlock` slot blocks per NumPy pass — registered as the
-batched backend's ``select_fn`` so ``build_kr_graph`` and
-``count_shortcuts_sweep`` are vectorized end to end.
-
-Backends are bit-identical on every output (settle orders, distances,
-min-hop trees, ``r_ρ`` arrays, shortcut selections); the batched engine
-is simply much faster, and ``n_jobs`` composes with either to fan source
-chunks over the fork pool.
+The scalar heap reference (:mod:`repro.preprocess.scalar`: one
+:func:`ball_search` per source and the per-tree walkers of
+:mod:`~repro.preprocess.dp`, :mod:`~repro.preprocess.greedy` and
+:mod:`~repro.preprocess.shortcut_one`) is what the parity suites check
+the engines against: settle orders, distances, min-hop trees, ``r_ρ``
+arrays and shortcut selections are bit-identical.
 """
 
-from .backends import (
-    BallBackendSpec,
-    available_ball_backends,
-    get_ball_backend,
-    register_ball_backend,
-)
 from .ball import BallSearchResult, ball_search, sort_adjacency_by_weight
 from .batched import (
     batched_ball_search,
@@ -54,13 +37,19 @@ from .exact import (
 )
 from .greedy import greedy_count, greedy_depth_mask, greedy_select
 from .pipeline import (
-    HEURISTICS,
     PreprocessResult,
     ShardedPreprocessResult,
     build_kr_graph,
     build_sharded_kr_graph,
 )
 from .radii import compute_radii, compute_radii_sweep
+from .scalar import (
+    HEURISTICS,
+    scalar_ball_trees,
+    scalar_radii,
+    scalar_select,
+    scalar_tree_block,
+)
 from .select_batched import (
     batched_select,
     forest_counts,
@@ -75,7 +64,6 @@ from .shortcut_one import full_count, full_depth_mask, full_select
 from .tree import BallTree, TreeBlock, block_from_trees, build_ball_tree
 
 __all__ = [
-    "BallBackendSpec",
     "BallSearchResult",
     "BallTree",
     "HEURISTICS",
@@ -84,7 +72,6 @@ __all__ = [
     "ShardedPreprocessResult",
     "ShortcutCounts",
     "TreeBlock",
-    "available_ball_backends",
     "ball_search",
     "batched_ball_search",
     "batched_ball_trees",
@@ -112,16 +99,18 @@ __all__ = [
     "full_count",
     "full_depth_mask",
     "full_select",
-    "get_ball_backend",
     "greedy_count",
     "greedy_depth_mask",
     "greedy_select",
     "iter_tree_blocks",
     "k_radii",
     "k_radius",
-    "register_ball_backend",
     "rho_nearest_distance",
     "sample_sources",
+    "scalar_ball_trees",
+    "scalar_radii",
+    "scalar_select",
+    "scalar_tree_block",
     "sort_adjacency_by_weight",
     "verify_kr_graph",
 ]

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from ..graphs.validate import check_vertex
 
 __all__ = ["BallSearchResult", "ball_search", "sort_adjacency_by_weight"]
 
@@ -128,8 +129,7 @@ def ball_search(
         (see :func:`sort_adjacency_by_weight`) on weighted graphs.
     """
     n = graph.n
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range [0, {n})")
+    source = check_vertex(source, "source", n)
     if rho < 1:
         raise ValueError("rho >= 1 required")
     if lightest_edges and not weight_sorted and not graph.is_unweighted:

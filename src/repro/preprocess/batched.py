@@ -63,7 +63,7 @@ computation is the number of rounds: the maximum hop-length of a shortest
 path inside any ball (≤ ball size, typically far less), matching the
 lemma's parallel-Dijkstra-wave accounting.  Python/NumPy overhead is paid
 once per round instead of once per heap operation, which is where the
-measured speedup over the scalar backend comes from
+measured speedup over the scalar reference comes from
 (``benchmarks/bench_preprocessing.py``).
 """
 
@@ -738,7 +738,7 @@ def batched_radii(
     The radii fast path: one phase-A pass per block at ``ρ_max`` yields
     every smaller ρ's radius as an order statistic of the reached
     distances, with no hop/parent/tree reconstruction at all.  Matches
-    the scalar backend (one :func:`ball_search` at ``ρ_max`` per source)
+    the scalar reference (one :func:`ball_search` at ``ρ_max`` per source)
     bit for bit.
     """
     n = graph.n

@@ -21,10 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..parallel.chunking import split_blocks
 from ..parallel.pool import parallel_map
-from .backends import get_ball_backend
-from .batched import default_slot_block
+from .batched import iter_tree_blocks
 from .greedy import greedy_depth_mask
 from .select_batched import forest_dp_counts
 from .shortcut_one import full_depth_mask
@@ -68,28 +66,21 @@ def _count_chunk(
     rhos: tuple[int, ...],
     heuristics: tuple[str, ...],
     include_ties: bool,
-    backend: str,
 ) -> dict[str, dict[tuple[int, int], int]]:
     """Worker kernel: exact shortcut totals over one source chunk.
 
-    One forest :class:`~repro.preprocess.tree.TreeBlock` per slot-block
-    group at ρ_max (the named backend's block path), so at most one
-    group of trees is live (O(block · ρ) memory, not O(|chunk| · ρ));
+    One forest :class:`~repro.preprocess.tree.TreeBlock` per slot block
+    at ρ_max, streamed from the batched ball engine, so at most one
+    block of trees is live (O(block · ρ) memory, not O(|chunk| · ρ));
     every smaller ρ is a vectorized prefix trim of that block (settle
     orders are prefix-closed) and all selection math runs through the
-    forest engine instead of per-tree Python walks.  ``backend`` is a
-    required keyword on purpose: every public entry point defaults to
-    ``"batched"``, and a silent default here once let private callers
-    drop onto the slow path unnoticed.
+    forest engine instead of per-tree Python walks.
     """
-    spec = get_ball_backend(backend)
     rho_max = max(rhos)
     counters = {h: {(k, r): 0 for k in ks for r in rhos} for h in heuristics}
-    block = default_slot_block(graph.n, len(sources))
-    for group in split_blocks(sources, block):
-        _, blk = spec.compute_tree_block(
-            graph, group, rho_max, include_ties=include_ties
-        )
+    for _, blk in iter_tree_blocks(
+        graph, sources, rho_max, include_ties=include_ties
+    ):
         sizes = blk.sizes()
         slot_ids = blk.slot_ids()
         for rho in rhos:
@@ -135,22 +126,17 @@ def count_shortcuts_sweep(
     seed: int = 0,
     include_ties: bool = True,
     n_jobs: int = 1,
-    backend: str = "batched",
 ) -> ShortcutCounts:
     """Estimate shortcut totals for every (heuristic, k, ρ) combination.
 
     With ``num_sources`` set, totals are scaled by n/|sample| — the
     exact-mode answer is recovered with ``num_sources=None``.
-    ``backend`` selects the ball-search kernel through
-    :mod:`repro.preprocess.backends`; counts are identical across
-    backends (the balls are bit-identical).
     """
     if not ks or not rhos:
         raise ValueError("ks and rhos must be non-empty")
     bad = set(heuristics) - {"greedy", "dp", "full"}
     if bad:
         raise ValueError(f"unknown heuristics: {sorted(bad)}")
-    get_ball_backend(backend)  # validate the name before forking workers
     sources = sample_sources(graph.n, num_sources, seed=seed)
     blocks = parallel_map(
         _count_chunk,
@@ -162,7 +148,6 @@ def count_shortcuts_sweep(
             "rhos": tuple(rhos),
             "heuristics": tuple(heuristics),
             "include_ties": include_ties,
-            "backend": backend,
         },
     )
     scale = graph.n / len(sources)

@@ -27,14 +27,14 @@ import numpy as np
 from ..graphs.build import add_shortcuts, induced_subgraph
 from ..graphs.csr import CSRGraph
 from ..parallel.pool import parallel_map
-from .backends import HEURISTICS, get_ball_backend
+from .scalar import HEURISTICS
+from .select_batched import batched_select
 
 __all__ = [
     "PreprocessResult",
     "ShardedPreprocessResult",
     "build_kr_graph",
     "build_sharded_kr_graph",
-    "HEURISTICS",
 ]
 
 
@@ -151,31 +151,6 @@ class PreprocessResult:
         save_artifact(path, self)
 
 
-def _shortcuts_for_chunk(
-    graph: CSRGraph,
-    sources: np.ndarray,
-    *,
-    k: int,
-    rho: int,
-    heuristic: str,
-    include_ties: bool,
-    backend: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Worker kernel: radii and shortcut triples for a source chunk.
-
-    ``backend`` is a required keyword on purpose: every public entry
-    point defaults to ``"batched"``, and a silent default here once let
-    private callers drop onto the slow path unnoticed.  The whole step —
-    ball construction plus §4.2 selection — is the backend's
-    ``compute_shortcuts``: the batched backend fuses both through the
-    forest-level selection engine, the scalar backend walks each tree
-    with the reference selectors.
-    """
-    return get_ball_backend(backend).compute_shortcuts(
-        graph, sources, rho, k, heuristic, include_ties=include_ties
-    )
-
-
 def build_kr_graph(
     graph: CSRGraph,
     k: int,
@@ -184,7 +159,6 @@ def build_kr_graph(
     heuristic: str = "dp",
     include_ties: bool = True,
     n_jobs: int = 1,
-    backend: str = "batched",
     calibrate_engine: bool = False,
     calibration_budget: float = 1.0,
     reorder: str = "natural",
@@ -197,12 +171,11 @@ def build_kr_graph(
     brought to hop 1) and therefore produces a (1,ρ)-graph — pass ``k=1``
     for clarity.  ``include_ties`` is §5.1's deterministic tie handling
     (recommended: it is what makes r_ρ(v) ≤ r̄_k(v) hold with equality at
-    the ball boundary).  ``backend`` picks both kernels through
-    :mod:`repro.preprocess.backends` (``"batched"`` by default: the slot
-    ball engine plus the forest-level selection engine of
-    :mod:`repro.preprocess.select_batched`; ``"scalar"``: heap searches
-    and per-tree selection walks); radii and shortcut selections are
-    bit-identical across backends.
+    the ball boundary).  Balls come from the batched slot engine and
+    selections from the forest-level engine
+    (:func:`~repro.preprocess.select_batched.batched_select`); radii and
+    shortcut selections equal the scalar heap reference's
+    (:func:`~repro.preprocess.scalar.scalar_select`) bit for bit.
 
     ``calibrate_engine=True`` additionally races the registered query
     engines on the augmented graph (a few sampled sources, about
@@ -226,8 +199,8 @@ def build_kr_graph(
 
     Every build times its stages into ``PreprocessResult.stage_seconds``
     (``reorder``, ``ball_shortcuts``, ``merge``, ``calibrate`` — the
-    fused batched backend runs ball construction and §4.2 selection as
-    one stage, so they are timed as one).  ``registry`` optionally
+    batched engine runs ball construction and §4.2 selection fused, so
+    they are timed as one stage).  ``registry`` optionally
     mirrors the same durations into a
     :class:`repro.obs.metrics.MetricsRegistry` as the
     ``preprocess_stage_seconds{stage}`` histogram.
@@ -238,7 +211,6 @@ def build_kr_graph(
         raise ValueError("k >= 1 required")
     if rho < 1:
         raise ValueError("rho >= 1 required")
-    get_ball_backend(backend)  # validate the name before forking workers
     # Lazy import: the graphs layer must stay importable without the
     # preprocessing layer, not vice versa — but keep module load light.
     from ..graphs.reorder import compute_ordering, inverse_permutation, mean_neighbor_gap
@@ -267,7 +239,7 @@ def build_kr_graph(
             w = np.empty(0, dtype=np.float64)
         else:
             blocks = parallel_map(
-                _shortcuts_for_chunk,
+                batched_select,
                 graph,
                 sources,
                 n_jobs=n_jobs,
@@ -276,7 +248,6 @@ def build_kr_graph(
                     "rho": rho,
                     "heuristic": heuristic,
                     "include_ties": include_ties,
-                    "backend": backend,
                 },
             )
             radii = np.concatenate([b[0] for b in blocks])
@@ -424,7 +395,6 @@ def build_sharded_kr_graph(
     heuristic: str = "dp",
     include_ties: bool = True,
     n_jobs: int = 1,
-    backend: str = "batched",
     calibrate_engine: bool = False,
     calibration_budget: float = 1.0,
     registry=None,
@@ -474,7 +444,6 @@ def build_sharded_kr_graph(
         "rho": rho,
         "heuristic": heuristic,
         "include_ties": include_ties,
-        "backend": backend,
         "calibrate_engine": calibrate_engine,
         "calibration_budget": calibration_budget,
     }

@@ -10,14 +10,12 @@ on the original graph and skip shortcut materialization entirely.
 
 One ball search per vertex yields the radii for *every* ρ at once (the
 settle distances are exactly r_1, r_2, ...), so a ρ-sweep costs one pass
-at ρ_max.  Two axes of parallelism compose here:
-
-* ``backend=`` picks the ball-search kernel through the registry of
-  :mod:`repro.preprocess.backends` — ``"batched"`` (default) grows whole
-  slot blocks of balls per NumPy round, ``"scalar"`` is the heap
-  reference; outputs are bit-identical.
-* ``n_jobs`` fans source chunks (and therefore slot blocks) out over a
-  fork-based process pool (:mod:`repro.parallel`).
+at ρ_max.  Two axes of parallelism compose here: the batched slot engine
+(:func:`~repro.preprocess.batched.batched_radii`) grows whole blocks of
+balls per NumPy round, and ``n_jobs`` fans source chunks (and therefore
+slot blocks) out over a fork-based process pool (:mod:`repro.parallel`).
+The radii equal the scalar heap reference's
+(:func:`~repro.preprocess.scalar.scalar_radii`) bit for bit.
 """
 
 from __future__ import annotations
@@ -28,67 +26,36 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..parallel.pool import parallel_map
-from .backends import get_ball_backend
+from .batched import batched_radii
 
 __all__ = ["compute_radii", "compute_radii_sweep"]
 
 
-def _radii_for_chunk(
-    graph: CSRGraph,
-    sources: np.ndarray,
-    *,
-    rhos: Sequence[int],
-    backend: str,
-) -> np.ndarray:
-    """Worker kernel: r_ρ for each source and each ρ (shape |chunk| × |ρ|).
-
-    ``backend`` is a required keyword on purpose: every public entry
-    point defaults to ``"batched"``, and a silent default here once let
-    private callers drop onto the slow path unnoticed.
-    """
-    return get_ball_backend(backend).compute_radii(graph, sources, rhos)
-
-
 def compute_radii_sweep(
-    graph: CSRGraph,
-    rhos: Sequence[int],
-    *,
-    n_jobs: int = 1,
-    backend: str = "batched",
+    graph: CSRGraph, rhos: Sequence[int], *, n_jobs: int = 1
 ) -> dict[int, np.ndarray]:
     """r_ρ(v) for every vertex and every ρ in ``rhos`` in one pass.
 
     Returns ``{rho: radii_array}``.  Work is O(n ρ_max²) in the worst
     case (Lemma 4.2; see :func:`repro.graphs.generators.figure2_graph`),
-    typically far less on real-world-like graphs (§4.1).  ``backend``
-    selects the ball-search kernel (see module docstring); every backend
-    returns bit-identical radii.
+    typically far less on real-world-like graphs (§4.1).
     """
     if not rhos:
         raise ValueError("need at least one rho")
     if any(r < 1 for r in rhos):
         raise ValueError("all rho must be >= 1")
-    get_ball_backend(backend)  # validate the name before forking workers
     sources = np.arange(graph.n, dtype=np.int64)
     blocks = parallel_map(
-        _radii_for_chunk,
+        batched_radii,
         graph,
         sources,
         n_jobs=n_jobs,
-        fn_kwargs={"rhos": tuple(rhos), "backend": backend},
+        fn_kwargs={"rhos": tuple(rhos)},
     )
     stacked = np.concatenate(blocks, axis=0)
     return {rho: stacked[:, j].copy() for j, rho in enumerate(rhos)}
 
 
-def compute_radii(
-    graph: CSRGraph,
-    rho: int,
-    *,
-    n_jobs: int = 1,
-    backend: str = "batched",
-) -> np.ndarray:
+def compute_radii(graph: CSRGraph, rho: int, *, n_jobs: int = 1) -> np.ndarray:
     """r_ρ(v) for every vertex (one ρ)."""
-    return compute_radii_sweep(graph, [rho], n_jobs=n_jobs, backend=backend)[
-        rho
-    ]
+    return compute_radii_sweep(graph, [rho], n_jobs=n_jobs)[rho]

@@ -43,9 +43,9 @@ Entry points
 ``forest_select`` / ``forest_counts`` / ``forest_shortcuts`` run a
 heuristic over a prepared block; :func:`batched_select` is the end-to-end
 fast path — slot blocks straight from the batched ball engine, selections
-and shortcut triples out — registered as the batched backend's
-``select_fn`` (see :mod:`repro.preprocess.backends`), with the per-tree
-walkers as the scalar backend's fallback.
+and shortcut triples out — what :func:`~repro.preprocess.pipeline.build_kr_graph`
+runs per source chunk, checked against the per-tree walkers of
+:func:`~repro.preprocess.scalar.scalar_select`.
 """
 
 from __future__ import annotations
@@ -255,9 +255,8 @@ def batched_select(
     (:func:`~repro.preprocess.batched.batched_tree_block`'s per-chunk
     kernel — no ``BallSearchResult`` or per-tree ``BallTree`` is ever
     materialized) and each block flows through the forest engine above.
-    Registered as the batched backend's ``select_fn``; output equals the
-    scalar fallback (per-tree walkers over ``compute_trees``) bit for
-    bit.
+    Output equals :func:`~repro.preprocess.scalar.scalar_select` (the
+    per-tree walkers over heap-searched trees) bit for bit.
     """
     _check_heuristic(heuristic)  # before any ball search runs
     if k < 1:

@@ -163,14 +163,15 @@ def _concat_or_empty(parts, dtype) -> np.ndarray:
 
     Shared by every route that assembles per-tree results (scalar walk,
     forest engine, block construction) so the empty-case dtype stays
-    identical across backends — part of the bit-identity contract.
+    identical between the engines and the scalar reference — part of the
+    bit-identity contract.
     """
     return np.concatenate(parts) if len(parts) else np.empty(0, dtype=dtype)
 
 
 def block_from_trees(trees: Sequence[BallTree]) -> TreeBlock:
     """Concatenate standalone :class:`BallTree` objects into a
-    :class:`TreeBlock` (the scalar-backend route into the forest engine;
+    :class:`TreeBlock` (the scalar reference's route into the forest engine;
     the batched engine emits blocks directly, see
     :func:`repro.preprocess.batched.batched_tree_block`)."""
     sizes = np.array([len(t) for t in trees], dtype=np.int64)

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from repro.core import (
     as_radii,
-    bellman_ford,
     bfs_levels,
     dijkstra,
+    dijkstra_minhop,
     radius_stepping,
 )
+from repro.engine import solve_with_engine
 from repro.graphs import from_edge_list
 from repro.graphs.generators import grid_2d, path_graph, star_graph
 from repro.graphs.weights import random_integer_weights
@@ -72,11 +73,12 @@ class TestDegenerations:
     def test_infinite_radius_is_bellman_ford(self):
         g = random_connected_graph(25, 60, seed=2)
         res = radius_stepping(g, 0, np.inf)
-        bf = bellman_ford(g, 0)
+        bf = solve_with_engine("bellman-ford", g, 0)
         assert res.steps == 1
         # Algorithm 1's Line 2 relaxes N(s) before the substep loop, so the
-        # standalone Bellman–Ford pays exactly one extra round for it.
-        assert res.substeps == bf.substeps - 1
+        # rounds after it are the source's min-hop eccentricity.
+        _, hops, _ = dijkstra_minhop(g, 0)
+        assert res.substeps == bf.substeps == hops.max()
         assert np.allclose(res.dist, bf.dist)
 
     def test_unweighted_zero_radius_counts_bfs_levels(self):

@@ -14,7 +14,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
-from repro.core import dijkstra, radius_stepping_bst
+from repro.core import dijkstra, dijkstra_minhop, radius_stepping_bst
 from repro.engine import (
     BellmanFordSchedule,
     DeltaSchedule,
@@ -27,14 +27,17 @@ from repro.engine import (
     register_engine,
     run_engine,
     solve_with_engine,
+    suggest_delta,
 )
 from repro.graphs import from_edge_list, unit_weights
 from repro.graphs.generators import (
     erdos_renyi,
     grid_2d,
+    path_graph,
     road_network,
     scale_free,
     small_world,
+    star_graph,
 )
 from repro.graphs.weights import random_integer_weights, uniform_weights
 from repro.preprocess import build_kr_graph
@@ -462,7 +465,7 @@ class TestScheduleSemantics:
         assert all(r % 4.0 == 0 for r in radii_seq)
 
     def test_delta_schedule_rejects_bad_delta(self):
-        for bad in (0.0, -2.0, math.inf):
+        for bad in (0.0, -2.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 DeltaSchedule(bad)
 
@@ -524,6 +527,93 @@ class TestScheduleSemantics:
         res = run_engine(g, 0, DeltaStarSchedule(2.0), track_parents=True)
         assert res.dist.tolist() == [0.0, 1.0, 51.0, 52.0]
         assert res.parent.tolist() == [-1, 0, 1, 2]
+
+
+class TestDeltaSchedule:
+    """∆-stepping as a schedule: exact for every ∆, and ∆ sets the step
+    count."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("delta", [1.0, 7.0, 100.0, None])
+    def test_matches_dijkstra(self, seed, delta):
+        g = random_connected_graph(30, 70, seed=seed, weight_high=20)
+        res = run_engine(g, 0, DeltaSchedule(delta))
+        assert np.allclose(res.dist, dijkstra(g, 0).dist)
+
+    def test_huge_delta_single_step(self):
+        """∆ ≥ max distance → a Bellman–Ford-like single step."""
+        g = random_connected_graph(20, 50, seed=1, weight_high=5)
+        assert run_engine(g, 0, DeltaSchedule(1e9)).steps == 1
+
+    def test_small_delta_many_steps(self):
+        g = random_integer_weights(grid_2d(5, 5), low=1, high=10, seed=2)
+        fine = run_engine(g, 0, DeltaSchedule(1.0))
+        coarse = run_engine(g, 0, DeltaSchedule(50.0))
+        assert fine.steps > coarse.steps
+
+    def test_trace(self):
+        g = random_connected_graph(20, 45, seed=3, weight_high=10)
+        res = run_engine(g, 0, DeltaSchedule(10.0), track_trace=True)
+        assert len(res.trace) == res.steps
+        assert sum(t.substeps for t in res.trace) == res.substeps
+        assert res.max_substeps == max(t.substeps for t in res.trace)
+
+    def test_suggest_delta_positive(self):
+        g = random_connected_graph(30, 60, seed=0)
+        assert suggest_delta(g) > 0
+
+    def test_suggest_delta_degenerate_weight_ranges(self):
+        """Regression: all-zero weights used to suggest ∆ = inf
+        (``min_positive_weight`` is inf when no weight is positive);
+        degenerate ranges must clamp to a positive finite floor."""
+        all_zero = uniform_weights(
+            random_connected_graph(20, 45, seed=3, weighted=False),
+            low=0.0,
+            high=0.0,
+        )
+        d = suggest_delta(all_zero)
+        assert d > 0 and math.isfinite(d)
+        res = run_engine(all_zero, 0, DeltaSchedule())  # default ∆ is usable
+        assert np.all(res.dist == 0.0)
+
+    def test_suggest_delta_edgeless(self):
+        from repro.graphs.csr import CSRGraph
+
+        lonely = CSRGraph(
+            np.zeros(4, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0),
+        )
+        d = suggest_delta(lonely)
+        assert d > 0 and math.isfinite(d)
+
+
+class TestBellmanFordEngine:
+    """``r ≡ ∞``: one step whose substeps are Bellman–Ford rounds.  Line 2
+    relaxes the source first, so the substeps are the source's min-hop
+    eccentricity, the last one confirming quiescence."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dijkstra(self, seed):
+        g = random_connected_graph(35, 80, seed=seed)
+        res = solve_with_engine("bellman-ford", g, 1)
+        assert np.allclose(res.dist, dijkstra(g, 1).dist)
+
+    def test_path_substeps_equal_length(self):
+        res = solve_with_engine("bellman-ford", path_graph(6), 0)
+        assert res.substeps == 5
+        assert res.steps == 1
+
+    def test_star_one_substep(self):
+        res = solve_with_engine("bellman-ford", star_graph(5), 0)
+        assert res.substeps == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_substeps_equal_minhop_radius(self, seed):
+        g = random_connected_graph(40, 90, seed=seed)
+        res = solve_with_engine("bellman-ford", g, 0)
+        _, hops, _ = dijkstra_minhop(g, 0)
+        assert res.substeps == hops.max()
 
 
 class TestRegistry:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import bellman_ford, dijkstra, radius_stepping
+from repro.core import dijkstra, radius_stepping
+from repro.engine import solve_with_engine
 from repro.graphs.generators import grid_2d, path_graph
 from repro.graphs.transform import (
     permute_vertices,
@@ -58,7 +59,9 @@ class TestPermute:
         inv = np.empty_like(perm)
         inv[perm] = np.arange(g.n)
         assert np.allclose(dijkstra(h, int(perm[s])).dist[perm], ref)
-        assert np.allclose(bellman_ford(h, int(perm[s])).dist[perm], ref)
+        assert np.allclose(
+            solve_with_engine("bellman-ford", h, int(perm[s])).dist[perm], ref
+        )
         rng = np.random.default_rng(seed)
         radii = rng.uniform(0, 5, g.n)
         assert np.allclose(

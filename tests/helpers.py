@@ -1,20 +1,30 @@
-"""Shared test helpers: graph factories and SSSP cross-checks."""
+"""Shared test helpers: graph factories, SSSP cross-checks and the
+scalar preprocessing references."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.core.dijkstra import dijkstra
-from repro.graphs.build import from_arc_arrays, largest_connected_component
+from repro.graphs.build import (
+    add_shortcuts,
+    from_arc_arrays,
+    largest_connected_component,
+)
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import random_integer_weights, uniform_weights
+from repro.preprocess import HEURISTICS, ball_search, build_ball_tree, scalar_select
 
 __all__ = [
     "random_connected_graph",
     "assert_distances_match",
     "assert_valid_parents",
     "brute_force_distances",
+    "scalar_kr_graph",
+    "scalar_shortcut_counts",
 ]
 
 
@@ -76,3 +86,33 @@ def assert_valid_parents(graph: CSRGraph, dist: np.ndarray, parent: np.ndarray, 
         assert np.isclose(dist[p] + w, dist[v]), (
             f"parent edge ({p}->{v}) does not realize dist"
         )
+
+
+def scalar_kr_graph(graph, k, rho, *, heuristic="dp", include_ties=True):
+    """``build_kr_graph``'s outputs from the scalar reference: heap
+    balls, per-tree selection, the same shortcut merge."""
+    sources = np.arange(graph.n, dtype=np.int64)
+    radii, src, dst, w = scalar_select(
+        graph, sources, rho, k, heuristic, include_ties=include_ties
+    )
+    aug = add_shortcuts(graph, src, dst, w)
+    return SimpleNamespace(
+        graph=aug, radii=radii, added_edges=len(src), new_edges=aug.m - graph.m
+    )
+
+
+def scalar_shortcut_counts(
+    graph, *, ks, rhos, heuristics=("greedy", "dp"), include_ties=True
+):
+    """Exact ``count_shortcuts_sweep`` totals from the scalar reference:
+    one heap ball per source at ρ_max, one per-tree walk per ρ-prefix."""
+    totals = {h: {(k, r): 0 for k in ks for r in rhos} for h in heuristics}
+    for s in range(graph.n):
+        ball = ball_search(graph, s, max(rhos), include_ties=include_ties)
+        for rho in rhos:
+            size = ball.prefix_size(rho) if include_ties else min(rho, len(ball))
+            tree = build_ball_tree(ball, size)
+            for h in heuristics:
+                for k in ks:
+                    totals[h][(k, rho)] += len(HEURISTICS[h](tree, k))
+    return SimpleNamespace(totals=totals)

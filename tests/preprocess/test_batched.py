@@ -1,6 +1,6 @@
 """Batched ball-search engine: exact parity with the scalar reference.
 
-The batched backend promises *bit-identical* results to the scalar heap
+The batched engine promises *bit-identical* results to the scalar heap
 search on every output field — settle order, distances, min-hop depths,
 parents, edges scanned, completeness — plus identical r_ρ arrays, ball
 trees, and (k,ρ)-pipeline outputs.  This suite pins that promise across
@@ -33,19 +33,21 @@ from repro.graphs.generators import (
 )
 from repro.graphs.weights import random_integer_weights, uniform_weights
 from repro.preprocess import (
-    available_ball_backends,
     ball_search,
     batched_ball_search,
     batched_ball_trees,
     build_ball_tree,
     build_kr_graph,
     compute_radii_sweep,
-    get_ball_backend,
-    register_ball_backend,
+    scalar_radii,
     sort_adjacency_by_weight,
 )
 
-from tests.helpers import random_connected_graph
+from tests.helpers import (
+    random_connected_graph,
+    scalar_kr_graph,
+    scalar_shortcut_counts,
+)
 
 
 def assert_balls_equal(a, b, ctx=""):
@@ -225,22 +227,18 @@ class TestRadiiParity:
     def test_sweep_bit_identical(self, factory):
         g = factory()
         rhos = [1, 2, 5, 16, g.n + 5]
-        scalar = compute_radii_sweep(g, rhos, backend="scalar")
-        batched = compute_radii_sweep(g, rhos, backend="batched")
+        table = scalar_radii(g, np.arange(g.n, dtype=np.int64), rhos)
+        scalar = dict(zip(rhos, table.T))
+        batched = compute_radii_sweep(g, rhos)
         for rho in rhos:
             assert np.array_equal(scalar[rho], batched[rho]), rho
 
     def test_njobs_slot_fanout(self):
         g = random_connected_graph(50, 120, seed=3)
-        serial = compute_radii_sweep(g, [3, 8], backend="batched", n_jobs=1)
-        fanned = compute_radii_sweep(g, [3, 8], backend="batched", n_jobs=3)
+        serial = compute_radii_sweep(g, [3, 8], n_jobs=1)
+        fanned = compute_radii_sweep(g, [3, 8], n_jobs=3)
         for rho in (3, 8):
             assert np.array_equal(serial[rho], fanned[rho])
-
-    def test_unknown_backend_rejected(self):
-        g = path_graph(4)
-        with pytest.raises(ValueError, match="registered backends"):
-            compute_radii_sweep(g, [2], backend="quantum")
 
 
 class TestTreeParity:
@@ -274,14 +272,10 @@ class TestPipelineParity:
     @pytest.mark.parametrize("include_ties", [True, False])
     def test_build_kr_graph_bit_identical(self, heuristic, include_ties):
         g = random_connected_graph(55, 130, seed=5, weight_high=25)
-        a = build_kr_graph(
-            g, 2, 7, heuristic=heuristic, include_ties=include_ties,
-            backend="scalar",
+        a = scalar_kr_graph(
+            g, 2, 7, heuristic=heuristic, include_ties=include_ties
         )
-        b = build_kr_graph(
-            g, 2, 7, heuristic=heuristic, include_ties=include_ties,
-            backend="batched",
-        )
+        b = build_kr_graph(g, 2, 7, heuristic=heuristic, include_ties=include_ties)
         assert a.graph == b.graph  # identical shortcut edge sets
         assert np.array_equal(a.radii, b.radii)
         assert a.added_edges == b.added_edges
@@ -294,43 +288,9 @@ class TestCountParity:
 
         g = random_connected_graph(50, 120, seed=14, weight_high=20)
         kwargs = dict(ks=[1, 2], rhos=[3, 6], heuristics=("greedy", "dp", "full"))
-        a = count_shortcuts_sweep(g, backend="scalar", **kwargs)
-        b = count_shortcuts_sweep(g, backend="batched", **kwargs)
+        a = scalar_shortcut_counts(g, **kwargs)
+        b = count_shortcuts_sweep(g, **kwargs)
         assert a.totals == b.totals
-
-
-class TestBackendRegistry:
-    def test_builtins_present(self):
-        assert {"scalar", "batched"} <= set(available_ball_backends())
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_ball_backend("batched", lambda *a, **k: [])
-
-    def test_invalid_names_rejected(self):
-        for bad in ("", "auto"):
-            with pytest.raises(ValueError):
-                register_ball_backend(bad, lambda *a, **k: [])
-
-    def test_custom_backend_serves_pipeline(self):
-        """A third-party kernel registers and serves build_kr_graph,
-        falling back to generic radii/tree construction."""
-        spec = register_ball_backend(
-            "test-echo-scalar",
-            get_ball_backend("scalar").fn,
-            overwrite=True,
-        )
-        try:
-            g = random_connected_graph(20, 45, seed=6)
-            a = build_kr_graph(g, 2, 4, backend="test-echo-scalar")
-            b = build_kr_graph(g, 2, 4, backend="scalar")
-            assert a.graph == b.graph
-            assert np.array_equal(a.radii, b.radii)
-            assert spec.name in available_ball_backends()
-        finally:
-            import repro.preprocess.backends as reg
-
-            reg._REGISTRY.pop("test-echo-scalar", None)
 
 
 class TestSortedAdjacencyCache:

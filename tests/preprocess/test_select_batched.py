@@ -39,12 +39,17 @@ from repro.preprocess import (
     forest_shortcuts,
     full_count,
     full_select,
-    get_ball_backend,
     greedy_count,
     greedy_select,
+    scalar_select,
+    scalar_tree_block,
 )
 
-from tests.helpers import random_connected_graph
+from tests.helpers import (
+    random_connected_graph,
+    scalar_kr_graph,
+    scalar_shortcut_counts,
+)
 
 HEURISTIC_FNS = {
     "dp": (dp_select, dp_count),
@@ -235,25 +240,18 @@ class TestTreeBlock:
 
 
 class TestBackendSelectDispatch:
-    """select_fn / block_fn registry wiring and cross-backend parity."""
-
-    def test_registry_fast_paths(self):
-        batched = get_ball_backend("batched")
-        scalar = get_ball_backend("scalar")
-        assert batched.select_fn is not None
-        assert batched.block_fn is not None
-        assert scalar.select_fn is None
-        assert scalar.block_fn is None
+    """The scalar reference against the batched engine, entry point by
+    entry point."""
 
     @pytest.mark.parametrize("heuristic", ["dp", "greedy", "full"])
     @pytest.mark.parametrize("include_ties", [True, False])
     def test_compute_shortcuts_parity(self, heuristic, include_ties):
         g = random_connected_graph(70, 180, seed=8)
         sources = np.arange(g.n, dtype=np.int64)
-        out_s = get_ball_backend("scalar").compute_shortcuts(
+        out_s = scalar_select(
             g, sources, 7, 2, heuristic, include_ties=include_ties
         )
-        out_b = get_ball_backend("batched").compute_shortcuts(
+        out_b = batched_select(
             g, sources, 7, 2, heuristic, include_ties=include_ties
         )
         for a, b in zip(out_s, out_b):
@@ -262,33 +260,27 @@ class TestBackendSelectDispatch:
 
     def test_compute_shortcuts_unknown_heuristic(self):
         g = path_graph(5)
-        for backend in ("scalar", "batched"):
+        for select in (scalar_select, batched_select):
             with pytest.raises(ValueError):
-                get_ball_backend(backend).compute_shortcuts(
-                    g, np.arange(g.n), 3, 2, "nope"
-                )
+                select(g, np.arange(g.n), 3, 2, "nope")
 
     def test_compute_tree_block_parity(self):
         g = random_connected_graph(40, 90, seed=9)
         sources = np.arange(g.n, dtype=np.int64)
-        r_s, blk_s = get_ball_backend("scalar").compute_tree_block(
-            g, sources, 6
-        )
-        r_b, blk_b = get_ball_backend("batched").compute_tree_block(
-            g, sources, 6
-        )
+        r_s, blk_s = scalar_tree_block(g, sources, 6)
+        r_b, blk_b = batched_tree_block(g, sources, 6)
         assert np.array_equal(r_s, r_b)
         for f in ("sources", "offsets", "vertices", "dist", "depth", "parent"):
             assert np.array_equal(getattr(blk_s, f), getattr(blk_b, f))
 
     @pytest.mark.parametrize("heuristic", ["dp", "greedy", "full"])
     def test_build_kr_graph_backend_parity(self, heuristic):
-        """End-to-end: the pipeline through select_fn equals the scalar
-        per-tree walk route on every output."""
+        """End-to-end: the pipeline equals the scalar per-tree walk route
+        on every output."""
         g = family_graphs()["tie_heavy"]
         k = 1 if heuristic == "full" else 3
-        pre_s = build_kr_graph(g, k, 8, heuristic=heuristic, backend="scalar")
-        pre_b = build_kr_graph(g, k, 8, heuristic=heuristic, backend="batched")
+        pre_s = scalar_kr_graph(g, k, 8, heuristic=heuristic)
+        pre_b = build_kr_graph(g, k, 8, heuristic=heuristic)
         assert pre_s.graph == pre_b.graph
         assert np.array_equal(pre_s.radii, pre_b.radii)
         assert pre_s.added_edges == pre_b.added_edges
@@ -348,8 +340,8 @@ class TestCountSweepParity:
 
     def test_scalar_backend_route(self):
         g = grid_2d(6, 6)
-        a = count_shortcuts_sweep(g, ks=(2,), rhos=(5, 9), backend="scalar")
-        b = count_shortcuts_sweep(g, ks=(2,), rhos=(5, 9), backend="batched")
+        a = scalar_shortcut_counts(g, ks=(2,), rhos=(5, 9))
+        b = count_shortcuts_sweep(g, ks=(2,), rhos=(5, 9))
         assert a.totals == b.totals
 
 
@@ -405,7 +397,7 @@ def test_batched_select_property(n, seed, rho, k, weight_high, include_ties):
             g, sources, rho, k, heuristic, include_ties=include_ties,
             slot_block=7,
         )
-        ref = get_ball_backend("scalar").compute_shortcuts(
+        ref = scalar_select(
             g, sources, rho, k, heuristic, include_ties=include_ties
         )
         for a, b in zip(ref, got):

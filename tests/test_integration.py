@@ -21,12 +21,11 @@ from repro import (
 )
 from repro.core import (
     PreprocessedSSSP,
-    bellman_ford,
     bfs,
-    delta_stepping,
     landmark_sssp,
     radius_stepping_unweighted,
 )
+from repro.engine import DeltaSchedule, run_engine, solve_with_engine
 from repro.graphs import generators, random_integer_weights, unit_weights
 
 from tests.helpers import random_connected_graph
@@ -67,8 +66,8 @@ class TestFullPipelineAllFamilies:
     def test_all_solvers_agree(self, family):
         g = random_integer_weights(_family(family, seed=3), seed=5)
         ref = dijkstra(g, 1).dist
-        assert np.allclose(bellman_ford(g, 1).dist, ref)
-        assert np.allclose(delta_stepping(g, 1, 2000.0).dist, ref)
+        assert np.allclose(solve_with_engine("bellman-ford", g, 1).dist, ref)
+        assert np.allclose(run_engine(g, 1, DeltaSchedule(2000.0)).dist, ref)
         assert np.allclose(radius_stepping(g, 1, 100.0).dist, ref)
         assert np.allclose(radius_stepping_bst(g, 1, 100.0).dist, ref)
         assert np.allclose(landmark_sssp(g, 1, t=6, seed=0).dist, ref)

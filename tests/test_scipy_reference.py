@@ -13,7 +13,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from repro import PreprocessedSSSP, build_kr_graph, dijkstra, radius_stepping
-from repro.core import bellman_ford, delta_stepping, landmark_sssp
+from repro.core import landmark_sssp
+from repro.engine import DeltaSchedule, run_engine, solve_with_engine
 from repro.graphs import generators, random_integer_weights, unit_weights
 
 from tests.helpers import random_connected_graph
@@ -55,8 +56,8 @@ class TestAgainstScipy:
     def test_all_baselines_match(self):
         g = random_connected_graph(80, 200, seed=6, weight_high=99)
         ref = scipy_dist(g, 3)
-        assert np.allclose(bellman_ford(g, 3).dist, ref)
-        assert np.allclose(delta_stepping(g, 3, 25.0).dist, ref)
+        assert np.allclose(solve_with_engine("bellman-ford", g, 3).dist, ref)
+        assert np.allclose(run_engine(g, 3, DeltaSchedule(25.0)).dist, ref)
         assert np.allclose(landmark_sssp(g, 3, t=7, seed=1).dist, ref)
 
     def test_facade_matches(self):
