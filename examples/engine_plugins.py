@@ -69,9 +69,20 @@ class GeometricSchedule:
 
 
 def geometric_engine(
-    graph, source, radii, *, track_parents=False, track_trace=False, ledger=None
+    graph,
+    source,
+    radii,
+    *,
+    track_parents=False,
+    track_trace=False,
+    ledger=None,
+    obs=None,
 ):
-    """Registry adapter: the shared calling convention -> run_engine."""
+    """Registry adapter: the shared calling convention -> run_engine.
+
+    ``obs`` is the dispatcher's live telemetry handle; forwarding it
+    gives the plugin the same per-step metrics as the built-in engines.
+    """
     return run_engine(
         graph,
         source,
@@ -79,6 +90,7 @@ def geometric_engine(
         track_parents=track_parents,
         track_trace=track_trace,
         ledger=ledger,
+        obs=obs,
         algorithm_name="geometric-stepping",
     )
 

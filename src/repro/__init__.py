@@ -43,7 +43,6 @@ from .core import (
     dijkstra_minhop,
     radius_stepping,
     radius_stepping_bst,
-    radius_stepping_unweighted,
 )
 from .core.solver import PreprocessedSSSP
 from .engine import (
@@ -112,7 +111,6 @@ __all__ = [
     "normalize_weights",
     "radius_stepping",
     "radius_stepping_bst",
-    "radius_stepping_unweighted",
     "random_integer_weights",
     "read_edge_list",
     "register_engine",

@@ -1,18 +1,19 @@
-"""SSSP solvers: Radius-Stepping (all three engines) and the oracles.
+"""SSSP solvers: Radius-Stepping, its treap reference, and the oracles.
 
 The ∆-stepping and Bellman–Ford baselines are step schedules of the
 unified engine (the ``delta``, ``delta-star`` and ``bellman-ford``
-engines of :mod:`repro.engine.registry`); the modules here are the
+engines of :mod:`repro.engine.registry`), and unit-weight graphs run
+the same radius schedule as any other; the modules here are the
 Radius-Stepping entry points, the sequential Dijkstra oracle, BFS and
 the landmark (hop-limited) baseline of Table 1.
 """
 
+from ..engine.schedules import as_radii
 from .bfs import bfs, bfs_levels, gather_frontier_arcs
 from .dijkstra import dijkstra, dijkstra_minhop, dijkstra_steps
 from .landmark import hop_limited_distances, landmark_sssp, sample_landmarks
-from .radius_stepping import as_radii, radius_stepping
+from .radius_stepping import radius_stepping
 from .radius_stepping_bst import radius_stepping_bst
-from .radius_stepping_unweighted import radius_stepping_unweighted
 from .result import SsspResult, StepTrace
 from .solver import PreprocessedSSSP
 
@@ -32,5 +33,4 @@ __all__ = [
     "radius_stepping",
     "sample_landmarks",
     "radius_stepping_bst",
-    "radius_stepping_unweighted",
 ]

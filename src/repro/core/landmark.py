@@ -31,9 +31,9 @@ import math
 
 import numpy as np
 
+from ..engine.kernel import RelaxationKernel
 from ..graphs.csr import CSRGraph
 from ..graphs.validate import check_vertex
-from .bfs import gather_frontier_arcs
 from .result import SsspResult
 
 __all__ = ["landmark_sssp", "sample_landmarks", "hop_limited_distances"]
@@ -49,6 +49,7 @@ def sample_landmarks(
     oversample·(n ln n)/t drives that below n^(-oversample) — union-bound
     safe over all shortest paths.
     """
+    source = check_vertex(source, "source", n)
     if t < 1:
         raise ValueError("t >= 1 required")
     if oversample <= 0:
@@ -63,26 +64,18 @@ def sample_landmarks(
 def hop_limited_distances(
     graph: CSRGraph, source: int, t: int
 ) -> np.ndarray:
-    """Exact distances over paths of at most ``t`` edges (t synchronous
-    Bellman–Ford rounds — one CSR gather + scatter-min per round)."""
-    n = graph.n
-    source = check_vertex(source, "source", n)
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
+    """Exact distances over paths of at most ``t`` edges: t synchronous
+    Bellman–Ford rounds, each one :meth:`RelaxationKernel.relax
+    <repro.engine.kernel.RelaxationKernel.relax>` of the vertices the
+    previous round improved."""
+    source = check_vertex(source, "source", graph.n)
+    kernel = RelaxationKernel(graph, source)
     changed = np.array([source], dtype=np.int64)
     for _ in range(t):
         if len(changed) == 0:
             break
-        arcpos, tails = gather_frontier_arcs(graph, changed)
-        if len(arcpos) == 0:
-            break
-        targets = graph.indices[arcpos]
-        cand = dist[tails] + graph.weights[arcpos]
-        uniq = np.unique(targets)
-        before = dist[uniq].copy()
-        np.minimum.at(dist, targets, cand)
-        changed = uniq[dist[uniq] < before]
-    return dist
+        changed, _ = kernel.relax(changed, exclude_settled=False)
+    return kernel.dist
 
 
 def landmark_sssp(

@@ -23,11 +23,14 @@ Algorithm 2's two ordered sets — ``R`` keyed by ``δ(v) + r(v)`` yields
 ``d_i`` (its *extract-min*) and ``Q`` keyed by ``δ(v)`` yields the
 active set (its *split* at ``d_i``) — from one flat array of the
 reached, unsettled vertices: ``d_i`` is a vectorized min over it and
-the split a filter, in O(|frontier|) per step.  Swap the schedule to
-change the algorithm: the ∆-stepping / Dijkstra / Bellman–Ford
-baselines are one-class schedule plugins over the same loop.  The faithful
-treap-based engine with parallel split/union/difference and PRAM cost
-accounting lives in :mod:`repro.core.radius_stepping_bst`.
+the split a filter, in O(|frontier|) per step.  That flat frontier is
+§3.4's BFS-style frontier for unweighted graphs (Lemma 3.10), used here
+at any weights, so unit-weight graphs need no engine of their own.
+Swap the schedule to change the algorithm: the ∆-stepping and Dijkstra
+baselines are one-class schedule plugins over the same loop, and
+Bellman–Ford is this schedule at ``r ≡ ∞``.  The faithful treap-based
+engine with parallel split/union/difference and PRAM cost accounting
+lives in :mod:`repro.core.radius_stepping_bst`.
 
 Each substep is one data-parallel relaxation owned by
 :class:`repro.engine.kernel.RelaxationKernel`: a CSR multi-gather of
@@ -40,8 +43,6 @@ work/depth formulas for every bulk operation.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..engine.driver import run_engine
@@ -50,30 +51,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.validate import check_vertex
 from .result import SsspResult
 
-__all__ = ["radius_stepping", "as_radii"]
-
-
-def as_radii(graph: CSRGraph, radii: float | np.ndarray | None) -> np.ndarray:
-    """Normalize a radii spec to a per-vertex float array.
-
-    ``None`` means zero radii (Dijkstra-like); a scalar is broadcast; an
-    array is validated for shape and non-negativity.  ``inf`` entries are
-    allowed (Bellman–Ford-like behaviour for those vertices).
-    """
-    n = graph.n
-    if radii is None:
-        return np.zeros(n)
-    if np.isscalar(radii):
-        val = float(radii)  # type: ignore[arg-type]
-        if val < 0 or math.isnan(val):
-            raise ValueError("radius must be non-negative")
-        return np.full(n, val)
-    arr = np.asarray(radii, dtype=np.float64)
-    if arr.shape != (n,):
-        raise ValueError(f"radii must have shape ({n},), got {arr.shape}")
-    if np.any(arr < 0) or np.any(np.isnan(arr)):
-        raise ValueError("radii must be non-negative and not NaN")
-    return arr
+__all__ = ["radius_stepping"]
 
 
 def radius_stepping(
@@ -92,7 +70,8 @@ def radius_stepping(
     ----------
     graph: validated undirected CSR graph with non-negative weights.
     source: source vertex id.
-    radii: per-vertex radius ``r(·)`` (see :func:`as_radii`).  Correctness
+    radii: per-vertex radius ``r(·)`` (see
+        :func:`~repro.engine.schedules.as_radii`).  Correctness
         holds for *any* non-negative radii (§3: "The algorithm is correct
         for any radii r(·)"); the step/substep bounds need the
         (k,ρ)-graph preconditions established by :mod:`repro.preprocess`.
@@ -111,7 +90,7 @@ def radius_stepping(
     return run_engine(
         graph,
         source,
-        RadiusBucketSchedule(as_radii(graph, radii)),
+        RadiusBucketSchedule(radii),
         track_parents=track_parents,
         track_trace=track_trace,
         ledger=ledger,

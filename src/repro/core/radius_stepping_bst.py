@@ -29,7 +29,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.validate import check_vertex
 from ..pram.ledger import Ledger
 from ..pram.ordered_set import VertexKeyedSet
-from .radius_stepping import as_radii
+from ..engine.schedules import as_radii
 from .result import SsspResult, StepTrace
 
 __all__ = ["radius_stepping_bst"]

@@ -9,8 +9,8 @@ and answers any number of single-source queries against them.
 
 Queries dispatch by *engine name* through
 :mod:`repro.engine.registry`, so every registered engine —
-Radius-Stepping on one flat frontier, the faithful BST reference,
-the §3.4 unweighted engine, the baseline schedules, and any plugin
+Radius-Stepping on one flat frontier (unit-weight graphs included),
+the faithful BST reference, the baseline schedules, and any plugin
 registered at runtime — is servable through one facade.  Batched
 multi-source queries (:meth:`solve_many`) are the one multi-source
 path: they fan out over a fork-based process pool with the augmented
@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from ..engine.driver import run_engine
-from ..engine.registry import get_engine, solve_with_engine
+from ..engine.registry import available_engines, get_engine, solve_with_engine
 from ..engine.schedules import RadiusBucketSchedule
 from ..graphs.csr import CSRGraph
 from ..graphs.validate import check_vertex
@@ -274,22 +274,19 @@ class PreprocessedSSSP:
         Preference order for ``"auto"``: the preprocessing record's
         calibrated ``preferred_engine`` when it is set and still
         registered (the per-graph measured winner an artifact carries),
-        then the §3.4 unweighted engine when the augmented graph has
-        unit weights, then ``"vectorized"`` — Radius-Stepping on the
-        flat frontier, the one radius substrate.
+        else ``"vectorized"`` — Radius-Stepping on the flat frontier,
+        the one radius substrate, at any weights: on unit weights its
+        frontier is §3.4's BFS-style frontier.
 
         Public because the serving layer keys caches and artifacts by
         the *resolved* name — two requests for ``"auto"`` and
-        ``"vectorized"`` on a weighted graph must share cache entries.
+        ``"vectorized"`` must share cache entries.
         """
         if engine == "auto":
             preferred = getattr(self._pre, "preferred_engine", "")
-            if preferred:
-                from ..engine.registry import available_engines
-
-                if preferred in available_engines():
-                    return preferred
-            return "unweighted" if self.graph.is_unweighted else "vectorized"
+            if preferred in available_engines():
+                return preferred
+            return "vectorized"
         return engine
 
     def solve(
@@ -304,9 +301,7 @@ class PreprocessedSSSP:
         """Exact shortest paths from ``source`` on the preprocessed graph.
 
         ``engine="auto"`` resolves as :meth:`resolve_engine` says: a
-        calibrated winner, the §3.4 BFS-style engine when the
-        *augmented* graph still has unit weights, else the general
-        ``"vectorized"`` engine.  Any name from
+        calibrated winner, else ``"vectorized"``.  Any name from
         :func:`repro.engine.available_engines` is accepted — e.g.
         ``"rho"`` for ρ-stepping or ``"bst"`` for the faithful
         Algorithm-2 reference (slow; for validation and PRAM

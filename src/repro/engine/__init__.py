@@ -2,8 +2,9 @@
 
 One kernel (:mod:`repro.engine.kernel`), one driver loop
 (:mod:`repro.engine.driver`), pluggable step schedules
-(:mod:`repro.engine.schedules`) — Radius-Stepping, ∆, ∆* and ρ all
-served by one flat frontier of reached, unsettled vertices — and a
+(:mod:`repro.engine.schedules`) — Radius-Stepping at any radii
+(Bellman–Ford is r ≡ ∞), ∆, ∆* and ρ all served by one flat frontier
+of reached, unsettled vertices — and a
 table-driven, name-based registry (:mod:`repro.engine.registry`) that
 :class:`repro.core.solver.PreprocessedSSSP` dispatches through.  The
 solvers in :mod:`repro.core` are thin adapters over these pieces.
@@ -11,13 +12,13 @@ solvers in :mod:`repro.core` are thin adapters over these pieces.
 
 from .kernel import RelaxationKernel, gather_frontier_arcs
 from .schedules import (
-    BellmanFordSchedule,
     DeltaSchedule,
     DeltaStarSchedule,
     DijkstraSchedule,
     RadiusBucketSchedule,
     RhoSchedule,
     StepSchedule,
+    as_radii,
     default_rho,
     suggest_delta,
 )
@@ -32,7 +33,6 @@ from .registry import (
 )
 
 __all__ = [
-    "BellmanFordSchedule",
     "DeltaSchedule",
     "DeltaStarSchedule",
     "DijkstraSchedule",
@@ -41,6 +41,7 @@ __all__ = [
     "RelaxationKernel",
     "RhoSchedule",
     "StepSchedule",
+    "as_radii",
     "available_engines",
     "default_rho",
     "gather_frontier_arcs",

@@ -32,12 +32,12 @@ __all__ = ["DEFAULT_CANDIDATES", "pick_engine", "race_engines", "sample_sources"
 #: ``vectorized`` (``auto``'s fallback) so the winner can never be a
 #: regression against it.  ``bucket`` runs the same schedule as
 #: ``vectorized``, so racing both would only let noise pick a name.
-#: ``bellman-ford`` is included because a race is exactly the safe
-#: place for it — on small or low-diameter graphs its fat vectorized
-#: substeps win outright, and where its step count blows up the
-#: per-engine budget caps the damage and it simply loses.  ``bst``
-#: (PRAM reference, orders of magnitude slower) and ``unweighted``
-#: (unit-weight only) are opt-in.
+#: ``bellman-ford`` (the radius schedule at ``r ≡ ∞``) is included
+#: because a race is exactly the safe place for it — on small or
+#: low-diameter graphs its fat vectorized substeps win outright, and
+#: where its substep count blows up the per-engine budget caps the
+#: damage and it simply loses.  ``bst`` (PRAM reference, orders of
+#: magnitude slower) is opt-in.
 DEFAULT_CANDIDATES = (
     "vectorized",
     "dijkstra",
@@ -94,9 +94,9 @@ def race_engines(
     -------
     Mean seconds per solve for each engine that completed at least one
     solve.  An engine that raises ``ValueError`` — the documented "not
-    applicable to this graph" signal, e.g. ``unweighted`` on weighted
-    input — is dropped; any other exception is a broken engine and
-    propagates instead of quietly losing the race.
+    applicable to this graph" signal for plugins with preconditions (no
+    built-in engine has one) — is dropped; any other exception is a
+    broken engine and propagates instead of quietly losing the race.
     """
     if engines is None:
         registered = set(available_engines())

@@ -1,14 +1,15 @@
 """The shared relaxation kernel — one substep, one place.
 
-Every stepping algorithm in this library (Radius-Stepping, ∆-stepping,
-Dijkstra-with-batching, Bellman–Ford, BFS) spends its time in the same
-data-parallel substep: gather the arcs out of a frontier from the CSR
-arrays, add tentative distances to arc weights, and scatter-min the
-candidates into the distance array — the paper's priority-write
-(WriteMin).  The seed implementations each re-implemented that substep;
-:class:`RelaxationKernel` owns it once, together with the state it
-mutates (distances, parents, the settled set) and the cross-cutting
-concerns that ride on it (relaxation counting, PRAM ledger charging).
+Every stepping engine in this library (Radius-Stepping at any radii,
+Bellman–Ford being ``r ≡ ∞``; ∆-, ∆*- and ρ-stepping;
+Dijkstra-with-batching) and the landmark baseline's hop-limited rounds
+spend their time in the same data-parallel substep: gather the arcs out
+of a frontier from the CSR arrays, add tentative distances to arc
+weights, and scatter-min the candidates into the distance array — the
+paper's priority-write (WriteMin).  :class:`RelaxationKernel` owns that
+substep once, together with the state it mutates (distances, parents,
+the settled set) and the cross-cutting concerns that ride on it
+(relaxation counting, PRAM ledger charging at Section 3.3's costs).
 
 Schedules (:mod:`repro.engine.schedules`) decide *which* vertices to
 relax and *when* to settle them; the kernel is the only code that
@@ -89,10 +90,8 @@ class RelaxationKernel:
         array.
     ledger: optional :class:`repro.pram.ledger.Ledger`.  When given,
         :meth:`relax` calls that pass a ``charge_label`` charge the
-        weighted-engine costs of Section 3.3 (``O(|arcs| log n)`` work,
-        ``O(log n)`` depth); callers with different cost models (the
-        §3.4 unweighted engine) keep ``charge_label=None`` and charge
-        their own ledger.
+        costs of Section 3.3 (``O(|arcs| log n)`` work, ``O(log n)``
+        depth).
 
     Attributes
     ----------
@@ -230,7 +229,7 @@ class RelaxationKernel:
             values = values[keep]
         return values
 
-    def relax_source(self, source: int, *, charge: bool = True) -> np.ndarray:
+    def relax_source(self, source: int) -> np.ndarray:
         """Algorithm 1, Line 2: relax every arc out of the source.
 
         Returns the improved vertices (the schedule's first push).
@@ -238,7 +237,7 @@ class RelaxationKernel:
         improved, _ = self.relax(
             np.array([source], dtype=np.int64), exclude_settled=True
         )
-        if charge and self.ledger is not None:
+        if self.ledger is not None:
             self.ledger.charge(
                 work=self.graph.degree(source) * self.logn,
                 depth=self.logn,

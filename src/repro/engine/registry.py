@@ -15,34 +15,34 @@ one calling convention::
 ``radii`` may be ignored by engines that do not use per-vertex radii
 (∆-stepping, Bellman–Ford); they accept it so one dispatch site serves
 all engines.  ``obs`` is an optional per-engine telemetry handle (see
-:class:`repro.obs.metrics.BoundEngineTelemetry`): engines built on the
-unified driver feed it live per-step observations, others may ignore
-it — run-level totals are recorded uniformly by
-:func:`solve_with_engine` from the returned result either way.
-Plugins may omit ``obs`` from their signature entirely (the
-pre-telemetry convention); the dispatcher detects this at registration
-and simply skips the live hook for them.
+:class:`repro.obs.metrics.BoundEngineTelemetry`), always passed:
+engines built on the unified driver feed it live per-step
+observations, others may ignore it — run-level totals are recorded
+uniformly by :func:`solve_with_engine` from the returned result either
+way.
 
 Built-in engines
 ----------------
 ``vectorized``    Radius-Stepping on one flat frontier (``auto``'s
-                  default).
+                  default, unit weights included: the flat frontier is
+                  §3.4's BFS-style frontier).
 ``bucket``        an alias for the same schedule.
-``bst``           the faithful Algorithm-2 treap reference.
-``unweighted``    the §3.4 BFS-style specialization (unit weights only).
+``bst``           the faithful Algorithm-2 treap reference (no parents).
 ``dijkstra``      equal-distance batched Dijkstra (``r ≡ 0``).
 ``delta``         ∆-stepping: fixed bucket boundaries ``(j+1)·∆``.
 ``delta-star``    ∆*-stepping: floating min+∆ window, light/heavy split.
 ``rho``           ρ-stepping: the ρ nearest frontier vertices per step.
-``bellman-ford``  single-step Bellman–Ford (``r ≡ ∞``), rounds as substeps.
+``bellman-ford``  the radius schedule at ``r ≡ ∞``: one step, rounds as
+                  substeps.
 
 The ∆-stepping and Bellman–Ford baselines exist only as these engines,
-so an engine change reaches each of them in one place.
+and every engine but ``bst`` runs :func:`run_engine`, so an engine
+change reaches each of them in one place.
 """
 
 from __future__ import annotations
 
-import inspect
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,7 +50,6 @@ from ..core.result import SsspResult
 from ..graphs.validate import check_vertex
 from .driver import run_engine
 from .schedules import (
-    BellmanFordSchedule,
     DeltaSchedule,
     DeltaStarSchedule,
     DijkstraSchedule,
@@ -81,32 +80,15 @@ class EngineSpec:
         dispatcher raises ``ValueError`` up front instead of silently
         returning ``parent=None``.
     description: one-liner for ``available_engines`` listings.
-    accepts_obs: whether ``fn`` takes the ``obs`` telemetry keyword —
-        detected from its signature at registration, so plugins written
-        against the pre-telemetry convention keep working (they still
-        get run-level telemetry from the dispatcher, just no live
-        per-step hook).
     """
 
     name: str
     fn: EngineFn
     supports_parents: bool = True
     description: str = ""
-    accepts_obs: bool = True
 
 
 _REGISTRY: dict[str, EngineSpec] = {}
-
-
-def _accepts_obs(fn: EngineFn) -> bool:
-    """Whether ``fn``'s signature admits the ``obs`` keyword."""
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # uninspectable callables: assume yes
-        return True
-    return "obs" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
 
 
 def register_engine(
@@ -120,9 +102,8 @@ def register_engine(
     """Register ``fn`` under ``name``; returns the spec.
 
     Re-registering an existing name raises unless ``overwrite=True``
-    (guards against plugin name collisions).  ``fn`` may omit the
-    ``obs`` keyword (the pre-telemetry plugin convention); the
-    dispatcher then skips the live hook for that engine.
+    (guards against plugin name collisions).  ``fn`` takes the calling
+    convention of the module docstring, ``obs`` included.
     """
     if not name or name == "auto":
         raise ValueError(f"invalid engine name {name!r}")
@@ -133,7 +114,6 @@ def register_engine(
         fn=fn,
         supports_parents=supports_parents,
         description=description,
-        accepts_obs=_accepts_obs(fn),
     )
     _REGISTRY[name] = spec
     return spec
@@ -182,14 +162,15 @@ def solve_with_engine(
     if track_parents and not spec.supports_parents:
         raise ValueError(f"the {name} engine does not track parents")
     bound = obs.bind(name) if obs is not None else None
-    kwargs = {
-        "track_parents": track_parents,
-        "track_trace": track_trace,
-        "ledger": ledger,
-    }
-    if spec.accepts_obs:
-        kwargs["obs"] = bound
-    res = spec.fn(graph, source, radii, **kwargs)
+    res = spec.fn(
+        graph,
+        source,
+        radii,
+        track_parents=track_parents,
+        track_trace=track_trace,
+        ledger=ledger,
+        obs=bound,
+    )
     if bound is not None:
         bound.record_run(res)
     return res
@@ -197,59 +178,53 @@ def solve_with_engine(
 
 # --------------------------------------------------------------------- #
 # Built-in engines.  Every unified-loop engine is one table row: a
-# schedule factory ``(graph, radii) -> StepSchedule``, its
-# ``SsspResult.algorithm`` label and a description, served by one
-# adapter.  The core solver modules import the engine package, so the
-# two engines that live there (and ``as_radii``) are imported lazily.
+# schedule factory ``radii -> StepSchedule``, its ``SsspResult.algorithm``
+# label and a description, served by one adapter.  The treap reference
+# lives in the core solver modules, which import the engine package, so
+# it is imported lazily.
 # --------------------------------------------------------------------- #
-def _radius_schedule(graph, radii):
-    from ..core.radius_stepping import as_radii
-
-    return RadiusBucketSchedule(as_radii(graph, radii))
-
-
 _SCHEDULE_ENGINES = (
     (
         "vectorized",
-        _radius_schedule,
+        RadiusBucketSchedule,
         "radius-stepping",
         "Radius-Stepping on one flat frontier (auto's default)",
     ),
     (
         "bucket",
-        _radius_schedule,
+        RadiusBucketSchedule,
         "radius-stepping-bucket",
         "Radius-Stepping on one flat frontier (alias of vectorized)",
     ),
     (
         "dijkstra",
-        lambda graph, radii: DijkstraSchedule(),
+        lambda radii: DijkstraSchedule(),
         "dijkstra-steps",
         "equal-distance batched Dijkstra (r = 0)",
     ),
     (
         "delta",
-        lambda graph, radii: DeltaSchedule(),
+        lambda radii: DeltaSchedule(),
         "delta-stepping-engine",
         "Delta-stepping boundaries in the unified engine",
     ),
     (
         "delta-star",
-        lambda graph, radii: DeltaStarSchedule(),
+        lambda radii: DeltaStarSchedule(),
         "delta-star-stepping",
         "Delta*-stepping: floating min+Delta window, light/heavy arc split",
     ),
     (
         "rho",
-        lambda graph, radii: RhoSchedule(),
+        lambda radii: RhoSchedule(),
         "rho-stepping",
         "rho-stepping: settle the rho nearest frontier vertices per step",
     ),
     (
         "bellman-ford",
-        lambda graph, radii: BellmanFordSchedule(),
+        lambda radii: RadiusBucketSchedule(math.inf),
         "bellman-ford-engine",
-        "single-step Bellman-Ford (r = inf)",
+        "single-step Bellman-Ford: Radius-Stepping at r = inf",
     ),
 )
 
@@ -257,13 +232,11 @@ _SCHEDULE_ENGINES = (
 def _schedule_engine(factory, label: str) -> EngineFn:
     """The one adapter: the registry calling convention → :func:`run_engine`."""
 
-    def solve(
-        graph, source, radii, *, track_parents, track_trace, ledger, obs=None
-    ):
+    def solve(graph, source, radii, *, track_parents, track_trace, ledger, obs):
         return run_engine(
             graph,
             source,
-            factory(graph, radii),
+            factory(radii),
             track_parents=track_parents,
             track_trace=track_trace,
             ledger=ledger,
@@ -274,18 +247,10 @@ def _schedule_engine(factory, label: str) -> EngineFn:
     return solve
 
 
-def _bst(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
+def _bst(graph, source, radii, *, track_parents, track_trace, ledger, obs):
     from ..core.radius_stepping_bst import radius_stepping_bst
 
     return radius_stepping_bst(
-        graph, source, radii, track_trace=track_trace, ledger=ledger
-    )
-
-
-def _unweighted(graph, source, radii, *, track_parents, track_trace, ledger, obs=None):
-    from ..core.radius_stepping_unweighted import radius_stepping_unweighted
-
-    return radius_stepping_unweighted(
         graph, source, radii, track_trace=track_trace, ledger=ledger
     )
 
@@ -299,10 +264,4 @@ register_engine(
     _bst,
     supports_parents=False,
     description="faithful Algorithm-2 treap reference (slow; PRAM accounting)",
-)
-register_engine(
-    "unweighted",
-    _unweighted,
-    supports_parents=False,
-    description="§3.4 BFS-style engine (unit-weight graphs only)",
 )

@@ -29,8 +29,15 @@ schedules:
                            with a light/heavy arc split.
 :class:`RhoSchedule`       ρ-stepping: ``d_i`` = the ρ-th smallest frontier
                            distance (``np.partition`` over the frontier).
-:class:`BellmanFordSchedule`  ``d_i = ∞``: one step, substeps = rounds.
 ========================  ====================================================
+
+Bellman–Ford is ``RadiusBucketSchedule(math.inf)``: ``d_i = ∞``, so one
+step whose substeps are the rounds.  §3.4's unweighted variant is the
+radius schedule too: its flat BFS-style frontier (Lemma 3.10) is the
+frontier below, at any weights.  Of the radius choices only ``r ≡ 0``
+keeps a structure of its own, :class:`DijkstraSchedule`'s heap: each of
+its steps settles a single distance, where a few pops cost less than a
+scan of the whole frontier.
 
 The radius, ∆, ∆* and ρ schedules share one *flat frontier*: the
 reached, unsettled vertices, appended as segments on first touch and
@@ -63,7 +70,7 @@ __all__ = [
     "DeltaSchedule",
     "DeltaStarSchedule",
     "RhoSchedule",
-    "BellmanFordSchedule",
+    "as_radii",
     "default_rho",
     "suggest_delta",
 ]
@@ -89,6 +96,29 @@ class StepSchedule(Protocol):
 
     def split_active(self, bound: float) -> np.ndarray:
         """Line 5: unsettled vertices with ``δ(v) ≤ bound``."""
+
+
+def as_radii(graph, radii: float | np.ndarray | None) -> np.ndarray:
+    """Normalize a radii spec to a per-vertex float array.
+
+    ``None`` means zero radii (Dijkstra-like); a scalar is broadcast; an
+    array is validated for shape and non-negativity.  ``inf`` entries are
+    allowed (Bellman–Ford-like behaviour for those vertices).
+    """
+    n = graph.n
+    if radii is None:
+        return np.zeros(n)
+    if np.isscalar(radii):
+        val = float(radii)  # type: ignore[arg-type]
+        if val < 0 or math.isnan(val):
+            raise ValueError("radius must be non-negative")
+        return np.full(n, val)
+    arr = np.asarray(radii, dtype=np.float64)
+    if arr.shape != (n,):
+        raise ValueError(f"radii must have shape ({n},), got {arr.shape}")
+    if np.any(arr < 0) or np.any(np.isnan(arr)):
+        raise ValueError("radii must be non-negative and not NaN")
+    return arr
 
 
 def default_rho(graph) -> int:
@@ -167,16 +197,19 @@ class RadiusBucketSchedule(_FlatFrontier):
     splits exactly
     (:func:`repro.core.radius_stepping_bst.radius_stepping_bst`, pinned
     by the engine tests).
+
+    ``radii`` is anything :func:`as_radii` takes: ``None`` (r ≡ 0), a
+    scalar (``math.inf`` is Bellman–Ford) or a per-vertex array.
     """
 
     name = "radius-bucket"
 
-    def __init__(self, radii: np.ndarray | None) -> None:
+    def __init__(self, radii: float | np.ndarray | None) -> None:
         self._radii = radii
 
     def bind(self, kernel: RelaxationKernel) -> None:
         super().bind(kernel)
-        self.r = np.zeros(kernel.graph.n) if self._radii is None else self._radii
+        self.r = as_radii(kernel.graph, self._radii)
 
     def _bound(self, dist: np.ndarray, frontier: np.ndarray) -> float:
         return float((dist + self.r[frontier]).min())
@@ -346,32 +379,3 @@ class RhoSchedule(_FlatFrontier):
         if len(dist) <= self.rho:
             return float(dist.max())
         return float(np.partition(dist, self.rho - 1)[self.rho - 1])
-
-
-class BellmanFordSchedule:
-    """``r ≡ ∞``: a single step whose substeps are Bellman–Ford rounds.
-
-    Line 2 relaxes the source before the first substep, so the substep
-    count is the source's min-hop eccentricity: the last substep finds
-    nothing left to improve (or no unsettled head) and confirms
-    quiescence, as Theorem 3.2's ``k + 2`` counts its confirming
-    substep.
-    """
-
-    name = "bellman-ford"
-
-    def bind(self, kernel: RelaxationKernel) -> None:
-        self._kernel = kernel
-
-    def push(self, improved: np.ndarray) -> None:
-        pass  # no ordering structure: everything reached is active
-
-    def _pending(self) -> np.ndarray:
-        k = self._kernel
-        return np.isfinite(k.dist) & ~k.settled
-
-    def next_bound(self) -> float | None:
-        return math.inf if bool(self._pending().any()) else None
-
-    def split_active(self, bound: float) -> np.ndarray:
-        return np.nonzero(self._pending())[0]

@@ -517,7 +517,17 @@ def _arc_caps(graph: CSRGraph, rho: int, lightest_edges: bool) -> np.ndarray:
 
 
 def _check_sources(graph: CSRGraph, sources, rho: int) -> np.ndarray:
-    """Shared argument validation for the public batched entry points."""
+    """Shared argument validation for the public batched entry points.
+
+    A bool or non-integer source array raises :class:`TypeError`, as
+    :func:`~repro.graphs.validate.check_vertex` does for one source: a
+    cast would search from ``int(2.7) == 2`` or ``int(True) == 1``.  An
+    empty source list is legal, whatever its dtype.
+    """
+    sources = np.asarray(sources)
+    # NumPy's bool is not an integer dtype, so this rejects it too
+    if sources.size and not np.issubdtype(sources.dtype, np.integer):
+        raise TypeError(f"sources must be integer ids, got dtype {sources.dtype}")
     sources = np.ascontiguousarray(sources, dtype=np.int64)
     n = graph.n
     if len(sources) and not (

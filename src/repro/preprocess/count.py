@@ -23,9 +23,7 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..parallel.pool import parallel_map
 from .batched import iter_tree_blocks
-from .greedy import greedy_depth_mask
-from .select_batched import forest_dp_counts
-from .shortcut_one import full_depth_mask
+from .select_batched import HEURISTIC_RULES, check_heuristic, forest_dp_counts
 
 __all__ = ["ShortcutCounts", "count_shortcuts_sweep", "sample_sources"]
 
@@ -97,22 +95,14 @@ def _count_chunk(
             else:
                 prefix = np.minimum(rho, sizes)
             sub = blk.trim(prefix)
-            if "full" in counters:
-                # The (1,ρ) count is k-independent — shared depth rule
-                # (shortcut_one.full_depth_mask), computed once per ρ
-                # outside the k loop.
-                full_total = int(np.count_nonzero(full_depth_mask(sub.depth)))
             for k in ks:
-                if "greedy" in counters:
-                    counters["greedy"][(k, rho)] += int(
-                        np.count_nonzero(greedy_depth_mask(sub.depth, k))
-                    )
-                if "dp" in counters:
-                    counters["dp"][(k, rho)] += int(
+                for h in heuristics:
+                    rule = HEURISTIC_RULES[h]
+                    counters[h][(k, rho)] += int(
                         forest_dp_counts(sub, k).sum()
+                        if rule is None
+                        else np.count_nonzero(rule(sub.depth, k))
                     )
-                if "full" in counters:
-                    counters["full"][(k, rho)] += full_total
     return counters
 
 
@@ -134,9 +124,8 @@ def count_shortcuts_sweep(
     """
     if not ks or not rhos:
         raise ValueError("ks and rhos must be non-empty")
-    bad = set(heuristics) - {"greedy", "dp", "full"}
-    if bad:
-        raise ValueError(f"unknown heuristics: {sorted(bad)}")
+    for heuristic in heuristics:
+        check_heuristic(heuristic)
     sources = sample_sources(graph.n, num_sources, seed=seed)
     blocks = parallel_map(
         _count_chunk,

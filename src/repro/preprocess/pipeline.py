@@ -27,8 +27,7 @@ import numpy as np
 from ..graphs.build import add_shortcuts, induced_subgraph
 from ..graphs.csr import CSRGraph
 from ..parallel.pool import parallel_map
-from .scalar import HEURISTICS
-from .select_batched import batched_select
+from .select_batched import batched_select, check_heuristic
 
 __all__ = [
     "PreprocessResult",
@@ -205,8 +204,7 @@ def build_kr_graph(
     :class:`repro.obs.metrics.MetricsRegistry` as the
     ``preprocess_stage_seconds{stage}`` histogram.
     """
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}; try {sorted(HEURISTICS)}")
+    check_heuristic(heuristic)
     if k < 1:
         raise ValueError("k >= 1 required")
     if rho < 1:

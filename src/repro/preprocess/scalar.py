@@ -1,4 +1,4 @@
-"""The scalar heap reference for preprocessing, and the heuristic table.
+"""The scalar heap reference for preprocessing, and its per-tree walkers.
 
 One truncated heap Dijkstra per source (:func:`ball_search`), one
 :class:`BallTree` per ball (:func:`build_ball_tree`) and one per-tree
@@ -27,6 +27,7 @@ from ..graphs.csr import CSRGraph
 from .ball import ball_search
 from .dp import dp_select
 from .greedy import greedy_select
+from .select_batched import check_heuristic
 from .shortcut_one import full_select
 from .tree import (
     BallTree,
@@ -45,7 +46,8 @@ __all__ = [
 ]
 
 #: heuristic name -> (tree, k) -> selected local node ids: the per-tree
-#: §4.1–4.2 selectors, and the names ``build_kr_graph`` accepts.
+#: §4.1–4.2 selectors, one per name of
+#: :data:`~repro.preprocess.select_batched.HEURISTIC_RULES`.
 HEURISTICS: dict[str, Callable] = {
     "full": full_select,
     "greedy": greedy_select,
@@ -100,8 +102,7 @@ def scalar_select(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(r_ρ, src, dst, weight)``: radii plus the shortcut triples each
     tree's walker selects, concatenated in source order."""
-    if heuristic not in HEURISTICS:
-        raise ValueError(f"unknown heuristic {heuristic!r}; try {sorted(HEURISTICS)}")
+    check_heuristic(heuristic)
     select = HEURISTICS[heuristic]
     radii, trees = scalar_ball_trees(graph, sources, rho, include_ties=include_ties)
     src_l: list[np.ndarray] = []

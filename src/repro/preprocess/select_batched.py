@@ -59,7 +59,9 @@ from .shortcut_one import full_depth_mask
 from .tree import TreeBlock, _concat_or_empty
 
 __all__ = [
+    "HEURISTIC_RULES",
     "batched_select",
+    "check_heuristic",
     "forest_counts",
     "forest_dp_counts",
     "forest_dp_select",
@@ -71,16 +73,22 @@ __all__ = [
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: heuristic -> shared static depth rule (DP dispatches separately).
-_DEPTH_MASKS = {"greedy": greedy_depth_mask, "full": full_depth_mask}
+#: The §4.2 heuristics by name: the one table every entry point checks
+#: names against (:func:`check_heuristic`).  ``greedy`` and ``full``
+#: map to their static depth rule over a block's flat depth array;
+#: ``dp`` is the forest DP (:func:`forest_dp_select`) and maps to None.
+HEURISTIC_RULES = {"dp": None, "greedy": greedy_depth_mask, "full": full_depth_mask}
 
 
-def _check_heuristic(heuristic: str) -> None:
-    if heuristic != "dp" and heuristic not in _DEPTH_MASKS:
+def check_heuristic(heuristic: str):
+    """The depth rule of ``heuristic`` (None for ``dp``); an unknown name
+    raises :class:`ValueError` listing the known ones."""
+    try:
+        return HEURISTIC_RULES[heuristic]
+    except KeyError:
         raise ValueError(
-            f"unknown heuristic {heuristic!r}; "
-            f"try {sorted(('dp', *_DEPTH_MASKS))}"
-        )
+            f"unknown heuristic {heuristic!r}; try {sorted(HEURISTIC_RULES)}"
+        ) from None
 
 
 def _levels(depth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +201,10 @@ def forest_select_positions(
     ascending in local id within each slot — the exact concatenation
     order of the per-tree walkers.
     """
-    _check_heuristic(heuristic)
-    if heuristic == "dp":
+    rule = check_heuristic(heuristic)
+    if rule is None:
         return forest_dp_select(block, k)
-    return np.flatnonzero(_DEPTH_MASKS[heuristic](block.depth, k))
+    return np.flatnonzero(rule(block.depth, k))
 
 
 def forest_select(
@@ -205,7 +213,7 @@ def forest_select(
     """Per-tree selected local ids — ``HEURISTICS[heuristic](tree, k)``
     for every tree of the block, bit-identical, in one engine pass."""
     if block.num_trees == 0:
-        _check_heuristic(heuristic)
+        check_heuristic(heuristic)
         return []
     pos = forest_select_positions(block, heuristic, k)
     cuts = np.searchsorted(pos, block.offsets[1:-1])
@@ -217,10 +225,10 @@ def forest_select(
 def forest_counts(block: TreeBlock, heuristic: str, k: int) -> np.ndarray:
     """Per-tree selection sizes without materializing the selections
     (greedy/full) or the traceback (dp) — the Tables 2/3 fast path."""
-    _check_heuristic(heuristic)
-    if heuristic == "dp":
+    rule = check_heuristic(heuristic)
+    if rule is None:
         return forest_dp_counts(block, k)
-    mask = _DEPTH_MASKS[heuristic](block.depth, k)
+    mask = rule(block.depth, k)
     return np.bincount(block.slot_ids()[mask], minlength=block.num_trees)
 
 
@@ -258,7 +266,7 @@ def batched_select(
     Output equals :func:`~repro.preprocess.scalar.scalar_select` (the
     per-tree walkers over heap-searched trees) bit for bit.
     """
-    _check_heuristic(heuristic)  # before any ball search runs
+    check_heuristic(heuristic)  # before any ball search runs
     if k < 1:
         raise ValueError("k >= 1 required")
     radii_parts: list[np.ndarray] = []

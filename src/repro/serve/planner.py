@@ -304,6 +304,9 @@ class QueryPlanner:
         query misses, nothing is stored — concurrent identical misses
         still collapse onto one solve via single-flight).
     track_parents: cache parent rows too, enabling :meth:`route` paths.
+        Every engine but the treap reference ``bst`` tracks parents;
+        asking ``bst`` for them raises ``ValueError`` here, not on the
+        first query.
     stripes: lock stripes for concurrent access.  The effective count
         is clamped to ``capacity`` so every stripe owns at least one
         slot; ``stripes=1`` restores the serial planner's exact global
@@ -323,17 +326,10 @@ class QueryPlanner:
     ) -> None:
         resolved = solver.resolve_engine(engine)
         if track_parents and not get_engine(resolved).supports_parents:
-            if engine == "auto":
-                # "auto" may pick the parentless §3.4 engine (unit-weight
-                # augmented graph); parent tracking asks for route paths,
-                # so fall back to the general engine instead of failing
-                # the first query.
-                resolved = "vectorized"
-            else:
-                raise ValueError(
-                    f"the {resolved} engine does not track parents; "
-                    "pass track_parents=False or pick another engine"
-                )
+            raise ValueError(
+                f"the {resolved} engine does not track parents; "
+                "pass track_parents=False or pick another engine"
+            )
         self._setup(_EngineRows(solver, resolved, track_parents), capacity, stripes)
 
     @classmethod

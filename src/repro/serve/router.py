@@ -20,7 +20,9 @@ shard's boundary give exact distances inside it.  A query from source
    the true distance (an induced subgraph keeps every arc among its
    vertices).
 2. **Overlay solve** — one seeded solve on the prebuilt overlay graph,
-   seeded on ``∂A`` with ``rowA[∂A]``.  Because overlay arcs are
+   seeded on ``∂A`` with ``rowA[∂A]``, at ``r ≡ ∞`` (Bellman–Ford: the
+   overlay has no radii, and one step of rounds suits its few, dense
+   vertices).  Because overlay arcs are
    original cut edges plus exact within-shard boundary distances, the
    result ``ov_dist[b]`` is the true full-graph distance ``d(s, b)``
    for *every* boundary vertex of every shard: any shortest path
@@ -67,6 +69,7 @@ every other thread waits for that row.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -74,7 +77,7 @@ import numpy as np
 
 from ..engine.driver import run_engine
 from ..engine.registry import available_engines, get_engine
-from ..engine.schedules import BellmanFordSchedule
+from ..engine.schedules import RadiusBucketSchedule
 from ..graphs.csr import CSRGraph
 from ..graphs.validate import check_vertex
 from ..obs.trace import span
@@ -188,7 +191,7 @@ class _Stitcher:
             overlay = run_engine(
                 self._overlay,
                 None,
-                BellmanFordSchedule(),
+                RadiusBucketSchedule(math.inf),
                 seeds=(self.boundary_ov[shard_a][finite], seed_dist[finite]),
                 track_parents=self._track_parents,
             )

@@ -57,10 +57,9 @@ class RoutingService(PlannerSurface):
         striping / single-flight model.
     track_parents: record predecessors so :meth:`route` returns paths
         (the default — it is a *routing* service).  Distance-only
-        workloads should pass ``False``: it halves cached-row memory
-        and, on unit-weight graphs, lets ``engine="auto"`` keep the
-        specialized parentless §3.4 engine instead of falling back to
-        the general one.
+        workloads should pass ``False``: it halves cached-row memory.
+        Every engine tracks parents but the treap reference ``bst``,
+        which must be served with ``False``.
     """
 
     def __init__(

@@ -1,5 +1,7 @@
 """Unit + property tests for the vectorized Radius-Stepping engine."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,15 @@ from hypothesis import strategies as st
 
 from repro.core import (
     as_radii,
+    bfs,
     bfs_levels,
     dijkstra,
     dijkstra_minhop,
     radius_stepping,
 )
-from repro.engine import solve_with_engine
-from repro.graphs import from_edge_list
-from repro.graphs.generators import grid_2d, path_graph, star_graph
+from repro.engine import RadiusBucketSchedule, run_engine, solve_with_engine
+from repro.graphs import from_edge_list, unit_weights
+from repro.graphs.generators import grid_2d, path_graph, scale_free, star_graph
 from repro.graphs.weights import random_integer_weights
 from repro.pram import Ledger
 
@@ -88,6 +91,53 @@ class TestDegenerations:
         assert res.steps == rounds
 
 
+class TestUnitWeights:
+    """§3.4: on unit weights the ordered sets reduce to a flat BFS-style
+    frontier (Lemma 3.10), which is the frontier ``radius_stepping``
+    runs at any weights; these pin its semantics on hop metrics."""
+
+    def test_zero_radius_counts_bfs_levels(self):
+        g = grid_2d(6, 7)
+        res = radius_stepping(g, 0, 0.0)
+        assert res.steps == bfs(g, 0).steps
+        assert np.allclose(res.dist, bfs(g, 0).dist)
+
+    def test_distances_are_hops(self):
+        res = radius_stepping(path_graph(8), 0, 2.0)
+        assert res.dist.tolist() == list(range(8))
+
+    def test_unit_weights_give_the_hop_metric(self):
+        g = from_edge_list(3, [(0, 1, 2.5), (1, 2, 1.0)])
+        res = radius_stepping(unit_weights(g), 0, 0.0)
+        assert res.dist.tolist() == [0.0, 1.0, 2.0]
+
+    def test_scale_free_few_steps(self):
+        """Hubs keep the hop diameter tiny, so even moderate radii collapse
+        the run to a handful of steps (the paper's §5.3 webgraph story)."""
+        g = scale_free(300, attach=3, seed=0)
+        bfs_steps = radius_stepping(g, 0, 0.0).steps
+        ball_steps = radius_stepping(g, 0, 2.0).steps
+        assert ball_steps <= bfs_steps
+
+    def test_disconnected(self):
+        g = from_edge_list(5, [(0, 1, 1.0), (2, 3, 1.0)])
+        res = radius_stepping(g, 0, 1.0)
+        assert res.dist[1] == 1.0
+        assert np.isinf(res.dist[2:]).all()
+
+    def test_single_vertex(self):
+        res = radius_stepping(from_edge_list(1, []), 0, 0.0)
+        assert res.steps == 0 and res.dist[0] == 0.0
+
+    def test_trace(self):
+        g = grid_2d(5, 5)
+        res = radius_stepping(g, 0, 1.0, track_trace=True)
+        assert len(res.trace) == res.steps
+        assert sum(t.settled for t in res.trace) == g.n - 1
+        radii_seq = [t.radius for t in res.trace]
+        assert radii_seq == sorted(radii_seq)
+
+
 class TestInstrumentation:
     def test_trace_consistency(self):
         g = random_connected_graph(30, 70, seed=3)
@@ -146,6 +196,22 @@ class TestAsRadii:
         g = path_graph(3)
         with pytest.raises(ValueError):
             as_radii(g, np.zeros(4))
+
+    def test_one_definition_beside_the_schedule(self):
+        from repro.engine.schedules import as_radii as schedule_as_radii
+
+        assert as_radii is schedule_as_radii
+
+    def test_schedule_normalizes_through_it(self):
+        """``RadiusBucketSchedule`` takes what ``as_radii`` takes."""
+        g = path_graph(4)
+        for radii in (None, 1.0, math.inf, np.full(4, 2.0)):
+            res = run_engine(g, 0, RadiusBucketSchedule(radii))
+            assert res.dist.tolist() == [0.0, 1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="non-negative"):
+            run_engine(g, 0, RadiusBucketSchedule(-1.0))
+        with pytest.raises(ValueError, match="shape"):
+            run_engine(g, 0, RadiusBucketSchedule(np.zeros(5)))
 
     def test_bad_source(self):
         with pytest.raises(ValueError):

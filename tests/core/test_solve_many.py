@@ -82,13 +82,14 @@ class TestDispatch:
         sp.solve_many([0, 1, 2], n_jobs=2)
         assert sp.queries_answered == 3
 
-    def test_auto_resolves_unweighted(self):
-        sp = PreprocessedSSSP(grid_2d(6, 6), k=1, rho=4, heuristic="full")
-        if sp.graph.is_unweighted:
-            results = sp.solve_many([0, 5], n_jobs=2)
-            assert all(
-                r.algorithm == "radius-stepping-unweighted" for r in results
-            )
+    def test_auto_resolves_vectorized_on_unit_graph(self):
+        sp = PreprocessedSSSP(grid_2d(6, 6), k=1, rho=2, heuristic="full")
+        assert sp.graph.is_unweighted
+        results = sp.solve_many([0, 5], track_parents=True, n_jobs=2)
+        assert all(r.algorithm == "radius-stepping" for r in results)
+        path = results[0].path_to(35)
+        assert path[0] == 0 and path[-1] == 35
+        assert len(path) - 1 == results[0].dist[35] == 10
 
     def test_empty_batch(self, solver):
         _, sp = solver

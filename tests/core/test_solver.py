@@ -38,11 +38,18 @@ class TestCorrectness:
 
 
 class TestEngines:
-    def test_auto_picks_unweighted_on_unit_graph(self):
-        sp = PreprocessedSSSP(grid_2d(8, 8), k=1, rho=4, heuristic="full")
-        if sp.graph.is_unweighted:
-            res = sp.solve(0)
-            assert res.algorithm == "radius-stepping-unweighted"
+    def test_auto_picks_vectorized_on_unit_graph(self):
+        """Unit weights need no engine of their own: the flat frontier is
+        §3.4's, and it tracks parents."""
+        g = grid_2d(8, 8)
+        sp = PreprocessedSSSP(g, k=1, rho=2, heuristic="full")
+        assert sp.graph.is_unweighted
+        assert sp.resolve_engine("auto") == "vectorized"
+        res = sp.solve(0, track_parents=True)
+        assert res.algorithm == "radius-stepping"
+        path = res.path_to(63)
+        assert path[0] == 0 and path[-1] == 63
+        assert len(path) - 1 == res.dist[63] == dijkstra(g, 0).dist[63]
 
     def test_auto_picks_vectorized_on_weighted(self, weighted_solver):
         _, sp = weighted_solver

@@ -20,6 +20,22 @@ def graph():
     return random_connected_graph(120, 300, seed=5)
 
 
+@pytest.fixture
+def inapplicable():
+    """A registered engine that raises ``ValueError`` on every graph —
+    the documented "not applicable" signal a plugin with a precondition
+    gives."""
+    import repro.engine.registry as registry
+
+    def solve(graph, source, radii, **kwargs):
+        raise ValueError("test engine: not applicable to this graph")
+
+    name = "test-inapplicable"
+    registry.register_engine(name, solve, overwrite=True)
+    yield name
+    registry._REGISTRY.pop(name, None)
+
+
 class TestSampleSources:
     def test_distinct_and_in_range(self, graph):
         s = sample_sources(graph, 5, seed=1)
@@ -47,15 +63,15 @@ class TestRaceEngines:
         assert set(t) == set(DEFAULT_CANDIDATES)
         assert all(v > 0 for v in t.values())
 
-    def test_inapplicable_engines_dropped(self, graph):
-        # "unweighted" raises on weighted graphs — dropped, not fatal.
+    def test_inapplicable_engines_dropped(self, graph, inapplicable):
+        # an engine raising ValueError is dropped, not fatal
         t = race_engines(
-            graph, engines=("dijkstra", "unweighted"), samples=1, budget=5.0
+            graph, engines=("dijkstra", inapplicable), samples=1, budget=5.0
         )
         assert set(t) == {"dijkstra"}
 
-    def test_all_inapplicable_yields_empty(self, graph):
-        assert race_engines(graph, engines=("unweighted",), samples=1) == {}
+    def test_all_inapplicable_yields_empty(self, graph, inapplicable):
+        assert race_engines(graph, engines=(inapplicable,), samples=1) == {}
 
     def test_broken_engine_propagates(self, graph, monkeypatch):
         """Only ``ValueError`` means "inapplicable": a schedule that
@@ -89,15 +105,15 @@ class TestPickEngine:
         )
         assert choice in ("dijkstra", "delta")
 
-    def test_unweighted_engine_can_win_on_unit_graphs(self):
+    def test_race_completes_on_unit_graphs(self):
         # On a unit-weight grid every candidate works; just assert the
         # race completes and yields a valid engine either way.
         g = grid_2d(8, 8)
         choice = pick_engine(
-            g, engines=("unweighted", "dijkstra"), budget=0.5, samples=1
+            g, engines=("vectorized", "dijkstra"), budget=0.5, samples=1
         )
-        assert choice in ("unweighted", "dijkstra")
+        assert choice in ("vectorized", "dijkstra")
 
-    def test_no_survivors_raises(self, graph):
+    def test_no_survivors_raises(self, graph, inapplicable):
         with pytest.raises(ValueError, match="no candidate engine"):
-            pick_engine(graph, engines=("unweighted",), samples=1)
+            pick_engine(graph, engines=(inapplicable,), samples=1)

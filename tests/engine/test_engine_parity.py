@@ -7,7 +7,12 @@ edges, infinite radii — and compares against the sequential Dijkstra
 oracle and SciPy, in the style of ``tests/test_scipy_reference.py``.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +21,6 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from repro.core import dijkstra, dijkstra_minhop, radius_stepping_bst
 from repro.engine import (
-    BellmanFordSchedule,
     DeltaSchedule,
     DeltaStarSchedule,
     RadiusBucketSchedule,
@@ -45,10 +49,7 @@ from repro.preprocess import build_kr_graph
 from tests.helpers import assert_valid_parents, random_connected_graph
 
 ALL_ENGINES = available_engines()
-WEIGHTED_ENGINES = tuple(e for e in ALL_ENGINES if e != "unweighted")
-PARENT_ENGINES = tuple(
-    e for e in WEIGHTED_ENGINES if get_engine(e).supports_parents
-)
+PARENT_ENGINES = tuple(e for e in ALL_ENGINES if get_engine(e).supports_parents)
 
 
 def scipy_dist(graph, source):
@@ -66,7 +67,7 @@ def weighted_case():
 
 
 class TestDistanceParity:
-    @pytest.mark.parametrize("engine", WEIGHTED_ENGINES)
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_weighted_kr_graph(self, engine, weighted_case):
         graph, radii, ref = weighted_case
         res = solve_with_engine(engine, graph, 0, radii)
@@ -91,7 +92,7 @@ class TestDistanceParity:
         res = solve_with_engine(engine, g, 0, 0.0)
         assert res.dist.tolist() == [0.0]
 
-    @pytest.mark.parametrize("engine", WEIGHTED_ENGINES)
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_zero_weight_edges(self, engine):
         g = from_edge_list(4, [(0, 1, 0.0), (1, 2, 1.0), (2, 3, 0.0)])
         res = solve_with_engine(engine, g, 0, 0.5)
@@ -127,7 +128,7 @@ class TestDistanceParity:
         assert (a.steps, a.substeps) == (b.steps, b.substeps)
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("engine", WEIGHTED_ENGINES)
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_random_graphs_exact_integer_distances(self, engine, seed):
         """Integer weights sum exactly in float64, so every engine must be
         *bit-identical* to Dijkstra, not merely close."""
@@ -179,7 +180,7 @@ class TestCrossEngineFamilies:
         assert np.array_equal(res.parent, ref.parent)
 
     @pytest.mark.parametrize("family", sorted(FAMILY_GRAPHS))
-    @pytest.mark.parametrize("engine", WEIGHTED_ENGINES)
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_dist_bit_identical_integer_weights(self, engine, family):
         """Integer reweighting of each family: ties galore, but integer
         sums are exact in float64 so distances stay bit-identical (this
@@ -452,8 +453,9 @@ class TestFlatFrontier:
 
 class TestScheduleSemantics:
     def test_bellman_ford_schedule_single_step(self):
+        """Bellman–Ford is the radius schedule at r ≡ ∞."""
         g = random_connected_graph(25, 60, seed=1)
-        res = run_engine(g, 0, BellmanFordSchedule())
+        res = run_engine(g, 0, RadiusBucketSchedule(math.inf))
         assert res.steps == 1
         assert np.allclose(res.dist, dijkstra(g, 0).dist)
 
@@ -618,18 +620,54 @@ class TestBellmanFordEngine:
 
 class TestRegistry:
     def test_known_engines_present(self):
-        for name in (
+        assert set(ALL_ENGINES) >= {
             "vectorized",
             "bucket",
             "bst",
-            "unweighted",
             "dijkstra",
             "delta",
             "delta-star",
             "rho",
             "bellman-ford",
-        ):
-            assert name in ALL_ENGINES
+        }
+        assert "unweighted" not in ALL_ENGINES  # unit weights run vectorized
+
+    def test_only_the_treap_reference_lacks_parents(self):
+        assert set(ALL_ENGINES) - set(PARENT_ENGINES) == {"bst"}
+
+    def test_parent_engines_are_the_benchmark_sweep(self):
+        """perfbench sweeps every parent-tracking engine and prints
+        ``engine.sweep.<name>_ms`` for each, the names BENCHMARK.json
+        declares: a registry change that breaks the benchmark fails
+        here.  A fresh interpreter sees only the built-in engines, as a
+        benchmark run does (tests may register plugins)."""
+        root = Path(__file__).resolve().parents[2]
+        spec = json.loads((root / "BENCHMARK.json").read_text())
+        declared = {
+            m["name"].removeprefix("engine.sweep.").removesuffix("_ms")
+            for m in spec["per_layer"]
+            if m["name"].startswith("engine.sweep.")
+        }
+        code = (
+            "from layers import sweep_engines\n"
+            "from repro.engine import available_engines, get_engine\n"
+            "parents = [e for e in available_engines()"
+            " if get_engine(e).supports_parents]\n"
+            "assert sweep_engines() == parents, (sweep_engines(), parents)\n"
+            "print(' '.join(parents))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert set(out.stdout.split()) == declared
 
     def test_unknown_engine_lists_names(self):
         with pytest.raises(ValueError, match="registered engines"):
@@ -653,10 +691,27 @@ class TestRegistry:
         """A third-party schedule registers and serves like a built-in —
         the extension path examples/engine_plugins.py demonstrates."""
 
-        class EveryReachedSchedule(BellmanFordSchedule):
+        class EveryReachedSchedule:
+            """One step over every reached, unsettled vertex."""
+
             name = "test-every-reached"
 
-        def solve(graph, source, radii, *, track_parents, track_trace, ledger):
+            def bind(self, kernel):
+                self.kernel = kernel
+
+            def push(self, improved):
+                pass  # the active set is read off the kernel each step
+
+            def _pending(self):
+                return np.isfinite(self.kernel.dist) & ~self.kernel.settled
+
+            def next_bound(self):
+                return math.inf if self._pending().any() else None
+
+            def split_active(self, bound):
+                return np.flatnonzero(self._pending())
+
+        def solve(graph, source, radii, *, track_parents, track_trace, ledger, obs):
             return run_engine(
                 graph,
                 source,
@@ -664,6 +719,7 @@ class TestRegistry:
                 track_parents=track_parents,
                 track_trace=track_trace,
                 ledger=ledger,
+                obs=obs,
             )
 
         spec = register_engine("test-every-reached", solve, overwrite=True)

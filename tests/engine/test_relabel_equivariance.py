@@ -15,19 +15,15 @@ import pytest
 
 from repro.engine.registry import available_engines, get_engine, solve_with_engine
 from repro.graphs.reorder import available_orderings, reorder_graph
-from repro.graphs.weights import unit_weights
 
 from tests.helpers import assert_valid_parents, random_connected_graph
 
 RADII_SEED = 99
 
 
-def _case(engine):
-    """Integer weights so equality is exact; unit weights for the
-    unweighted engine (its registered contract)."""
+def _case():
+    """Integer weights so equality is exact."""
     g = random_connected_graph(60, 140, seed=31, weight_high=25)
-    if engine == "unweighted":
-        g = unit_weights(g)
     rng = np.random.default_rng(RADII_SEED)
     radii = rng.uniform(0.5, 6.0, g.n)
     return g, radii
@@ -36,7 +32,7 @@ def _case(engine):
 @pytest.mark.parametrize("engine", available_engines())
 @pytest.mark.parametrize("method", available_orderings())
 def test_dist_bit_identical_under_relabeling(engine, method):
-    g, radii = _case(engine)
+    g, radii = _case()
     res = reorder_graph(g, method, seed=41)
     source = 3
     a = solve_with_engine(engine, g, source, radii)
@@ -55,7 +51,7 @@ def test_parents_valid_under_relabeling(engine):
     spec = get_engine(engine)
     if not spec.supports_parents:
         pytest.skip(f"{engine} does not track parents")
-    g, radii = _case(engine)
+    g, radii = _case()
     res = reorder_graph(g, "rcm", seed=41)
     source = 3
     b = solve_with_engine(
@@ -80,7 +76,7 @@ def test_relaxation_count_invariant(engine):
     the fairness property the reorder benchmark relies on."""
     if engine in ("delta", "delta-star", "rho", "bst"):
         pytest.skip("schedule breaks distance ties by id")
-    g, radii = _case(engine)
+    g, radii = _case()
     res = reorder_graph(g, "random", seed=43)
     a = solve_with_engine(engine, g, 5, radii)
     b = solve_with_engine(

@@ -5,7 +5,8 @@ initial tentative distances.  A run seeded with ``(vertices, dists)``
 must therefore equal Dijkstra from a virtual source wired to every seed
 at its distance, on any graph the engine accepts: zero-weight arcs and
 parallel arcs included, under Radius-Stepping with random, zero and
-infinite radii and under Bellman–Ford.  With parents tracked, every
+infinite radii (r ≡ ∞ is the Bellman–Ford engine's schedule).  With
+parents tracked, every
 non-root's parent arc realizes its distance, and every root is a seed.
 """
 
@@ -18,7 +19,7 @@ from repro.core.dijkstra import dijkstra
 from repro.core.solver import PreprocessedSSSP
 from repro.engine.driver import run_engine
 from repro.engine.kernel import RelaxationKernel
-from repro.engine.schedules import BellmanFordSchedule, RadiusBucketSchedule
+from repro.engine.schedules import RadiusBucketSchedule
 from repro.graphs.build import from_arc_arrays
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import grid_2d
@@ -74,15 +75,15 @@ def seeded_cases(draw):
     return _multigraph(n, edges), vertices, dists, radii
 
 
-@pytest.mark.parametrize("schedule", ["radius", "bellman-ford"])
 @given(case=seeded_cases())
-def test_seeded_run_is_a_virtual_source_solve(schedule, case):
+def test_seeded_run_is_a_virtual_source_solve(case):
     graph, vertices, dists, radii = case
-    sched = (
-        RadiusBucketSchedule(radii) if schedule == "radius" else BellmanFordSchedule()
-    )
     res = run_engine(
-        graph, None, sched, seeds=(vertices, dists), track_parents=True
+        graph,
+        None,
+        RadiusBucketSchedule(radii),
+        seeds=(vertices, dists),
+        track_parents=True,
     )
     want = _virtual_source_oracle(graph, vertices, dists)
     assert np.array_equal(res.dist, want)
@@ -121,7 +122,8 @@ class TestSeedValidation:
 
     def test_no_seeds_reaches_nothing(self):
         res = run_engine(
-            self.g, None, BellmanFordSchedule(), seeds=([], []), track_parents=True
+            self.g, None, RadiusBucketSchedule(np.inf), seeds=([], []),
+            track_parents=True,
         )
         assert np.isinf(res.dist).all() and (res.parent == -1).all()
 

@@ -296,27 +296,3 @@ class TestEngineTelemetry:
         exp = parse(render(reg))
         assert exp.value("engine_step_settled_count", engine=engine) == res.steps
         assert exp.value("engine_step_substeps_count", engine=engine) == res.steps
-
-    def test_legacy_plugin_engine_still_gets_run_totals(self):
-        """A plugin registered without the ``obs`` keyword (the
-        pre-telemetry convention) must keep working, and the dispatcher
-        still folds its run totals in post-hoc."""
-        from repro.core import dijkstra
-        from repro.engine import register_engine, solve_with_engine
-        from repro.engine.registry import _REGISTRY
-        from tests.helpers import random_connected_graph
-
-        def legacy(graph, source, radii, *, track_parents, track_trace, ledger):
-            return dijkstra(graph, source, track_parents=track_parents)
-
-        g = random_connected_graph(20, 40, seed=3)
-        reg = MetricsRegistry()
-        name = "legacy-obs-test"
-        register_engine(name, legacy, description="test plugin")
-        try:
-            res = solve_with_engine(name, g, 0, obs=EngineTelemetry(reg))
-        finally:
-            _REGISTRY.pop(name, None)
-        assert res.dist is not None
-        exp = parse(render(reg))
-        assert exp.value("engine_solves_total", engine=name) == 1.0

@@ -172,3 +172,40 @@ class TestFullSelect:
         tree = make_tree(path_graph(3), 0, 3)
         with pytest.raises(ValueError):
             full_select(tree, 0)
+
+
+class TestHeuristicTable:
+    """One name table, the production engine's: every entry point checks
+    names against ``select_batched.HEURISTIC_RULES``."""
+
+    def test_scalar_walkers_cover_the_same_names(self):
+        from repro.preprocess.scalar import HEURISTICS
+        from repro.preprocess.select_batched import HEURISTIC_RULES
+
+        assert HEURISTICS.keys() == HEURISTIC_RULES.keys()
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["build_kr_graph", "batched_select", "scalar_select", "count_shortcuts_sweep"],
+    )
+    def test_unknown_name_rejected_alike(self, entry):
+        from repro.preprocess import (
+            batched_select,
+            build_kr_graph,
+            count_shortcuts_sweep,
+            scalar_select,
+        )
+
+        g = path_graph(5)
+        sources = np.arange(g.n)
+        call = {
+            "build_kr_graph": lambda: build_kr_graph(g, 2, 3, heuristic="nope"),
+            "batched_select": lambda: batched_select(g, sources, 3, 2, "nope"),
+            "scalar_select": lambda: scalar_select(g, sources, 3, 2, "nope"),
+            "count_shortcuts_sweep": lambda: count_shortcuts_sweep(
+                g, ks=(2,), rhos=(3,), heuristics=("dp", "nope")
+            ),
+        }[entry]
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "unknown heuristic 'nope'; try ['dp', 'full', 'greedy']"

@@ -55,8 +55,6 @@ class TestRemoteParity:
     def test_every_engine_bit_identical_over_the_wire(
         self, engine, partition, graph, sharded
     ):
-        if engine == "unweighted":
-            pytest.skip("unit-weight engine; covered by test_unweighted_engine")
         track_parents = get_engine(engine).supports_parents
         local = ShardRouter(
             sharded=sharded[partition], engine=engine, track_parents=track_parents
@@ -78,21 +76,24 @@ class TestRemoteParity:
             assert np.array_equal(a.distances, b.distances)
 
     @pytest.mark.parametrize("partition", PARTITIONERS)
-    def test_unweighted_engine(self, partition):
+    def test_unit_weight_graph(self, partition):
+        """A unit-weight augmented graph serves on the default engine,
+        parents included, bit-identically over the wire."""
         from repro.preprocess import build_sharded_kr_graph
 
         g = grid_2d(7, 9)
         sh = build_sharded_kr_graph(
             g, 1, 2, n_shards=N_SHARDS, partition=partition, heuristic="full"
         )
-        local = ShardRouter(sharded=sh, engine="unweighted", track_parents=False)
-        with ShardCluster(
-            sh, engine="unweighted", track_parents=False
-        ) as cluster:
+        local = ShardRouter(sharded=sh)
+        with ShardCluster(sh) as cluster:
             for s in (0, 30, g.n - 1):
                 assert np.array_equal(
                     local.distances(s), cluster.router.distances(s)
                 )
+            a, b = local.route(0, g.n - 1), cluster.router.route(0, g.n - 1)
+            assert a.distance == b.distance == 14.0
+            assert a.path == b.path and a.path[0] == 0 and a.path[-1] == g.n - 1
 
     def test_http_front_end_round_trip(self, graph, sharded):
         """The full three-hop path: client JSON -> front end -> binary

@@ -67,8 +67,6 @@ class TestSolverBoundary:
     @pytest.mark.parametrize("engine", available_engines())
     def test_solve_bit_identical_per_engine(self, graph, pair, engine):
         base, re = pair
-        if engine == "unweighted":
-            pytest.skip("unit-weight engine; graph is weighted")
         tp = get_engine(engine).supports_parents
         for s in (0, 17, 63):
             a = base.solve(s, engine=engine, track_parents=tp)

@@ -65,9 +65,9 @@ class TestQueries:
         assert np.array_equal(service.distances(3), dijkstra(graph, 3).dist)
 
     def test_default_config_works_on_unit_weight_graphs(self):
-        """auto would pick the parentless §3.4 engine on a unit-weight
-        augmented graph; the default track_parents=True service must
-        fall back to the general engine instead of failing queries."""
+        """On a unit-weight graph auto resolves to the general engine,
+        which tracks parents, so the default track_parents=True service
+        routes with paths."""
         from repro.graphs.generators import grid_2d
 
         g = grid_2d(6, 6)
@@ -84,7 +84,7 @@ class TestQueries:
 
         sp = PreprocessedSSSP(grid_2d(5, 5), k=1, rho=2, heuristic="full")
         with pytest.raises(ValueError, match="does not track parents"):
-            QueryPlanner(sp, engine="unweighted", track_parents=True)
+            QueryPlanner(sp, engine="bst", track_parents=True)
 
     def test_route(self, graph, service):
         route = service.route(3, 50)
@@ -119,5 +119,5 @@ class TestStats:
         assert s["k"] == 2 and s["rho"] == 8
         assert s["hits"] == 1 and s["misses"] == 1
         assert s["queries_answered"] >= 1
-        assert s["engine"] in ("vectorized", "unweighted")
+        assert s["engine"] == "vectorized"
         assert s["cached_rows"] == 1

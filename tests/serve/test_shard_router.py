@@ -102,8 +102,6 @@ class TestEveryEngineParity:
     def test_rows_routes_nearest_bit_identical(
         self, engine, family, partition, graphs, solvers, sharded
     ):
-        if engine == "unweighted":
-            pytest.skip("unit-weight engine; covered by TestUnitWeightFamily")
         g = graphs[family]
         track_parents = get_engine(engine).supports_parents
         service = RoutingService(
@@ -196,26 +194,27 @@ def test_zero_weight_cuts_route_without_parent_cycles(partition):
 
 
 class TestUnitWeightFamily:
-    """The §3.4 unit-weight engine, on a preprocessing whose augmented
-    graph stays unit-weight (k=1, tiny rho, full heuristic)."""
+    """A preprocessing whose augmented graph stays unit-weight (k=1, tiny
+    rho, full heuristic), served by the default engine with parents."""
 
     def setup_method(self):
         self.g = grid_2d(8, 10)
 
     @pytest.mark.parametrize("partition", PARTITIONERS)
-    def test_unweighted_engine_parity(self, partition):
+    def test_default_engine_parity(self, partition):
         from repro.preprocess import build_sharded_kr_graph
 
         sh = build_sharded_kr_graph(
             self.g, 1, 2, n_shards=3, partition=partition, heuristic="full"
         )
-        router = ShardRouter(sharded=sh, engine="unweighted", track_parents=False)
-        service = RoutingService(
-            self.g, k=1, rho=2, heuristic="full",
-            engine="unweighted", track_parents=False,
-        )
+        router = ShardRouter(sharded=sh)
+        service = RoutingService(self.g, k=1, rho=2, heuristic="full")
+        assert service.stats()["engine"] == "vectorized"
         for s in (0, 37, 79):
             assert np.array_equal(service.distances(s), router.distances(s))
+            a, b = service.route(s, 0), router.route(s, 0)
+            assert a.distance == b.distance
+            assert a.path[0] == b.path[0] == s and a.path[-1] == b.path[-1] == 0
 
 
 class TestRouterSurface:

@@ -23,12 +23,11 @@ from repro.core import (
     PreprocessedSSSP,
     bfs,
     landmark_sssp,
-    radius_stepping_unweighted,
 )
 from repro.engine import DeltaSchedule, run_engine, solve_with_engine
 from repro.graphs import generators, random_integer_weights, unit_weights
 
-from tests.helpers import random_connected_graph
+from tests.helpers import assert_valid_parents, random_connected_graph
 
 
 def _family(name, seed):
@@ -78,16 +77,16 @@ class TestFullPipelineAllFamilies:
         assert np.allclose(bfs(g, 0).dist, dijkstra(g, 0).dist)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_unweighted_engine_full_pipeline(self, family):
-        """§3.4 engine through PreprocessedSSSP on every family."""
+    def test_unit_weight_full_pipeline(self, family):
+        """Unit weights through PreprocessedSSSP on every family: the
+        default engine, parents included (§3.4 needs no engine of its
+        own)."""
         g = unit_weights(_family(family, seed=13))
         sp = PreprocessedSSSP(g, k=2, rho=6, heuristic="dp")
-        ref = dijkstra(g, 0).dist
-        if sp.graph.is_unweighted:
-            res = sp.solve(0, engine="unweighted")
-        else:  # shortcuts added weighted arcs; auto engine falls back
-            res = sp.solve(0)
-        assert np.allclose(res.dist, ref)
+        res = sp.solve(0, track_parents=True)
+        assert res.algorithm == "radius-stepping"
+        assert np.array_equal(res.dist, dijkstra(g, 0).dist)
+        assert_valid_parents(sp.graph, res.dist, res.parent, 0)
 
 
 class TestMultiSourceConsistency:
