@@ -1,16 +1,17 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures at the
-``tiny`` scale preset (n ≈ 1k per graph) so the whole suite completes in
-minutes on one core, and prints the rendered paper-style output — run
+The paper benches regenerate one of the paper's tables or figures at the
+``tiny`` scale preset (n ≈ 1k per graph) and print the rendered
+paper-style output; ``bench_scaling.py`` runs the n-sweep and every perf
+gate and writes ``BENCH_scaling.json``.  Run them all with
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_*.py --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q -s --benchmark-disable
 
-to see the regenerated tables alongside the timings (``bench_*.py``
-does not match pytest's default ``test_*.py`` file pattern, so the
-files are named explicitly).  The
-``--scale large`` CLI (``python -m repro.experiments``) produces the same
-reports closer to paper scale.
+(``bench_*.py`` does not match pytest's default ``test_*.py`` file
+pattern, so the files are named explicitly; ``--benchmark-only`` shows
+the paper benches' timings instead).  The ``--scale large`` CLI
+(``python -m repro.experiments``) produces the paper reports closer to
+paper scale.
 """
 
 from __future__ import annotations

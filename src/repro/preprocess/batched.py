@@ -64,7 +64,7 @@ path inside any ball (≤ ball size, typically far less), matching the
 lemma's parallel-Dijkstra-wave accounting.  Python/NumPy overhead is paid
 once per round instead of once per heap operation, which is where the
 measured speedup over the scalar reference comes from
-(``benchmarks/bench_preprocessing.py``).
+(``benchmarks/bench_scaling.py``).
 """
 
 from __future__ import annotations

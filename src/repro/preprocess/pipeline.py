@@ -347,13 +347,6 @@ class ShardedPreprocessResult:
         """Number of vertices of the partitioned input graph."""
         return len(self.labels)
 
-    def boundary_counts(self) -> list[int]:
-        """Boundary-vertex count per shard."""
-        counts = [0] * self.n_shards
-        for v in self.overlay_vertices:
-            counts[int(self.labels[v])] += 1
-        return counts
-
     def save(self, path) -> None:
         """Persist as a sharded serving bundle (directory of artifacts).
 

@@ -6,7 +6,7 @@ One truncated heap Dijkstra per source (:func:`ball_search`), one
 batched slot engine (:mod:`repro.preprocess.batched`) and the forest
 selection engine (:mod:`repro.preprocess.select_batched`); each
 function here is the plain per-source equivalent of one batched entry
-point, which the parity suites and ``benchmarks/bench_preprocessing.py``
+point, which the parity suites and ``benchmarks/bench_scaling.py``
 compare against bit for bit:
 
 =========================  =============================================

@@ -114,7 +114,7 @@ from .backends import (
     encode_rows,
 )
 from .planner import KNearest, Nearest, PointToPoint, Route, SingleSource
-from .surface import QuerySurface
+from .surface import QuerySurface, json_finite
 
 __all__ = ["RoutingHTTPServer", "serve"]
 
@@ -186,12 +186,6 @@ def _parse_int(text: str, what: str) -> int:
     return int(text)
 
 
-def _finite(value: float) -> float | None:
-    """JSON has no Infinity: unreachable distances become ``null``."""
-    value = float(value)
-    return value if np.isfinite(value) else None
-
-
 def _distances_payload(source: int, dist: np.ndarray) -> dict:
     finite = np.isfinite(dist)
     return {
@@ -210,7 +204,7 @@ def _route_payload(route: Route) -> dict:
         "type": "route",
         "source": int(route.source),
         "target": int(route.target),
-        "distance": _finite(route.distance),
+        "distance": json_finite(route.distance),
         "reachable": bool(np.isfinite(route.distance)),
         "path": None if route.path is None else [int(v) for v in route.path],
     }
@@ -500,7 +494,7 @@ class RoutingHTTPServer(ThreadingHTTPServer):
 
     Each connection is handled on its own thread; all of them funnel
     into the same surface, whose striped caches and single-flight tables
-    make that safe (and fast — see ``benchmarks/bench_serving.py``).
+    make that safe (and fast — see ``benchmarks/bench_scaling.py``).
 
     Use as a context manager for the full lifecycle, or call
     :meth:`start` / :meth:`close` explicitly::

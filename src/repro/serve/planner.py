@@ -54,7 +54,7 @@ worker threads):
 
 Hit/miss/eviction/coalescing/single-flight counters are exposed via
 :meth:`stats` for the serving benchmark
-(``benchmarks/bench_serving.py``) and the HTTP ``/stats`` endpoint.
+(``benchmarks/bench_scaling.py``) and the HTTP ``/stats`` endpoint.
 """
 
 from __future__ import annotations

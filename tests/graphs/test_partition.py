@@ -11,7 +11,7 @@ from repro.graphs import (
     register_partitioner,
 )
 from repro.graphs.build import from_edge_list
-from repro.graphs.generators import grid_2d, path_graph, small_world
+from repro.graphs.generators import grid_2d, path_graph, road_network, small_world
 from repro.graphs.partition import PARTITIONERS
 
 from tests.helpers import random_connected_graph
@@ -131,20 +131,19 @@ class TestPartitioners:
         assert part.shard_sizes().sum() == 7
 
 
+def _random_label_cut(g, n_shards: int) -> int:
+    """Edge cut of an arbitrary equal-size labeling."""
+    labels = np.random.default_rng(0).permutation(np.arange(g.n) % n_shards)
+    return sum(1 for u, v, _w in g.iter_edges() if labels[u] != labels[v])
+
+
 class TestContiguousLocality:
     def test_contiguous_cut_beats_random_labels_on_grid(self):
         """The point of the RCM range partition: far fewer cut edges
         than an arbitrary equal-size labeling."""
         g = grid_2d(12, 12)
         part = compute_partition(g, "contiguous", 4, seed=0)
-        rng = np.random.default_rng(0)
-        random_labels = rng.permutation(np.arange(g.n) % 4)
-        random_cut = sum(
-            1
-            for u, v, _w in g.iter_edges()
-            if random_labels[u] != random_labels[v]
-        )
-        assert part.edge_cut < random_cut / 2
+        assert part.edge_cut < _random_label_cut(g, 4) / 2
 
 
 class TestLddStructure:
@@ -157,6 +156,14 @@ class TestLddStructure:
         part = compute_partition(g, "ldd", 4, seed=1)
         assert part.balance < 2.0
         assert part.shard_sizes().min() > 0
+
+    def test_ldd_cut_beats_random_labels_on_road(self):
+        """Ball growing keeps a road map's shards local: under half the
+        cut of an arbitrary equal-size labeling, at bounded balance."""
+        g, _coords = road_network(800, seed=1)
+        part = compute_partition(g, "ldd", 4, seed=0)
+        assert part.balance < 2.0
+        assert part.edge_cut < _random_label_cut(g, 4) / 2
 
     def test_weighted_graph_accepted(self):
         g = random_connected_graph(70, 160, seed=3)

@@ -144,6 +144,7 @@ class TestLightestEdgesRestriction:
             g, 0, rho, include_ties=False, lightest_edges=True, weight_sorted=True
         )
         assert np.allclose(full.dist, restricted.dist)
+        assert restricted.edges_scanned <= full.edges_scanned
 
     def test_unweighted_no_sorting_needed(self):
         g = grid_2d(5, 5)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import max_steps_bound, max_substeps_bound
 from repro.core import dijkstra, dijkstra_minhop, radius_stepping
-from repro.graphs.generators import grid_2d
+from repro.graphs.generators import grid_2d, scale_free
 from repro.graphs.weights import random_integer_weights
 from repro.preprocess import build_kr_graph
 
@@ -90,6 +90,17 @@ class TestAccounting:
         greedy = build_kr_graph(g, 2, 10, heuristic="greedy")
         dp = build_kr_graph(g, 2, 10, heuristic="dp")
         assert dp.added_edges <= greedy.added_edges <= full.added_edges
+
+    def test_dp_gap_on_scale_free(self):
+        """§5.2: hubs off the (ki+1)-layer make greedy pay, DP does not —
+        at least twice DP's shortcut edges on a weighted power-law graph."""
+        web = random_integer_weights(
+            scale_free(600, attach=4, seed=9), low=1, high=100, seed=10
+        )
+        greedy = build_kr_graph(web, 3, 32, heuristic="greedy")
+        dp = build_kr_graph(web, 3, 32, heuristic="dp")
+        assert greedy.added_edges > 0
+        assert dp.added_edges * 2 <= greedy.added_edges
 
     def test_new_edges_le_added(self, weighted_grid):
         pre = build_kr_graph(weighted_grid, 2, 10, heuristic="dp")

@@ -9,20 +9,26 @@ from tests.test_examples import load_example
 
 
 def test_engine_plugins(capsys):
-    mod = load_example("engine_plugins")
-    mod.main(n=150, rho=8)
-    out = capsys.readouterr().out
-    assert "match Dijkstra" in out
-    assert "engine=geometric" in out
-    assert "engine=bucket" in out
-    # the example registers a real, reusable engine
-    from repro.engine import solve_with_engine
+    import repro.engine.registry as reg
+    from repro.engine import available_engines, solve_with_engine
     from repro.graphs.generators import grid_2d
 
-    g = grid_2d(5, 5)
-    res = solve_with_engine("geometric", g, 0, None)
-    assert res.algorithm == "geometric-stepping"
-    assert np.allclose(res.dist.max(), 8.0)
+    builtins = available_engines()
+    assert len(builtins) == 8 and "geometric" not in builtins
+    mod = load_example("engine_plugins")
+    try:
+        mod.main(n=150, rho=8)
+        out = capsys.readouterr().out
+        assert "match Dijkstra" in out
+        assert "engine=geometric" in out
+        assert "engine=bucket" in out
+        # the example registers a real, reusable engine
+        res = solve_with_engine("geometric", grid_2d(5, 5), 0, None)
+        assert res.algorithm == "geometric-stepping"
+        assert np.allclose(res.dist.max(), 8.0)
+    finally:
+        reg._REGISTRY.pop("geometric", None)
+    assert available_engines() == builtins
 
 
 def test_http_routing_service(capsys):
