@@ -7,9 +7,14 @@ the stage seconds, the ``vectorized`` solve with parents and SciPy's C
 Dijkstra on the same augmented graph and source (median of 5 fixed
 sources; each engine row must equal SciPy's bit for bit).  Per family it
 fits the exponent of ``ball_shortcuts`` seconds and of engine ms with
-:func:`repro.analysis.fit_power_law`.  Its two gates are constants: the
-engine over the floor at the largest n, and a ceiling per family on the
-``ball_shortcuts`` exponent.
+:func:`repro.analysis.fit_power_law`.  At the largest n the same sources
+also run stopped solves, as a served miss runs them: a route to a
+fixed-seed target and the 16 nearest vertices, each checked against the
+full solve bit for bit (distance, parent path, nearest list).  Its
+three gates are constants: the engine over the floor at the largest n,
+a ceiling per family on the ``ball_shortcuts`` exponent, and one on the
+stopped-solve time of a 0.8 route / 0.2 nearest mix over the full
+solve's.
 
 Every other gate reads its floor from the environment, where CI's
 ``bench`` job sets it (local default in brackets):
@@ -54,7 +59,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from repro.analysis import fit_power_law
+from repro.core.result import parent_path
 from repro.core.solver import PreprocessedSSSP
+from repro.engine import StopRule
 from repro.engine.autoselect import DEFAULT_CANDIDATES, pick_engine, race_engines
 from repro.engine.kernel import gather_frontier_arcs
 from repro.engine.registry import available_engines
@@ -82,6 +89,7 @@ from repro.serve import (
     ShardCluster,
     ShardRouter,
     load_artifact,
+    nearest_from_row,
     save_artifact,
 )
 
@@ -105,6 +113,18 @@ BALL_EXPONENT_MAX = {
     "erdos_renyi": 1.70,
     "scale_free": 2.15,
 }
+#: stopped-solve ms of a 0.8 route / 0.2 16-nearest mix over full-solve
+#: ms at the largest n: the largest of the runs BENCH_scaling.jsonl
+#: lists, + 0.1
+STOP_MIX_MAX = {
+    "road": 0.51,
+    "grid": 0.64,
+    "small_world": 0.64,
+    "erdos_renyi": 0.79,
+    "scale_free": 0.64,
+}
+#: ``k`` of the stopped nearest solves, as perfbench's ``/nearest`` asks
+NEAREST_K = 16
 STEPPING_BUDGET = 3.0
 REORDER_N = 150_000
 
@@ -147,13 +167,48 @@ def _best(fn, *args, repeats: int = 2, **kwargs):
     return best, result
 
 
+def _stopped_solves(sp, sources, family: str) -> dict:
+    """Per source, a full solve, a route stopped at a fixed-seed target
+    and a 16-nearest stopped solve, interleaved and best of 3 each (mean
+    ms over the sources).  Stopped answers must equal the full solve's
+    bit for bit."""
+    targets = np.random.default_rng(1).integers(0, sp.graph.n, len(sources))
+    ms = {"full": 0.0, "route": 0.0, "nearest": 0.0}
+    for s, t in zip(map(int, sources), map(int, targets)):
+        rules = {
+            "full": None,
+            "route": StopRule((t,)),
+            "nearest": StopRule(settled=NEAREST_K + 1),
+        }
+        best, res = dict.fromkeys(rules, math.inf), {}
+        for _ in range(3):
+            for kind, rule in rules.items():
+                t0 = time.perf_counter()
+                res[kind] = sp.solve(s, track_parents=True, stop=rule)
+                best[kind] = min(best[kind], time.perf_counter() - t0)
+        full, route = res["full"], res["route"]
+        assert route.dist[t] == full.dist[t], (family, s, t)
+        assert parent_path(route.parent, t) == full.path_to(t), (family, s, t)
+        want = nearest_from_row(s, full.dist, NEAREST_K)
+        got = nearest_from_row(s, res["nearest"].dist, NEAREST_K)
+        assert np.array_equal(got.vertices, want.vertices), (family, s)
+        assert np.array_equal(got.distances, want.distances), (family, s)
+        for kind in ms:
+            ms[kind] += best[kind] * 1e3 / len(sources)
+    return {
+        **{f"{kind}_ms": round(value, 3) for kind, value in ms.items()},
+        "mix_ratio": round((0.8 * ms["route"] + 0.2 * ms["nearest"]) / ms["full"], 3),
+    }
+
+
 def _sweep_point(family: str, n: int) -> dict:
     g = random_integer_weights(FAMILIES[family](n), low=1, high=1000, seed=0)
     pre = build_kr_graph(g, 2, 32, heuristic="dp", reorder="rcm")
     sp, aug = PreprocessedSSSP.from_preprocessed(pre), pre.graph
     mat = csr_matrix((aug.weights, aug.indices, aug.indptr), shape=(aug.n, aug.n))
     engine_ms, floor_ms = [], []
-    for s in np.random.default_rng(0).choice(g.n, 5, replace=False):
+    sources = np.random.default_rng(0).choice(g.n, 5, replace=False)
+    for s in sources:
         t0 = time.perf_counter()
         res = sp.solve(int(s), track_parents=True)
         t1 = time.perf_counter()
@@ -163,7 +218,7 @@ def _sweep_point(family: str, n: int) -> dict:
         engine_ms.append((t1 - t0) * 1e3)
         floor_ms.append((t2 - t1) * 1e3)
     engine, floor = statistics.median(engine_ms), statistics.median(floor_ms)
-    return {
+    point = {
         "family": family,
         "n": g.n,
         "augmented_arcs": int(aug.indptr[-1]),
@@ -175,6 +230,9 @@ def _sweep_point(family: str, n: int) -> dict:
         "floor_ms": round(floor, 3),
         "floor_ratio": round(engine / floor, 3),
     }
+    if n == SWEEP_N[-1]:
+        point["stopped"] = _stopped_solves(sp, sources, family)
+    return point
 
 
 def test_scaling_sweep(report):
@@ -201,6 +259,8 @@ def test_scaling_sweep(report):
         _gate(report, f"ball_exponent.{family}",
               exponents[family]["ball_shortcuts"]["exponent"],
               BALL_EXPONENT_MAX[family], ceiling=True)
+        _gate(report, f"stop_mix.{family}", largest[family]["stopped"]["mix_ratio"],
+              STOP_MIX_MAX[family], ceiling=True)
 
 
 def test_preprocessing_engines_vs_scalar(report):

@@ -6,6 +6,7 @@ parallel depth), so every solver reports them alongside the distances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -71,6 +72,11 @@ class SsspResult:
     algorithm: short solver name.
     params: solver parameters for provenance.
     trace: optional per-step :class:`StepTrace` list.
+    bound: ``∞`` for a run that finished.  A run stopped early by a
+        :class:`~repro.engine.driver.StopRule` reports its last ``d_i``:
+        ``dist`` and ``parent`` are final on every vertex with
+        ``dist ≤ bound``, and every other entry is a tentative distance
+        above it.
     """
 
     dist: np.ndarray
@@ -82,6 +88,7 @@ class SsspResult:
     algorithm: str = ""
     params: dict[str, Any] = field(default_factory=dict)
     trace: list[StepTrace] | None = None
+    bound: float = math.inf
 
     @property
     def reached(self) -> int:

@@ -40,12 +40,13 @@ from typing import Iterable
 
 import numpy as np
 
-from ..engine.driver import run_engine
+from ..engine.driver import StopRule, run_engine
 from ..engine.registry import available_engines, get_engine, solve_with_engine
 from ..engine.schedules import RadiusBucketSchedule
 from ..graphs.csr import CSRGraph
 from ..graphs.validate import check_vertex
 from ..obs.trace import span
+from ..parallel.chunking import resolve_jobs
 from ..parallel.pool import parallel_map
 from ..preprocess.pipeline import PreprocessResult, build_kr_graph
 from .result import SsspResult
@@ -56,24 +57,33 @@ __all__ = ["PreprocessedSSSP", "externalize_result"]
 Engine = str
 
 
-def _solve_chunk(payload: tuple, sources: np.ndarray) -> list[SsspResult]:
-    """Pool worker: answer one chunk of sources against the shared graph.
+def _solve_chunk(payload: tuple, positions: np.ndarray) -> list[SsspResult]:
+    """Pool worker: answer one chunk of the batch against the shared graph.
 
-    ``sources`` arrive already translated to internal numbering; results
-    are externalized in the worker (the per-row gather parallelizes with
-    the solves instead of serializing in the parent).
+    ``positions`` index the payload's sources and stop rules, which
+    arrive already translated to internal numbering; results are
+    externalized in the worker (the per-row gather parallelizes with the
+    solves instead of serializing in the parent).  ``obs`` is set only
+    on the in-process path.
     """
-    graph, radii, engine, track_parents, perm, inv = payload
+    graph, radii, engine, track_parents, perm, inv, sources, stops, obs = payload
     return [
         externalize_result(
             solve_with_engine(
-                engine, graph, int(s), radii, track_parents=track_parents
+                engine,
+                graph,
+                int(sources[i]),
+                radii,
+                track_parents=track_parents,
+                obs=obs,
+                stop=stops[i],
             ),
             perm,
             inv,
         )
-        for s in sources
+        for i in positions
     ]
+
 
 
 def externalize_result(
@@ -108,6 +118,7 @@ def externalize_result(
         algorithm=res.algorithm,
         params=res.params,
         trace=res.trace,
+        bound=res.bound,
     )
 
 
@@ -257,12 +268,12 @@ class PreprocessedSSSP:
         anything with ``bind(engine) -> handle`` where the handle has
         ``record_step``/``record_run``.  :meth:`solve` and
         :meth:`solve_seeded` pass the bound handle live into the engine
-        (a seeded solve under ``vectorized``, whose schedule it runs);
-        :meth:`solve_many` folds run totals
-        in post-hoc from the returned results, because fork-pool workers
-        mutate a copy-on-write *copy* of the registry that the parent
-        never sees.  Opt-in: the facade does no telemetry until a
-        serving layer (``RoutingService.instrument`` /
+        (a seeded solve under ``vectorized``, whose schedule it runs), and
+        so does :meth:`solve_many` when it runs in process; with a fork
+        pool it folds run totals in post-hoc from the returned results,
+        because workers mutate a copy-on-write *copy* of the registry
+        that the parent never sees.  Opt-in: the facade does no
+        telemetry until a serving layer (``RoutingService.instrument`` /
         ``ShardRouter.instrument``) installs one.
         """
         self._observer = obs
@@ -289,6 +300,16 @@ class PreprocessedSSSP:
             return "vectorized"
         return engine
 
+    def _internal_stop(self, stop: StopRule | None) -> StopRule | None:
+        """Check a rule's targets as vertices and map them to internal ids."""
+        if stop is None:
+            return None
+        n = self.graph.n
+        targets = [check_vertex(t, "target", n) for t in stop.targets]
+        if self._perm is not None:
+            targets = [int(self._perm[t]) for t in targets]
+        return StopRule(tuple(targets), int(stop.settled))
+
     def solve(
         self,
         source: int,
@@ -297,6 +318,7 @@ class PreprocessedSSSP:
         track_parents: bool = False,
         track_trace: bool = False,
         ledger=None,
+        stop: StopRule | None = None,
     ) -> SsspResult:
         """Exact shortest paths from ``source`` on the preprocessed graph.
 
@@ -314,8 +336,15 @@ class PreprocessedSSSP:
         (the facade translates at the boundary).  A bool or non-integer
         ``source`` raises :class:`TypeError`, one outside ``[0, n)``
         :class:`ValueError`.
+
+        ``stop`` (a :class:`~repro.engine.driver.StopRule`, targets in
+        input ids) lets a table engine end at the first step that
+        settles what it asks for; the result's ``bound`` then says which
+        entries are final (see :class:`~repro.core.result.SsspResult`).
+        ``bst`` and plugin engines ignore it and return a full row.
         """
         source = check_vertex(source, "source", self.graph.n)
+        stop = self._internal_stop(stop)
         self._count_queries(1)
         name = self.resolve_engine(engine)
         internal = source if self._perm is None else int(self._perm[source])
@@ -330,6 +359,7 @@ class PreprocessedSSSP:
                     track_trace=track_trace,
                     ledger=ledger,
                     obs=self._observer,
+                    stop=stop,
                 ),
                 self._perm,
                 self._inv,
@@ -346,6 +376,7 @@ class PreprocessedSSSP:
         engine: Engine = "auto",
         track_parents: bool = False,
         n_jobs: int = 1,
+        stops: Iterable[StopRule | None] | None = None,
     ) -> list[SsspResult]:
         """Answer a batch of queries; one result per source, input order.
 
@@ -361,11 +392,23 @@ class PreprocessedSSSP:
         reassembled in input order, so the output is identical for any
         ``n_jobs``.  Every source is checked as in :meth:`solve` before
         anything is solved.
+
+        ``stops`` gives one optional :class:`~repro.engine.driver.StopRule`
+        per source, as :meth:`solve` takes it; a repeated source is
+        solved once under the union of its rules (``None``, a full row,
+        covers every rule).
         """
         n = self.graph.n
         source_arr = np.asarray(
             [check_vertex(s, "source", n) for s in sources], dtype=np.int64
         )
+        rules = None
+        if stops is not None:
+            rules = [self._internal_stop(rule) for rule in stops]
+            if len(rules) != len(source_arr):
+                raise ValueError(
+                    f"{len(rules)} stop rules for {len(source_arr)} sources"
+                )
         name = self.resolve_engine(engine)
         # fail fast (unknown engine, unsupported parents) before forking
         spec = get_engine(name)
@@ -374,19 +417,30 @@ class PreprocessedSSSP:
         self._count_queries(len(source_arr))
         unique, inverse = np.unique(source_arr, return_inverse=True)
         internal = unique if self._perm is None else self._perm[unique]
+        merged: dict[int, StopRule | None] = {}
+        for i, rule in zip(inverse.tolist(), rules or ()):
+            if i not in merged:
+                merged[i] = rule
+            elif merged[i] is not None:
+                merged[i] = merged[i].union(rule)
+        # In process, the observer runs live inside the engine (per-step
+        # histograms included); fork-pool workers see only a
+        # copy-on-write copy of the registry, so their runs are folded
+        # in below from the returned results.
+        live = self._observer if resolve_jobs(n_jobs) == 1 else None
         payload = (
-            self.graph, self.radii, name, track_parents, self._perm, self._inv
+            self.graph, self.radii, name, track_parents, self._perm, self._inv,
+            internal, [merged.get(i) for i in range(len(unique))], live,
         )
         with span(
             "solver.solve_many", engine=name, sources=int(len(unique)),
             n_jobs=int(n_jobs),
         ):
-            blocks = parallel_map(_solve_chunk, payload, internal, n_jobs=n_jobs)
+            blocks = parallel_map(
+                _solve_chunk, payload, np.arange(len(unique)), n_jobs=n_jobs
+            )
         flat = [res for block in blocks for res in block]
-        if self._observer is not None:
-            # Telemetry is folded here, in the parent, from the returned
-            # results: fork-pool workers saw only a copy-on-write copy of
-            # the registry, so live in-worker observations would be lost.
+        if self._observer is not None and live is None:
             bound = self._observer.bind(name)
             for res in flat:
                 bound.record_run(res)

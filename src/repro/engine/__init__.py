@@ -22,7 +22,7 @@ from .schedules import (
     default_rho,
     suggest_delta,
 )
-from .driver import run_engine
+from .driver import StopRule, run_engine
 from .autoselect import pick_engine, race_engines
 from .registry import (
     EngineSpec,
@@ -41,6 +41,7 @@ __all__ = [
     "RelaxationKernel",
     "RhoSchedule",
     "StepSchedule",
+    "StopRule",
     "as_radii",
     "available_engines",
     "default_rho",

@@ -26,9 +26,20 @@ distances, so seeding ``(vertices, dists)`` gives
 distances inside a shard from exact distances on its boundary, or
 overlay distances from a shard's boundary row.  With parents tracked,
 every root of the parent forest is a seed.
+
+A :class:`StopRule` ends a run at the first step whose Line 10 covers a
+query.  After step ``i`` the settled set is ``{v | δ(v) ≤ d_i}``, and a
+settled vertex's distance and parent never change again, so a stopped
+run is an exact prefix of the full run: the same steps, and the same
+distances and parents on every vertex within its ``bound`` (the last
+``d_i``).  Every other vertex holds a tentative distance above the
+bound.  A run that finishes has ``bound = ∞``.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +48,30 @@ from ..core.result import SsspResult, StepTrace
 from .kernel import RelaxationKernel
 from .schedules import StepSchedule
 
-__all__ = ["run_engine"]
+__all__ = ["StopRule", "run_engine"]
+
+
+@dataclass(frozen=True)
+class StopRule:
+    """Stop once every vertex of ``targets`` is settled and at least
+    ``settled`` vertices are (the source counts).
+
+    A route to ``t`` needs ``StopRule(targets=(t,))``; the ``k`` nearest
+    vertices need ``StopRule(settled=k + 1)``.
+    """
+
+    targets: tuple[int, ...] = ()
+    settled: int = 0
+
+    def union(self, other: "StopRule | None") -> "StopRule | None":
+        """The rule that covers both; ``None`` (run to the end) covers
+        every rule."""
+        if other is None:
+            return None
+        targets = self.targets
+        if other.targets:
+            targets = tuple(sorted(set(targets).union(other.targets)))
+        return StopRule(targets, max(self.settled, other.settled))
 
 
 def run_engine(
@@ -52,6 +86,7 @@ def run_engine(
     algorithm_name: str | None = None,
     params: dict | None = None,
     obs=None,
+    stop: StopRule | None = None,
 ) -> SsspResult:
     """Run Algorithm 1 from ``source`` under ``schedule``.
 
@@ -73,6 +108,9 @@ def run_engine(
         per outer step with the frontier size and substep count.
         Run-level totals are recorded by the dispatch layer
         (:func:`repro.engine.registry.solve_with_engine`), not here.
+    stop: optional :class:`StopRule`, checked after Line 10.  A run it
+        stops reports ``bound`` = that step's ``d_i``; ``None`` runs to
+        the end (``bound = ∞``).
     """
     n = graph.n
     kernel = RelaxationKernel(
@@ -93,6 +131,9 @@ def run_engine(
     logn = kernel.logn
     steps = substeps_total = max_substeps = 0
     trace: list[StepTrace] | None = [] if track_trace else None
+    bound = math.inf
+    if stop is not None:
+        stop_targets = np.asarray(stop.targets, dtype=np.int64)
 
     while kernel.settled_count < n:
         # ---- Line 4: d_i from the schedule's extract-min -----------------
@@ -157,6 +198,13 @@ def run_engine(
             raise RuntimeError(
                 f"{schedule.name} schedule made no progress (empty step)"
             )
+        if (
+            stop is not None
+            and stop.settled <= kernel.settled_count < n
+            and kernel.settled[stop_targets].all()
+        ):
+            bound = float(d_i)
+            break
 
     return SsspResult(
         dist=kernel.dist,
@@ -168,4 +216,5 @@ def run_engine(
         algorithm=algorithm_name or f"{schedule.name}-stepping",
         params={"source": source} if params is None else params,
         trace=trace,
+        bound=bound,
     )

@@ -21,6 +21,14 @@ observations, others may ignore it — run-level totals are recorded
 uniformly by :func:`solve_with_engine` from the returned result either
 way.
 
+An engine registered with ``supports_stop=True`` also takes
+``stop=`` (a :class:`~repro.engine.driver.StopRule`) and may end its run
+at the first step that settles what the rule asks for; its result's
+``bound`` says how far the row is final.  Every table engine below does,
+through :func:`run_engine`.  :func:`solve_with_engine` passes a rule only
+to such engines, so ``bst`` and plugins keep the convention above and
+return full rows (``bound = ∞``), which answer every query.
+
 Built-in engines
 ----------------
 ``vectorized``    Radius-Stepping on one flat frontier (``auto``'s
@@ -48,7 +56,7 @@ from typing import Callable
 
 from ..core.result import SsspResult
 from ..graphs.validate import check_vertex
-from .driver import run_engine
+from .driver import StopRule, run_engine
 from .schedules import (
     DeltaSchedule,
     DeltaStarSchedule,
@@ -79,12 +87,15 @@ class EngineSpec:
     supports_parents: whether ``track_parents=True`` is honoured; the
         dispatcher raises ``ValueError`` up front instead of silently
         returning ``parent=None``.
+    supports_stop: whether ``fn`` takes ``stop=`` (see the module
+        docstring); without it a rule is not passed and the row is full.
     description: one-liner for ``available_engines`` listings.
     """
 
     name: str
     fn: EngineFn
     supports_parents: bool = True
+    supports_stop: bool = False
     description: str = ""
 
 
@@ -96,6 +107,7 @@ def register_engine(
     fn: EngineFn,
     *,
     supports_parents: bool = True,
+    supports_stop: bool = False,
     description: str = "",
     overwrite: bool = False,
 ) -> EngineSpec:
@@ -113,6 +125,7 @@ def register_engine(
         name=name,
         fn=fn,
         supports_parents=supports_parents,
+        supports_stop=supports_stop,
         description=description,
     )
     _REGISTRY[name] = spec
@@ -145,6 +158,7 @@ def solve_with_engine(
     track_trace: bool = False,
     ledger=None,
     obs=None,
+    stop: StopRule | None = None,
 ) -> SsspResult:
     """Dispatch one query through the registry (shared validation).
 
@@ -156,12 +170,16 @@ def solve_with_engine(
     the engine label is bound here (once per query, not per step) and
     run-level totals are folded in from the result after the solve, so
     every engine gets run telemetry even if it ignores the live hook.
+
+    ``stop`` reaches only engines registered with ``supports_stop``;
+    any other engine ignores it and returns a full row.
     """
     spec = get_engine(name)
     source = check_vertex(source, "source", graph.n)
     if track_parents and not spec.supports_parents:
         raise ValueError(f"the {name} engine does not track parents")
     bound = obs.bind(name) if obs is not None else None
+    extra = {"stop": stop} if stop is not None and spec.supports_stop else {}
     res = spec.fn(
         graph,
         source,
@@ -170,6 +188,7 @@ def solve_with_engine(
         track_trace=track_trace,
         ledger=ledger,
         obs=bound,
+        **extra,
     )
     if bound is not None:
         bound.record_run(res)
@@ -232,7 +251,9 @@ _SCHEDULE_ENGINES = (
 def _schedule_engine(factory, label: str) -> EngineFn:
     """The one adapter: the registry calling convention → :func:`run_engine`."""
 
-    def solve(graph, source, radii, *, track_parents, track_trace, ledger, obs):
+    def solve(
+        graph, source, radii, *, track_parents, track_trace, ledger, obs, stop=None
+    ):
         return run_engine(
             graph,
             source,
@@ -242,6 +263,7 @@ def _schedule_engine(factory, label: str) -> EngineFn:
             ledger=ledger,
             obs=obs,
             algorithm_name=label,
+            stop=stop,
         )
 
     return solve
@@ -257,7 +279,10 @@ def _bst(graph, source, radii, *, track_parents, track_trace, ledger, obs):
 
 for _name, _factory, _label, _description in _SCHEDULE_ENGINES:
     register_engine(
-        _name, _schedule_engine(_factory, _label), description=_description
+        _name,
+        _schedule_engine(_factory, _label),
+        supports_stop=True,
+        description=_description,
     )
 register_engine(
     "bst",

@@ -14,7 +14,8 @@ becomes a production serving story in cooperating parts:
   single-source / point-to-point / k-nearest batches onto one fan-out
   — thread-safe via striped locks and single-flight in-flight solve
   tracking, so a threaded front end drives one planner from every
-  worker thread.
+  worker thread.  A route or nearest miss stops at the step that
+  settles its answer, and the row answers what its bound covers.
 * :mod:`~repro.serve.surface` — :class:`QuerySurface`, the protocol
   every front end is constructed against, and the query methods and
   ``instrument()`` both implementations share.

@@ -85,6 +85,16 @@ def planner_cache_families(
         "counter",
         "concurrent misses that waited on another thread's solve",
     )
+    partial = MetricFamily(
+        "planner_partial_solves_total",
+        "counter",
+        "misses answered by a run stopped at the step that settled them",
+    )
+    extensions = MetricFamily(
+        "planner_extensions_total",
+        "counter",
+        "cached rows that did not cover a query and were solved further",
+    )
     inflight = MetricFamily(
         "planner_inflight_solves", "gauge", "sources being solved right now"
     )
@@ -101,8 +111,21 @@ def planner_cache_families(
         batches.samples.append(Sample("", base, float(st["batches"])))
         coalesced.samples.append(Sample("", base, float(st["coalesced"])))
         waits.samples.append(Sample("", base, float(st["single_flight_waits"])))
+        partial.samples.append(Sample("", base, float(st["partial_solves"])))
+        extensions.samples.append(Sample("", base, float(st["extensions"])))
         inflight.samples.append(Sample("", base, float(st["inflight"])))
-    return [lookups, evictions, rows, solves, batches, coalesced, waits, inflight]
+    return [
+        lookups,
+        evictions,
+        rows,
+        solves,
+        batches,
+        coalesced,
+        waits,
+        partial,
+        extensions,
+        inflight,
+    ]
 
 
 def stitched_cache_families(

@@ -22,13 +22,28 @@ s" — tiny reads against a source row someone else already paid for.
   request.
 
 Where rows come from is a **row source**: an object with
-``solve(sources) -> rows`` (one row per source, each with a read-only
-``dist`` and a ``parent`` array or ``None``) and the ``n`` /
-``engine`` / ``graph_hash`` it reports.  The constructor wraps a solver
-as the engine row source; :meth:`QueryPlanner.from_rows` takes any
-other, so the shard router's stitched rows sit behind this same cache,
-validation and single-flight core.  A route is the same parent walk
-for every row, engine or stitched.
+``solve(sources, stops) -> rows`` (one :class:`_Row` per source) and
+the ``n`` / ``engine`` / ``graph_hash`` it reports.  The constructor
+wraps a solver as the engine row source; :meth:`QueryPlanner.from_rows`
+takes any other, so the shard router's stitched rows sit behind this
+same cache, validation and single-flight core.  A route is the same
+parent walk for every row, engine or stitched.
+
+**A row answers what its bound covers.**  ``stops`` holds one
+:class:`~repro.engine.driver.StopRule` per source, or ``None`` for a
+full row: the union of what the batch asks of that source.  A table
+engine ends its run at the first step that settles it (Line 10 of
+Algorithm 1), and the row keeps that step's ``d_i`` as its ``bound``
+(``∞`` for a full row; a row source may always return full rows, as the
+stitcher does).  A route or distance to ``t`` hits when
+``dist[t] ≤ bound``, and a ``k``-nearest query when at least ``k + 1``
+vertices lie within the bound.  ``/distances``, a batch's
+:class:`SingleSource` queries and :meth:`QueryPlanner.warm` always
+solve fully.  A cached row that does not cover a query is a miss, and
+that source is solved again under the batch's rule; the cache never
+replaces a row with one of smaller bound.  Since a stopped run is an
+exact prefix of the full run, every answer is bit-identical to the full
+row's, whatever was cached before.
 
 Concurrency model (an HTTP/gRPC front end calls one planner from many
 worker threads):
@@ -44,9 +59,10 @@ worker threads):
   *concurrent* misses: the first thread to miss a source becomes its
   leader and runs the (coalesced) ``solve_many``; any other thread
   missing the same source in the meantime blocks on the leader's
-  event and receives the very same row object.  No duplicated solver
-  work, and answers stay bit-identical to the serial path because the
-  row is produced by the same ``solve_many`` call either way.
+  event and receives the very same row object if it covers the
+  thread's own query.  If it does not, the thread becomes a leader for
+  its own query: no answer ever comes from a row that does not cover
+  it.
 * Eviction is **per stripe** (each stripe owns ``capacity / N`` slots),
   so the global LRU order of the serial planner is only reproduced
   exactly with ``stripes=1``; total cached rows never exceed
@@ -59,6 +75,7 @@ Hit/miss/eviction/coalescing/single-flight counters are exposed via
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -68,6 +85,7 @@ import numpy as np
 
 from ..core.result import parent_path
 from ..core.solver import PreprocessedSSSP
+from ..engine.driver import StopRule
 from ..engine.registry import get_engine
 from ..graphs.validate import check_vertex, coerce_vertex
 from ..obs.trace import annotate, span
@@ -140,16 +158,23 @@ class Nearest:
 
 
 class _Row:
-    """One cached source row: read-only distance/parent arrays.
+    """One cached source row: read-only distance/parent arrays and the
+    ``bound`` up to which they are final (``∞`` for a full row).
 
-    Parents are stored as int32 whenever every vertex id fits (n ≤ 2³¹):
-    half the bytes of the engines' int64 rows, so the same cache memory
-    holds twice the parent rows.
+    ``settled`` counts the vertices within the bound.  Parents are
+    stored as int32 whenever every vertex id fits (n ≤ 2³¹): half the
+    bytes of the engines' int64 rows, so the same cache memory holds
+    twice the parent rows.
     """
 
-    __slots__ = ("dist", "parent")
+    __slots__ = ("dist", "parent", "bound", "settled")
 
-    def __init__(self, dist: np.ndarray, parent: np.ndarray | None) -> None:
+    def __init__(
+        self,
+        dist: np.ndarray,
+        parent: np.ndarray | None,
+        bound: float = math.inf,
+    ) -> None:
         dist = np.asarray(dist)
         dist.setflags(write=False)
         if parent is not None:
@@ -158,6 +183,22 @@ class _Row:
             parent.setflags(write=False)
         self.dist = dist
         self.parent = parent
+        self.bound = bound
+        # beyond the bound a stopped run leaves tentative distances, all
+        # above it, so the count is that of entries within the bound
+        self.settled = (
+            len(dist) if bound == math.inf else int(np.count_nonzero(dist <= bound))
+        )
+
+    def covers(self, need: StopRule | None) -> bool:
+        """Whether this row answers ``need`` (``None``: every vertex)."""
+        bound = self.bound
+        if bound == math.inf:
+            return True
+        if need is None or self.settled < need.settled:
+            return False
+        dist = self.dist
+        return all(dist[t] <= bound for t in need.targets)
 
 
 class _Stripe:
@@ -186,12 +227,13 @@ class _InFlight:
     """Single-flight record: the leader publishes ``row`` (or ``error``)
     and sets ``event``; followers wait on it instead of re-solving."""
 
-    __slots__ = ("event", "row", "error")
+    __slots__ = ("event", "row", "error", "need")
 
-    def __init__(self) -> None:
+    def __init__(self, need: StopRule | None) -> None:
         self.event = threading.Event()
         self.row = None
         self.error: BaseException | None = None
+        self.need = need
 
 
 def validate_query(query, n: int) -> None:
@@ -231,13 +273,25 @@ def normalize_query(query) -> SingleSource | PointToPoint | KNearest:
     )
 
 
-def nearest_from_row(source: int, dist: np.ndarray, k: int) -> Nearest:
-    """The k-nearest answer from a full distance row.
+def _need(query) -> StopRule | None:
+    """What a query asks of its source row: the rule that settles its
+    answer, or ``None`` for the full row."""
+    if isinstance(query, PointToPoint):
+        return StopRule(targets=(int(query.target),))
+    if isinstance(query, KNearest):
+        return StopRule(settled=int(query.k) + 1)
+    return None
 
-    Candidates are the reachable vertices other than the source, in
-    deterministic ``(distance, vertex)`` order with an argpartition
-    bound — so engine rows and stitched rows, which are bit-identical,
-    give bit-identical answers.
+
+def nearest_from_row(source: int, dist: np.ndarray, k: int) -> Nearest:
+    """The k-nearest answer from a distance row.
+
+    Candidates are the reachable vertices other than the source; the
+    answer is the first ``k`` of them in ``(distance, vertex)`` order.
+    Every candidate tied with the k-th distance is kept before the sort
+    (``argpartition`` alone would keep an arbitrary subset of them), so
+    the answer depends on the distances only: engine rows and stitched
+    rows, full or stopped past the k-th vertex, give the same list.
     """
     # candidates: reachable vertices other than the source — an
     # unreachable vertex must never be presented as "nearest"
@@ -248,11 +302,13 @@ def nearest_from_row(source: int, dist: np.ndarray, k: int) -> Nearest:
         empty = np.empty(0, dtype=np.int64)
         return Nearest(source, empty, np.empty(0))
     d = dist[others]
-    # deterministic (distance, vertex) order; argpartition bounds the
-    # sort to the k winners instead of all n
-    part = np.argpartition(d, k - 1)[:k] if k < len(others) else np.arange(len(others))
-    order = np.lexsort((others[part], d[part]))
-    take = part[order]
+    if k < len(others):
+        # the k-th smallest distance bounds the sort to its ties and
+        # everything below, instead of all n
+        kth = np.partition(d, k - 1)[k - 1]
+        keep = np.flatnonzero(d <= kth)
+        others, d = others[keep], d[keep]
+    take = np.lexsort((others, d))[:k]
     return Nearest(source, others[take], d[take])
 
 
@@ -276,9 +332,12 @@ class _EngineRows:
         self.n = solver.graph.n
         self.graph_hash = solver.graph.content_hash()
 
-    def solve(self, sources: list[int]) -> list[_Row]:
+    def solve(self, sources: list[int], stops: list) -> list[_Row]:
         results = self.solver.solve_many(
-            sources, engine=self.engine, track_parents=self.track_parents
+            sources,
+            engine=self.engine,
+            track_parents=self.track_parents,
+            stops=stops,
         )
         # Pop each result as its row is built, so its int64 parent is
         # freed before the next row's int32 copy: the batch never holds
@@ -287,7 +346,7 @@ class _EngineRows:
         rows = []
         while results:
             res = results.pop()
-            rows.append(_Row(res.dist, res.parent))
+            rows.append(_Row(res.dist, res.parent, res.bound))
         return rows
 
 
@@ -368,6 +427,8 @@ class QueryPlanner:
         self._batches = 0
         self._solves = 0
         self._flight_waits = 0
+        self._partial_solves = 0
+        self._extensions = 0
 
     @property
     def engine(self) -> str:
@@ -381,13 +442,14 @@ class QueryPlanner:
     def _stripe(self, source: int) -> _Stripe:
         return self._stripes[hash(source) % len(self._stripes)]
 
-    def _lookup(self, source: int):
-        """Cache probe; refreshes LRU recency, counts hit/miss."""
+    def _lookup(self, source: int, need: StopRule | None):
+        """Cache probe for ``need``; refreshes LRU recency, counts
+        hit/miss.  A cached row that does not cover ``need`` is a miss."""
         stripe = self._stripe(source)
         with stripe.lock:
             stripe.lookups += 1
             row = stripe.rows.get(source)
-            if row is None:
+            if row is None or not row.covers(need):
                 stripe.misses += 1
                 return None
             stripe.rows.move_to_end(source)
@@ -407,36 +469,64 @@ class QueryPlanner:
             return stripe.rows.get(source)
 
     def _insert(self, source: int, row) -> None:
+        """Cache ``row``, unless the cached row reaches further."""
         stripe = self._stripe(source)
         with stripe.lock:
             if stripe.capacity == 0:
                 return
-            stripe.rows[source] = row
+            cached = stripe.rows.get(source)
+            if cached is None or cached.bound <= row.bound:
+                stripe.rows[source] = row
             stripe.rows.move_to_end(source)
             while len(stripe.rows) > stripe.capacity:
                 stripe.rows.popitem(last=False)
                 stripe.evictions += 1
 
-    def _fetch_rows(self, sources: Iterable[int]) -> dict:
+    def _fetch_rows(self, needs: dict) -> dict:
         """The planning core: cache-hit what we can, coalesce the rest.
 
-        Distinct missing sources split into *leaders* (this thread won
-        the in-flight slot and solves them as one row-source batch)
-        and *followers* (another thread is already solving that source;
-        block on its event and share its row).  Every leader row is
-        inserted into the cache and published to the in-flight record
-        before any answer is built, so followers get the identical row
-        object even when ``capacity=0`` or an eviction races the wait.
+        ``needs`` maps each distinct source to the :class:`StopRule` its
+        queries need (``None``: a full row).  Missing sources split
+        into *leaders* (this thread won the in-flight slot and solves
+        them as one row-source batch) and *followers* (another thread is
+        already solving that source; block on its event and share its
+        row).  A follower whose need the published row does not cover
+        goes round again, as a leader if the slot is free.  Every
+        leader row is inserted into the cache and published to the
+        in-flight record before any answer is built, so followers get
+        the identical row object even when ``capacity=0`` or an
+        eviction races the wait.
         """
-        wanted: list[int] = []
-        seen: set[int] = set()
-        for s in sources:
-            s = int(s)
-            if s not in seen:
-                seen.add(s)
-                wanted.append(s)
         rows = {}
-        followers: list[tuple[int, _InFlight]] = []
+        missing = []
+        for s, need in needs.items():
+            row = self._lookup(s, need)
+            if row is None:
+                missing.append((s, need))
+            else:
+                rows[s] = row
+        while missing:
+            followers = self._lead_or_follow(missing, rows)
+            missing = []
+            for s, need, flight in followers:
+                flight.event.wait()
+                if flight.error is not None:
+                    raise flight.error
+                if flight.row.covers(need):
+                    rows[s] = flight.row
+                else:
+                    missing.append((s, need))
+            if followers:
+                with self._stats_lock:
+                    self._flight_waits += len(followers)
+        return rows
+
+    def _lead_or_follow(self, missing: list, rows: dict) -> list:
+        """Claim a flight for every ``(source, need)`` of ``missing`` that
+        has none and solve those as one batch into ``rows``; return
+        ``(source, need, flight)`` for each source another thread is
+        already solving."""
+        followers: list[tuple[int, StopRule | None, _InFlight]] = []
         # flights this thread leads but has not yet published; covered
         # end to end by the except below, so no exception anywhere in
         # the probe/salvage/solve region can strand a registered flight
@@ -444,30 +534,29 @@ class QueryPlanner:
         # source forever — its followers wait without a timeout)
         pending: list[tuple[int, _InFlight]] = []
         try:
-            for s in wanted:
-                row = self._lookup(s)
-                if row is not None:
-                    rows[s] = row
-                    continue
+            for s, need in missing:
                 with self._flight_lock:
                     flight = self._inflight.get(s)
                     if flight is None:
-                        flight = _InFlight()
+                        flight = _InFlight(need)
                         # track before making it discoverable, so the
                         # cleanup below always sees it
                         pending.append((s, flight))
                         self._inflight[s] = flight
                     else:
-                        followers.append((s, flight))
+                        followers.append((s, need, flight))
             # Close the probe→registration race: a previous leader may
             # have published this source (cache insert precedes flight
             # retirement) between our miss and our slot win — serve the
-            # cached row instead of re-solving it.
+            # cached row instead of re-solving it.  A cached row that
+            # does not cover the need is solved further.
+            extensions = 0
             i = 0
             while i < len(pending):
                 s, flight = pending[i]
                 row = self._peek(s)
-                if row is None:
+                if row is None or not row.covers(flight.need):
+                    extensions += row is not None
                     i += 1
                     continue
                 rows[s] = row
@@ -477,12 +566,15 @@ class QueryPlanner:
                 flight.event.set()
                 pending.pop(i)
             if pending:
-                missing = [s for s, _ in pending]
-                with span("planner.solve_missing", sources=len(missing)):
-                    solved = self._rows.solve(missing)
+                sources = [s for s, _ in pending]
+                with span("planner.solve_missing", sources=len(sources)):
+                    solved = self._rows.solve(sources, [f.need for _, f in pending])
+                partial = sum(row.bound < math.inf for row in solved)
                 with self._stats_lock:
                     self._batches += 1
-                    self._solves += len(missing)
+                    self._solves += len(sources)
+                    self._partial_solves += partial
+                    self._extensions += extensions
                 for row in solved:
                     s, flight = pending[0]
                     rows[s] = row
@@ -501,15 +593,7 @@ class QueryPlanner:
                     self._inflight.pop(s, None)
                 flight.event.set()
             raise
-        if followers:
-            for s, flight in followers:
-                flight.event.wait()
-                if flight.error is not None:
-                    raise flight.error
-                rows[s] = flight.row
-            with self._stats_lock:
-                self._flight_waits += len(followers)
-        return rows
+        return followers
 
     # ------------------------------------------------------------------ #
     # Answer construction
@@ -537,8 +621,16 @@ class QueryPlanner:
             validate_query(q, self._rows.n)
         engine = self._rows.engine
         with span("planner.execute", queries=len(normalized), engine=engine):
-            rows = self._fetch_rows(q.source for q in normalized)
-            distinct = len({int(q.source) for q in normalized})
+            needs: dict[int, StopRule | None] = {}
+            for q in normalized:
+                s = int(q.source)
+                need = _need(q)
+                if s not in needs:
+                    needs[s] = need
+                elif needs[s] is not None:
+                    needs[s] = needs[s].union(need)
+            rows = self._fetch_rows(needs)
+            distinct = len(needs)
             annotate(distinct_sources=distinct)
             with self._stats_lock:
                 self._coalesced += len(normalized) - distinct
@@ -563,7 +655,9 @@ class QueryPlanner:
         other entry point — ``warm([-1])`` raises instead of silently
         solving from vertex ``n - 1`` and caching it under key ``-1``.
         """
-        self._fetch_rows([check_vertex(s, "source", self._rows.n) for s in sources])
+        self._fetch_rows(
+            {check_vertex(s, "source", self._rows.n): None for s in sources}
+        )
 
     def stats(self) -> dict:
         """Counter snapshot for benchmarking and monitoring.
@@ -573,6 +667,10 @@ class QueryPlanner:
         concurrent traffic (a probe may land between two stripe reads),
         but at quiescence ``hits + misses == lookups`` and
         ``cached_rows <= capacity`` always hold.
+
+        ``partial_solves`` counts misses answered by a stopped run (a
+        row with a finite bound), ``extensions`` cached rows that did
+        not cover a query and were solved further.
         """
         lookups = hits = misses = evictions = cached = 0
         for stripe in self._stripes:
@@ -587,6 +685,8 @@ class QueryPlanner:
             batches = self._batches
             solves = self._solves
             flight_waits = self._flight_waits
+            partial_solves = self._partial_solves
+            extensions = self._extensions
         with self._flight_lock:
             inflight = len(self._inflight)
         return {
@@ -603,5 +703,7 @@ class QueryPlanner:
             "batches": batches,
             "solves": solves,
             "single_flight_waits": flight_waits,
+            "partial_solves": partial_solves,
+            "extensions": extensions,
             "inflight": inflight,
         }

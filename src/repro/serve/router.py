@@ -115,6 +115,8 @@ _AGG_KEYS = (
     "batches",
     "solves",
     "single_flight_waits",
+    "partial_solves",
+    "extensions",
     "inflight",
 )
 
@@ -129,13 +131,23 @@ _SHARD_KEYS = (
 )
 
 #: the stitched planner counters ``stats()["stitched"]`` reports.
-_STITCHED_KEYS = ("capacity", "cached_rows", "hits", "misses", "lookups", "evictions")
+_STITCHED_KEYS = (
+    "capacity",
+    "cached_rows",
+    "hits",
+    "misses",
+    "lookups",
+    "evictions",
+    "partial_solves",
+    "extensions",
+)
 
 
 class _Stitcher:
     """The row source of the router's planner: exact full rows stitched
     from one source row, one overlay solve and one seeded solve per
-    reached shard.
+    reached shard.  It ignores the planner's stop rules: every stitched
+    row is full (``bound = ∞``) and answers every query.
 
     Owns the topology-derived arrays and does no I/O of its own — every
     shard row comes from a backend.  It holds the backends and never
@@ -172,7 +184,7 @@ class _Stitcher:
         ]
         self._boundary_local = [self._local[ovv[b]] for b in self.boundary_ov]
 
-    def solve(self, sources: list[int]) -> list[_Row]:
+    def solve(self, sources: list[int], stops: list) -> list[_Row]:
         rows = []
         for source in sources:
             with span("router.stitch", source=source):

@@ -118,14 +118,27 @@ class TestMetricsEndpoint:
 
     def test_scrape_agrees_with_stats(self, stack):
         """/metrics and /stats are two views of the same counters."""
-        _surface, _registry, server = stack
+        surface, _registry, server = stack
         _get_json(f"{server.url}/distances/11")
+        # a stopped route row, then a query it does not cover
+        _get_json(f"{server.url}/route/13/14")
+        _get_json(f"{server.url}/nearest/13/40")
         _status, _hdrs, stats = _get_json(f"{server.url}/stats")
         exp = _scrape(server)
         lookups = sum(exp.series("planner_cache_lookups_total").values())
         assert lookups == stats["lookups"]
         evictions = sum(exp.series("planner_cache_evictions_total").values())
         assert evictions == stats["evictions"]
+        for key in ("partial_solves", "extensions"):
+            assert sum(exp.series(f"planner_{key}_total").values()) == stats[key]
+        if isinstance(surface, ShardRouter):
+            # shard source rows come from /distances and stitched rows
+            # are full, so nothing stops early
+            assert stats["partial_solves"] == stats["extensions"] == 0
+            assert stats["stitched"]["partial_solves"] == 0
+            assert stats["stitched"]["extensions"] == 0
+        else:
+            assert stats["partial_solves"] >= 1 and stats["extensions"] >= 1
 
     def test_error_responses_counted(self, stack):
         _surface, _registry, server = stack

@@ -2,10 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import dijkstra
 from repro.core.solver import PreprocessedSSSP
-from repro.serve import KNearest, Nearest, PointToPoint, QueryPlanner, Route, SingleSource
+from repro.engine import StopRule
+from repro.serve import (
+    KNearest,
+    Nearest,
+    PointToPoint,
+    QueryPlanner,
+    Route,
+    SingleSource,
+    nearest_from_row,
+)
 
 from tests.helpers import random_connected_graph
 
@@ -325,3 +336,116 @@ class TestValidation:
         row = planner.distances(np.int64(7))
         assert np.array_equal(row, dijkstra(g, 7).dist)
         planner.warm(np.array([1, 2], dtype=np.int64))
+
+
+class TestBoundedRows:
+    """A route or nearest miss stops at the step that settles its answer;
+    the row is cached with that bound and answers what the bound covers."""
+
+    @pytest.fixture(scope="class")
+    def road(self):
+        from repro.graphs.generators import road_network
+        from repro.graphs.weights import random_integer_weights
+
+        g = random_integer_weights(road_network(400, seed=2)[0], low=1, high=40, seed=3)
+        return g, PreprocessedSSSP(g, k=2, rho=8, reorder="rcm")
+
+    def test_route_miss_caches_a_stopped_row(self, road):
+        g, sp = road
+        planner = QueryPlanner(sp, track_parents=True)
+        full = sp.solve(4, track_parents=True)
+        near = int(np.argsort(full.dist)[3])
+        route = planner.route(4, near)
+        assert route.distance == full.dist[near]
+        assert route.path == tuple(full.path_to(near))
+        row = planner._peek(4)
+        assert row.bound < np.inf and row.dist[near] <= row.bound
+        stats = planner.stats()
+        assert (stats["partial_solves"], stats["extensions"]) == (1, 0)
+        # a vertex within the bound hits; everything else is a miss
+        inside = int(np.flatnonzero(row.dist <= row.bound)[-1])
+        assert planner.route(4, inside).distance == full.dist[inside]
+        assert planner.stats()["hits"] == 1
+
+    def test_uncovered_queries_extend_the_row(self, road):
+        g, sp = road
+        planner = QueryPlanner(sp, track_parents=True)
+        full = sp.solve(9, track_parents=True)
+        planner.nearest(9, 3)
+        bound = planner._peek(9).bound
+        mid = int(np.argsort(full.dist)[g.n // 2])
+        assert planner.route(9, mid).path == tuple(full.path_to(mid))
+        assert np.inf > planner._peek(9).bound > bound
+        assert np.array_equal(planner.distances(9), full.dist)
+        assert planner._peek(9).bound == np.inf
+        stats = planner.stats()
+        assert stats["misses"] == stats["solves"] == 3
+        assert stats["extensions"] == 2
+        # the full row now answers everything
+        planner.nearest(9, 50)
+        planner.route(9, 0)
+        assert planner.stats()["hits"] == 2
+
+    def test_nearest_needs_k_plus_one_settled(self, road):
+        _, sp = road
+        planner = QueryPlanner(sp)
+        planner.nearest(5, 4)
+        row = planner._peek(5)
+        assert row.settled >= 5
+        planner.nearest(5, row.settled - 1)
+        assert planner.stats()["hits"] == 1
+        planner.nearest(5, row.settled)
+        assert planner.stats()["misses"] == 2
+
+    def test_insert_never_lowers_the_bound(self, road):
+        _, sp = road
+        planner = QueryPlanner(sp)
+        planner.distances(6)
+        full = planner._peek(6)
+        planner._insert(6, planner._rows.solve([6], [StopRule(settled=3)])[0])
+        assert planner._peek(6) is full
+
+    def test_single_source_and_warm_always_solve_fully(self, road):
+        _, sp = road
+        planner = QueryPlanner(sp)
+        planner.warm([1])
+        planner.execute([PointToPoint(2, 3), SingleSource(2)])
+        assert planner._peek(1).bound == planner._peek(2).bound == np.inf
+        assert planner.stats()["partial_solves"] == 0
+
+    def test_answers_do_not_depend_on_the_cache(self, road):
+        """The same queries from a cold and from a full-row planner."""
+        g, sp = road
+        rng = np.random.default_rng(4)
+        cold = QueryPlanner(sp, track_parents=True, capacity=2)
+        warm = QueryPlanner(sp, track_parents=True)
+        for _ in range(40):
+            s, t = (int(v) for v in rng.integers(0, g.n, 2))
+            warm.warm([s])
+            q = [PointToPoint(s, t), KNearest(s, int(rng.integers(0, 30)))]
+            a, b = cold.execute(q), warm.execute(q)
+            assert a[0] == b[0]
+            assert np.array_equal(a[1].vertices, b[1].vertices)
+            assert np.array_equal(a[1].distances, b[1].distances)
+        assert cold.stats()["partial_solves"] > 0
+
+
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=40),
+    st.data(),
+)
+def test_nearest_from_row_ties_match_brute_force(values, data):
+    """(distance, vertex) order on rows full of ties, against a full
+    lexsort; unreachable vertices and the source never appear."""
+    dist = np.array(values, dtype=np.float64)
+    n = len(dist)
+    unreachable = data.draw(st.lists(st.integers(0, n - 1), max_size=n // 3))
+    dist[unreachable] = np.inf
+    source = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(0, n + 1))
+    got = nearest_from_row(source, dist, k)
+    others = np.flatnonzero(np.isfinite(dist))
+    others = others[others != source]
+    want = others[np.lexsort((others, dist[others]))][:k]
+    assert got.vertices.tolist() == want.tolist()
+    assert np.array_equal(got.distances, dist[want])

@@ -121,3 +121,29 @@ class TestStats:
         assert s["queries_answered"] >= 1
         assert s["engine"] == "vectorized"
         assert s["cached_rows"] == 1
+
+
+def test_served_misses_feed_live_step_telemetry():
+    """The in-process solve path passes the observer into the engine, so
+    a served miss fills the per-step histograms, not only run totals."""
+    from repro.graphs.generators import grid_2d
+    from repro.graphs.weights import random_integer_weights
+    from repro.obs import MetricsRegistry
+    from repro.obs.expo import parse, render
+
+    g = random_integer_weights(grid_2d(12, 12), low=1, high=9, seed=1)
+    svc = RoutingService(g, k=2, rho=16)
+    registry = MetricsRegistry()
+    svc.instrument(registry)
+    svc.route(0, 143)
+    svc.nearest(70, 5)
+    exp = parse(render(registry))
+    engine = svc.stats()["engine"]
+    assert exp.value("engine_solves_total", engine=engine) == 2
+    steps = exp.value("engine_solve_steps_sum", engine=engine)
+    assert steps >= 2
+    assert exp.value("engine_step_settled_count", engine=engine) == steps
+    assert exp.value("engine_step_substeps_count", engine=engine) == steps
+    assert exp.value("engine_step_substeps_sum", engine=engine) == exp.value(
+        "engine_solve_substeps_sum", engine=engine
+    )
