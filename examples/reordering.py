@@ -15,7 +15,7 @@ and the serving stack threads a chosen one end to end:
 3. **id-transparent serving** — a :class:`RoutingService` over the
    reordered preprocessing answers in *input* ids, bit-identical to an
    unreordered service (asserted here, per engine),
-4. **persist** — the permutation rides inside the version-3 artifact,
+4. **persist** — the permutation rides inside the serving artifact,
    so a warm-started service keeps both the layout and the id mapping.
 
 Run:  python examples/reordering.py

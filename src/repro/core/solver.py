@@ -41,7 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from ..engine.driver import StopRule, run_engine
-from ..engine.registry import available_engines, get_engine, solve_with_engine
+from ..engine.registry import get_engine, solve_with_engine
 from ..engine.schedules import RadiusBucketSchedule
 from ..graphs.csr import CSRGraph
 from ..graphs.validate import check_vertex
@@ -282,23 +282,15 @@ class PreprocessedSSSP:
     def resolve_engine(self, engine: Engine) -> str:
         """Map ``"auto"`` to a concrete registered engine name.
 
-        Preference order for ``"auto"``: the preprocessing record's
-        calibrated ``preferred_engine`` when it is set and still
-        registered (the per-graph measured winner an artifact carries),
-        else ``"vectorized"`` — Radius-Stepping on the flat frontier,
-        the one radius substrate, at any weights: on unit weights its
-        frontier is §3.4's BFS-style frontier.
+        ``"auto"`` is ``"vectorized"`` — Radius-Stepping on the flat
+        frontier, the one radius substrate, at any weights: on unit
+        weights its frontier is §3.4's BFS-style frontier.
 
-        Public because the serving layer keys caches and artifacts by
-        the *resolved* name — two requests for ``"auto"`` and
-        ``"vectorized"`` must share cache entries.
+        Public because the serving layer keys caches by the *resolved*
+        name — two requests for ``"auto"`` and ``"vectorized"`` must
+        share cache entries.
         """
-        if engine == "auto":
-            preferred = getattr(self._pre, "preferred_engine", "")
-            if preferred in available_engines():
-                return preferred
-            return "vectorized"
-        return engine
+        return "vectorized" if engine == "auto" else engine
 
     def _internal_stop(self, stop: StopRule | None) -> StopRule | None:
         """Check a rule's targets as vertices and map them to internal ids."""
@@ -322,8 +314,7 @@ class PreprocessedSSSP:
     ) -> SsspResult:
         """Exact shortest paths from ``source`` on the preprocessed graph.
 
-        ``engine="auto"`` resolves as :meth:`resolve_engine` says: a
-        calibrated winner, else ``"vectorized"``.  Any name from
+        ``engine="auto"`` resolves to ``"vectorized"``.  Any name from
         :func:`repro.engine.available_engines` is accepted — e.g.
         ``"rho"`` for ρ-stepping or ``"bst"`` for the faithful
         Algorithm-2 reference (slow; for validation and PRAM

@@ -23,7 +23,6 @@ from .schedules import (
     suggest_delta,
 )
 from .driver import StopRule, run_engine
-from .autoselect import pick_engine, race_engines
 from .registry import (
     EngineSpec,
     available_engines,
@@ -47,8 +46,6 @@ __all__ = [
     "default_rho",
     "gather_frontier_arcs",
     "get_engine",
-    "pick_engine",
-    "race_engines",
     "register_engine",
     "run_engine",
     "solve_with_engine",

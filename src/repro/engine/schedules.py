@@ -130,8 +130,7 @@ def default_rho(graph) -> int:
     the default leans large: a constant number of steps (n/16) with a
     floor of 64 so tiny graphs still batch.  Dong, Gu & Sun tune ρ in
     the millions for the same reason on native code — the right value
-    is workload-specific, which is exactly what
-    :func:`repro.engine.autoselect.pick_engine` measures.
+    is workload-specific.
     """
     return max(64, -(-graph.n // 16))
 

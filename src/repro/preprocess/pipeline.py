@@ -90,29 +90,23 @@ class PreprocessResult:
         *input* graph (pre-reordering — the graph the user hands to a
         serving process), so a persisted artifact can later be verified
         against the graph that process intends to query.
-    preferred_engine: the query engine measured fastest on the
-        augmented graph (``build_kr_graph(..., calibrate_engine=True)``
-        or :func:`repro.engine.autoselect.pick_engine`); ``""`` means
-        "never calibrated" and lets ``engine="auto"`` fall back to the
-        static default.  Persisted by serving artifacts.
     reorder: name of the locality ordering preprocessing ran under
         (:mod:`repro.graphs.reorder`); ``"natural"`` = input numbering.
     perm: external → internal id map (``perm[input_id] = internal_id``),
         or ``None`` for the identity (no reordering).  Persisted by
-        version-3 serving artifacts so the query facade can keep the
-        reordering invisible: every answer is translated back to input
-        ids at the boundary.
+        serving artifacts so the query facade can keep the reordering
+        invisible: every answer is translated back to input ids at the
+        boundary.
     inv_perm: the inverse map (``inv_perm[internal_id] = input_id``);
         ``None`` iff ``perm`` is.
     locality_before / locality_after: the
         :func:`~repro.graphs.reorder.mean_neighbor_gap` diagnostic of
         the input graph and of the (reordered) graph preprocessing ran
-        on; ``nan`` when never measured (hand-built records, pre-v3
-        artifacts).
+        on; ``nan`` when never measured (hand-built records).
     stage_seconds: wall-clock seconds per pipeline stage of this build
-        (``reorder`` / ``ball_shortcuts`` / ``merge`` / ``calibrate``) —
-        the telemetry a capacity planner reads; empty for hand-built
-        records and artifact rehydrations (loading is not building).
+        (``reorder`` / ``ball_shortcuts`` / ``merge``) — the telemetry
+        a capacity planner reads; empty for hand-built records and
+        artifact rehydrations (loading is not building).
     """
 
     graph: CSRGraph
@@ -123,7 +117,6 @@ class PreprocessResult:
     rho: int
     heuristic: str
     source_hash: str = ""
-    preferred_engine: str = ""
     reorder: str = "natural"
     perm: np.ndarray | None = field(default=None, repr=False)
     inv_perm: np.ndarray | None = field(default=None, repr=False)
@@ -158,8 +151,6 @@ def build_kr_graph(
     heuristic: str = "dp",
     include_ties: bool = True,
     n_jobs: int = 1,
-    calibrate_engine: bool = False,
-    calibration_budget: float = 1.0,
     reorder: str = "natural",
     reorder_seed: int = 0,
     registry=None,
@@ -176,30 +167,21 @@ def build_kr_graph(
     shortcut selections equal the scalar heap reference's
     (:func:`~repro.preprocess.scalar.scalar_select`) bit for bit.
 
-    ``calibrate_engine=True`` additionally races the registered query
-    engines on the augmented graph (a few sampled sources, about
-    ``calibration_budget`` seconds of wall clock per engine — see
-    :func:`repro.engine.autoselect.pick_engine`) and stamps the winner
-    into ``PreprocessResult.preferred_engine``, where serving
-    artifacts persist it and ``engine="auto"`` queries pick it up.
-    Preprocessing is run once per graph; this folds the one-time tuning
-    cost into the same amortized budget.
-
     ``reorder`` renumbers the vertices with a locality ordering from
     :mod:`repro.graphs.reorder` (``"bfs"``, ``"rcm"``, ``"degree"``,
     ``"random"``; ``"natural"`` = keep the input numbering) *before* any
     preprocessing runs, so the augmented graph, the radii and every
     later query enjoy the cache-friendly layout.  The permutation and
-    its inverse are recorded in the result (and in version-3 serving
-    artifacts); :class:`repro.core.solver.PreprocessedSSSP` translates
+    its inverse are recorded in the result (and in serving artifacts);
+    :class:`repro.core.solver.PreprocessedSSSP` translates
     ids at the query boundary, so callers never see internal numbering
     — the reordering is invisible except for speed.  ``source_hash``
     stays the hash of the *input* graph for the same reason.
 
     Every build times its stages into ``PreprocessResult.stage_seconds``
-    (``reorder``, ``ball_shortcuts``, ``merge``, ``calibrate`` — the
-    batched engine runs ball construction and §4.2 selection fused, so
-    they are timed as one stage).  ``registry`` optionally
+    (``reorder``, ``ball_shortcuts``, ``merge`` — the batched engine
+    runs ball construction and §4.2 selection fused, so they are timed
+    as one stage).  ``registry`` optionally
     mirrors the same durations into a
     :class:`repro.obs.metrics.MetricsRegistry` as the
     ``preprocess_stage_seconds{stage}`` histogram.
@@ -254,14 +236,6 @@ def build_kr_graph(
             w = np.concatenate([b[3] for b in blocks])
     with clock.stage("merge"):
         aug = add_shortcuts(graph, src, dst, w)
-    preferred = ""
-    if calibrate_engine and aug.n:
-        # lazy import: preprocessing must not depend on the engine layer
-        # unless calibration is requested.
-        from ..engine.autoselect import pick_engine
-
-        with clock.stage("calibrate"):
-            preferred = pick_engine(aug, radii, budget=calibration_budget)
     return PreprocessResult(
         graph=aug,
         radii=radii,
@@ -271,7 +245,6 @@ def build_kr_graph(
         rho=rho,
         heuristic=heuristic,
         source_hash=input_graph.content_hash(),
-        preferred_engine=preferred,
         reorder=reorder,
         perm=perm,
         inv_perm=inv_perm,
@@ -386,8 +359,6 @@ def build_sharded_kr_graph(
     heuristic: str = "dp",
     include_ties: bool = True,
     n_jobs: int = 1,
-    calibrate_engine: bool = False,
-    calibration_budget: float = 1.0,
     registry=None,
 ) -> ShardedPreprocessResult:
     """Partition → per-shard (k,ρ)-preprocessing → boundary overlay.
@@ -435,8 +406,6 @@ def build_sharded_kr_graph(
         "rho": rho,
         "heuristic": heuristic,
         "include_ties": include_ties,
-        "calibrate_engine": calibrate_engine,
-        "calibration_budget": calibration_budget,
     }
     with clock.stage("shard_preprocess"):
         blocks = parallel_map(

@@ -74,7 +74,7 @@ ARTIFACT_FORMAT = "repro-kr-artifact"
 
 #: the one bundle version this build writes and reads; any other
 #: version raises :class:`ArtifactVersionError` (re-run preprocessing).
-ARTIFACT_VERSION = 3
+ARTIFACT_VERSION = 4
 
 #: array fields of a bundle, in checksum preimage order.  ``perm`` is
 #: the external→internal vertex permutation, so a bundle built with a
@@ -89,7 +89,6 @@ _META_FIELDS = (
     ("added_edges", int),
     ("new_edges", int),
     ("source_hash", str),
-    ("preferred_engine", str),
     ("reorder", str),
     ("locality_before", float),
     ("locality_after", float),
@@ -156,34 +155,14 @@ def save_artifact(path: str | Path, pre: PreprocessResult) -> Path:
         "radii": np.ascontiguousarray(pre.radii, dtype=np.float64),
         "perm": np.ascontiguousarray(perm, dtype=np.int64),
     }
-    meta = (
-        int(pre.k),
-        int(pre.rho),
-        str(pre.heuristic),
-        int(pre.added_edges),
-        int(pre.new_edges),
-        str(pre.source_hash),
-        str(getattr(pre, "preferred_engine", "") or ""),
-        str(getattr(pre, "reorder", "natural") or "natural"),
-        float(getattr(pre, "locality_before", float("nan"))),
-        float(getattr(pre, "locality_after", float("nan"))),
-    )
+    fields = {name: cast(getattr(pre, name)) for name, cast in _META_FIELDS}
     with open(path, "wb") as fh:
         np.savez(
             fh,
             format=ARTIFACT_FORMAT,
             version=np.int64(ARTIFACT_VERSION),
-            k=np.int64(pre.k),
-            rho=np.int64(pre.rho),
-            heuristic=str(pre.heuristic),
-            added_edges=np.int64(pre.added_edges),
-            new_edges=np.int64(pre.new_edges),
-            source_hash=str(pre.source_hash),
-            preferred_engine=meta[6],
-            reorder=meta[7],
-            locality_before=np.float64(meta[8]),
-            locality_after=np.float64(meta[9]),
-            payload_hash=_payload_hash(arrays, meta),
+            **fields,
+            payload_hash=_payload_hash(arrays, tuple(fields.values())),
             **arrays,
         )
     return path
@@ -329,18 +308,18 @@ def load_artifact(
             f"{path} is missing required fields: {', '.join(missing)}"
         )
     arrays = {name: bundle[name] for name in _ARRAY_FIELDS}
-    meta = tuple(cast(bundle[f]) for f, cast in _META_FIELDS)
-    if _payload_hash(arrays, meta) != str(bundle["payload_hash"]):
+    fields = {name: cast(bundle[name]) for name, cast in _META_FIELDS}
+    if _payload_hash(arrays, tuple(fields.values())) != str(bundle["payload_hash"]):
         raise ArtifactCorruptError(
             f"{path} failed its payload checksum — the stored arrays or "
             "metadata were altered after the artifact was written"
         )
     if expect_graph is not None:
-        expected = expect_graph.content_hash()
-        if meta[5] != expected:
+        expected, recorded = expect_graph.content_hash(), fields["source_hash"]
+        if recorded != expected:
             raise ArtifactGraphMismatchError(
                 f"{path} was preprocessed from a different graph "
-                f"(artifact source hash {meta[5] or '<unrecorded>'}, "
+                f"(artifact source hash {recorded or '<unrecorded>'}, "
                 f"serving graph hash {expected})"
             )
     # The checksum certified the arrays byte-identical to what the save
@@ -396,18 +375,9 @@ def load_artifact(
     return PreprocessResult(
         graph=graph,
         radii=radii,
-        added_edges=meta[3],
-        new_edges=meta[4],
-        k=meta[0],
-        rho=meta[1],
-        heuristic=meta[2],
-        source_hash=meta[5],
-        preferred_engine=meta[6],
-        reorder=meta[7],
         perm=perm,
         inv_perm=None,  # recomputed lazily by PreprocessedSSSP
-        locality_before=meta[8],
-        locality_after=meta[9],
+        **fields,
     )
 
 
@@ -473,7 +443,7 @@ def save_sharded_artifact(
           manifest.json    format, version, partition + (k,ρ) metadata,
                            and a blake2b file hash for every member
                            (the manifest itself carries its own digest)
-          shard_0000.npz   one complete v3 artifact per shard
+          shard_0000.npz   one complete v4 artifact per shard
           ...              (:func:`save_artifact` — internal checksums
                            and mmap support come along for free)
           overlay.npz      the boundary-overlay CSR

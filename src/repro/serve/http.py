@@ -122,6 +122,10 @@ __all__ = ["RoutingHTTPServer", "serve"]
 #: thousands of queries fits in a few KiB; anything bigger is abuse).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: seconds between the accept loop's shutdown checks: ``close()`` waits
+#: up to one interval for the loop to stop.
+_POLL_INTERVAL = 0.05
+
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
 #: the endpoint label values request metrics may carry.  Labels must be
@@ -590,7 +594,10 @@ class RoutingHTTPServer(ThreadingHTTPServer):
         if self._thread is not None:
             raise RuntimeError("server already started")
         self._thread = threading.Thread(
-            target=self.serve_forever, name="routing-http", daemon=True
+            target=self.serve_forever,
+            args=(_POLL_INTERVAL,),
+            name="routing-http",
+            daemon=True,
         )
         self._thread.start()
         return self

@@ -125,7 +125,6 @@ _SHARD_KEYS = (
     *_AGG_KEYS,
     "engine",
     "queries_answered",
-    "preferred_engine",
     "reorder",
     "locality",
 )
@@ -593,11 +592,11 @@ class ShardRouter(PlannerSurface):
         transport: from ``backend.stats()`` — the service's own
         ``stats()`` in process, its ``GET /stats`` across the wire.  An
         entry carries the shard's planner counters, resolved engine,
-        ``queries_answered`` and preprocessing provenance
-        (``preferred_engine``, ``reorder``, sanitized ``locality``); the
-        counters are also summed into the top level.  ``engine`` is the
-        engine every answering shard runs, ``"mixed"`` when they differ
-        and ``None`` when no shard answered.  A shard whose server is
+        ``queries_answered`` and preprocessing provenance (``reorder``,
+        sanitized ``locality``); the counters are also summed into the
+        top level.  ``engine`` is the engine every answering shard runs,
+        ``"mixed"`` when they differ and ``None`` when no shard
+        answered.  A shard whose server is
         unreachable appears as ``{"unavailable": true}`` instead of
         failing the whole call.
 

@@ -180,15 +180,13 @@ class RoutingService(PlannerSurface):
         """Planner counters plus preprocessing provenance.
 
         ``engine`` is the planner's *resolved* engine (what every query
-        actually dispatches to), ``preferred_engine`` the calibrated
-        winner stored by preprocessing (``""`` when never calibrated),
-        and ``engines`` the full registry with per-engine descriptions
-        — enough for an operator at ``GET /stats`` to see which engine
-        an artifact selected and what the alternatives are.  ``reorder``
-        names the locality ordering preprocessing ran under and
-        ``locality`` its mean-neighbor-gap diagnostic (input layout vs
-        the layout queries actually run on; ``null`` when the artifact
-        predates the diagnostic).
+        actually dispatches to) and ``engines`` the full registry with
+        per-engine descriptions — enough for an operator at
+        ``GET /stats`` to see which engine answers and what the
+        alternatives are.  ``reorder`` names the locality ordering
+        preprocessing ran under and ``locality`` its mean-neighbor-gap
+        diagnostic (input layout vs the layout queries actually run on;
+        ``null`` when it was never measured).
 
         Topology fields mirror the sharded surface
         (:meth:`repro.serve.router.ShardRouter.stats`): a single-graph
@@ -208,7 +206,6 @@ class RoutingService(PlannerSurface):
             "n": self._solver.graph.n,
             "m": self._solver.graph.m,
             "shortcut_edges": pre.new_edges,
-            "preferred_engine": getattr(pre, "preferred_engine", ""),
             "reorder": getattr(pre, "reorder", "natural"),
             "locality": {
                 "before": json_finite(getattr(pre, "locality_before", float("nan"))),

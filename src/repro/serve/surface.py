@@ -43,8 +43,9 @@ def json_finite(value) -> float | None:
 
     ``stats()`` payloads are served verbatim as JSON, and ``NaN`` /
     ``Infinity`` are not JSON — every surface implementation sanitizes
-    unmeasured diagnostics (pre-v3 artifacts carry ``nan`` locality)
-    through this one helper so they agree on ``null``.
+    unmeasured diagnostics (a hand-built preprocessing record, and an
+    artifact saved from one, carries ``nan`` locality) through this one
+    helper so they agree on ``null``.
     """
     value = float(value)
     return value if math.isfinite(value) else None

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import dijkstra
 from repro.core.solver import PreprocessedSSSP
-from repro.graphs.generators import grid_2d, scale_free
+from repro.graphs.generators import grid_2d, road_network, scale_free
+from repro.graphs.weights import random_integer_weights
 
 from tests.helpers import random_connected_graph
 
@@ -54,6 +55,70 @@ class TestEngines:
     def test_auto_picks_vectorized_on_weighted(self, weighted_solver):
         _, sp = weighted_solver
         assert sp.solve(0).algorithm == "radius-stepping"
+
+    @pytest.mark.parametrize("family", ["unit-grid", "random", "scale-free", "road"])
+    def test_auto_is_vectorized_on_every_family(self, family):
+        """``auto`` names one engine whatever the graph: its answer, with
+        parents, is ``vectorized``'s bit for bit."""
+        make = {
+            "unit-grid": lambda: grid_2d(9, 9),
+            "random": lambda: random_connected_graph(80, 200, seed=3),
+            "scale-free": lambda: random_integer_weights(
+                scale_free(80, seed=2), low=1, high=20, seed=2
+            ),
+            "road": lambda: random_integer_weights(
+                road_network(90, seed=1)[0], low=1, high=40, seed=1
+            ),
+        }
+        g = make[family]()
+        sp = PreprocessedSSSP(g, k=2, rho=8)
+        assert sp.resolve_engine("auto") == "vectorized"
+        auto = sp.solve(0, track_parents=True)
+        ref = sp.solve(0, engine="vectorized", track_parents=True)
+        assert np.array_equal(auto.dist, ref.dist)
+        assert np.array_equal(auto.parent, ref.parent)
+        assert np.allclose(auto.dist, dijkstra(g, 0).dist)
+
+    def test_registered_plugin_leaves_auto_alone(self, weighted_solver):
+        """Registering an engine adds an explicit name; ``auto`` still
+        resolves to ``vectorized`` and the plugin runs only when named."""
+        import repro.engine.registry as registry
+
+        calls = []
+
+        def solve(graph, source, radii, **kwargs):
+            calls.append(source)
+            return registry.solve_with_engine("dijkstra", graph, source, radii)
+
+        registry.register_engine("test-named-only", solve, supports_parents=False)
+        try:
+            g, sp = weighted_solver
+            assert sp.resolve_engine("auto") == "vectorized"
+            assert sp.resolve_engine("test-named-only") == "test-named-only"
+            sp.solve(4)
+            assert calls == []
+            res = sp.solve(4, engine="test-named-only")
+            assert len(calls) == 1
+            assert np.allclose(res.dist, dijkstra(g, 4).dist)
+        finally:
+            registry._REGISTRY.pop("test-named-only", None)
+
+    def test_plugin_error_propagates(self, weighted_solver):
+        """An engine's ``ValueError`` reaches the caller: no other engine
+        is tried in its place."""
+        import repro.engine.registry as registry
+
+        def solve(graph, source, radii, **kwargs):
+            raise ValueError("test engine: not applicable to this graph")
+
+        registry.register_engine("test-inapplicable", solve)
+        try:
+            _, sp = weighted_solver
+            with pytest.raises(ValueError, match="not applicable"):
+                sp.solve(0, engine="test-inapplicable")
+            assert sp.solve(0).algorithm == "radius-stepping"
+        finally:
+            registry._REGISTRY.pop("test-inapplicable", None)
 
     def test_engines_agree(self, weighted_solver):
         _, sp = weighted_solver

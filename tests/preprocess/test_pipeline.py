@@ -16,7 +16,7 @@ from repro.analysis import max_steps_bound, max_substeps_bound
 from repro.core import dijkstra, dijkstra_minhop, radius_stepping
 from repro.graphs.generators import grid_2d, scale_free
 from repro.graphs.weights import random_integer_weights
-from repro.preprocess import build_kr_graph
+from repro.preprocess import build_kr_graph, build_sharded_kr_graph
 
 from tests.helpers import random_connected_graph
 
@@ -139,3 +139,42 @@ class TestValidation:
         b = build_kr_graph(g, 2, 6, heuristic="dp", n_jobs=2)
         assert a.graph == b.graph
         assert np.array_equal(a.radii, b.radii)
+
+
+class TestStageTiming:
+    """Every build times exactly its own stages, into the result and,
+    when a registry is given, into ``preprocess_stage_seconds{stage}``."""
+
+    BUILDS = {
+        "single": (
+            lambda g, **kw: build_kr_graph(g, 2, 6, **kw),
+            {"reorder", "ball_shortcuts", "merge"},
+        ),
+        "sharded": (
+            lambda g, **kw: build_sharded_kr_graph(g, 2, 6, n_shards=2, **kw),
+            {"partition", "shard_preprocess", "overlay"},
+        ),
+    }
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_stage_seconds_names_every_stage(self, weighted_grid, build):
+        run, stages = self.BUILDS[build]
+        timed = run(weighted_grid).stage_seconds
+        assert set(timed) == stages
+        assert all(s >= 0.0 for s in timed.values())
+
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    def test_registry_observes_each_stage_once(self, weighted_grid, build):
+        from repro.obs import MetricsRegistry
+        from repro.obs.expo import parse, render
+
+        run, stages = self.BUILDS[build]
+        reg = MetricsRegistry()
+        timed = run(weighted_grid, registry=reg).stage_seconds
+        exp = parse(render(reg))
+        for stage in stages:
+            assert exp.value("preprocess_stage_seconds_count", stage=stage) == 1.0
+            assert exp.value(
+                "preprocess_stage_seconds_sum", stage=stage
+            ) == pytest.approx(timed[stage])
+        assert len(exp.series("preprocess_stage_seconds_count")) == len(stages)

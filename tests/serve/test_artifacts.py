@@ -23,6 +23,7 @@ from repro.serve import (
     load_solver,
     save_artifact,
 )
+from repro.serve.artifacts import _ARRAY_FIELDS, _META_FIELDS, _payload_hash
 
 from tests.helpers import random_connected_graph
 
@@ -41,6 +42,15 @@ def saved(case, tmp_path):
     path = tmp_path / "kr.npz"
     save_artifact(path, pre)
     return g, pre, path
+
+
+def _restamp_payload_hash(fields):
+    """Set ``fields["payload_hash"]`` to the checksum of the (possibly
+    edited) bundle fields, reading the format from the artifact module."""
+    meta = tuple(cast(fields[name]) for name, cast in _META_FIELDS)
+    fields["payload_hash"] = _payload_hash(
+        {name: fields[name] for name in _ARRAY_FIELDS}, meta
+    )
 
 
 class TestRoundTrip:
@@ -85,6 +95,20 @@ class TestRoundTrip:
         path = tmp_path / "hook.npz"
         pre.save(path)
         assert load_artifact(path).graph == pre.graph
+
+    def test_bundle_holds_exactly_the_format_fields(self, saved):
+        """A bundle is the current version's fields and nothing else:
+        no field outside the checksummed arrays and metadata."""
+        _g, _pre, path = saved
+        with np.load(path, allow_pickle=False) as npz:
+            assert int(npz["version"]) == ARTIFACT_VERSION == 4
+            assert set(npz.files) == {
+                "format",
+                "version",
+                "payload_hash",
+                *_ARRAY_FIELDS,
+                *(name for name, _cast in _META_FIELDS),
+            }
 
     def test_expect_graph_accepts_the_right_graph(self, saved):
         g, _pre, path = saved
@@ -146,18 +170,21 @@ class TestVersionMismatch:
 
 class TestRetiredVersions:
     """Only the current bundle version is read.  A version-1 bundle (no
-    ``preferred_engine``) or version-2 bundle (no ``perm``) must ask
-    for re-preprocessing: it never loads, and it is not reported as
+    ``perm``), version-2 bundle (``preferred_engine``, no ``perm``) or
+    version-3 bundle (``perm`` and ``preferred_engine``) must ask for
+    re-preprocessing: it never loads, and it is not reported as
     corruption either."""
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_bundle_raises_version_error(self, saved, version):
         g, _pre, path = saved
         later = {"reorder", "locality_before", "locality_after", "perm"}
-        if version == 1:
-            later.add("preferred_engine")
         with np.load(path, allow_pickle=False) as npz:
-            fields = {n: npz[n] for n in npz.files if n not in later}
+            fields = {
+                n: npz[n] for n in npz.files if version == 3 or n not in later
+            }
+        if version > 1:
+            fields["preferred_engine"] = "rho"
         fields["version"] = np.int64(version)
         with open(path, "wb") as fh:
             np.savez(fh, **fields)
@@ -166,72 +193,47 @@ class TestRetiredVersions:
                 load_artifact(path, expect_graph=g, mmap=mmap)
 
 
-class TestPreferredEngine:
-    """Version-2 artifacts carry the calibrated winner end to end."""
-
-    def test_round_trips_preferred_engine(self, case, tmp_path):
-        import dataclasses
-
-        _g, pre = case
-        stamped = dataclasses.replace(pre, preferred_engine="rho")
-        path = tmp_path / "stamped.npz"
-        save_artifact(path, stamped)
-        back = load_artifact(path)
-        assert back.preferred_engine == "rho"
-
-    def test_auto_resolves_to_stored_winner(self, case, tmp_path):
-        import dataclasses
-
-        g, pre = case
-        stamped = dataclasses.replace(pre, preferred_engine="delta-star")
-        path = tmp_path / "stamped.npz"
-        save_artifact(path, stamped)
-        sp = load_solver(path, expect_graph=g)
-        assert sp.resolve_engine("auto") == "delta-star"
-        # explicit engine names always override the stored winner
-        assert sp.resolve_engine("dijkstra") == "dijkstra"
-        assert np.array_equal(sp.solve(3).dist, dijkstra(g, 3).dist)
-
-    def test_unregistered_winner_falls_back(self, case):
-        import dataclasses
-
-        _g, pre = case
-        stamped = dataclasses.replace(
-            pre, preferred_engine="engine-from-the-future"
-        )
-        sp = PreprocessedSSSP.from_preprocessed(stamped)
-        assert sp.resolve_engine("auto") == "vectorized"
-
-    def test_calibrated_build_stamps_a_registered_engine(self):
-        from repro.engine import available_engines
-
-        g = random_connected_graph(40, 90, seed=8)
-        pre = build_kr_graph(
-            g, 1, 4, heuristic="full", calibrate_engine=True,
-            calibration_budget=0.2,
-        )
-        assert pre.preferred_engine in available_engines()
-
-    def test_service_stats_surface_engines(self, case, tmp_path):
-        import dataclasses
+class TestServedEngine:
+    @pytest.mark.parametrize("surface", ["cold", "artifact", "sharded"])
+    def test_auto_serves_vectorized_everywhere(self, saved, surface):
+        """``auto`` is ``vectorized`` on every serving surface — cold,
+        warm-started from an artifact, and sharded — and no ``stats()``
+        payload names a stored engine."""
+        import json
 
         from repro.engine import available_engines
-        from repro.serve import RoutingService
+        from repro.serve import RoutingService, ShardRouter
 
-        g, pre = case
-        stamped = dataclasses.replace(pre, preferred_engine="rho")
-        path = tmp_path / "stamped.npz"
-        save_artifact(path, stamped)
-        svc = RoutingService.from_artifact(path, expect_graph=g)
-        stats = svc.stats()
-        assert stats["engine"] == "rho"  # planner resolved "auto" to it
-        assert stats["preferred_engine"] == "rho"
+        g, _pre, path = saved
+        build = {
+            "cold": lambda: RoutingService(g, k=K, rho=RHO),
+            "artifact": lambda: RoutingService.from_artifact(path, expect_graph=g),
+            "sharded": lambda: ShardRouter(g, n_shards=3, k=K, rho=RHO),
+        }
+        service = build[surface]()
+        service.distances(3)
+        stats = service.stats()
+        assert stats["engine"] == "vectorized"
         assert set(stats["engines"]) == set(available_engines())
         assert all(isinstance(d, str) for d in stats["engines"].values())
+        assert "preferred_engine" not in json.dumps(stats)  # nor per_shard
+
+    def test_loaded_solver_resolves_auto_to_vectorized(self, saved):
+        """A solver restored from a bundle resolves ``auto`` as a cold
+        one does, passes explicit names through, and answers exactly."""
+        g, _pre, path = saved
+        sp = load_solver(path, expect_graph=g)
+        assert sp.resolve_engine("auto") == "vectorized"
+        assert sp.resolve_engine("dijkstra") == "dijkstra"
+        auto = sp.solve(3, track_parents=True)
+        ref = sp.solve(3, engine="vectorized", track_parents=True)
+        assert np.array_equal(auto.dist, ref.dist)
+        assert np.array_equal(auto.parent, ref.parent)
+        assert np.array_equal(auto.dist, dijkstra(g, 3).dist)
 
 
 class TestVersion3Reorder:
-    """Version-3 bundles carry the locality permutation."""
+    """Bundles carry the locality permutation (since version 3)."""
 
     @pytest.fixture(scope="class")
     def reordered(self, case):
@@ -249,27 +251,11 @@ class TestVersion3Reorder:
             return {n: npz[n] for n in npz.files}
 
     @classmethod
-    def _restamp_v3_hash(cls, path, fields):
+    def _restamp_hash(cls, path, fields):
         """Recompute a self-consistent digest (keyless checksum — a
         determined writer can always do this) so loads reach the
         structural perm validation instead of stopping at the checksum."""
-        from repro.serve.artifacts import _ARRAY_FIELDS, _payload_hash
-
-        meta = (
-            int(fields["k"]),
-            int(fields["rho"]),
-            str(fields["heuristic"]),
-            int(fields["added_edges"]),
-            int(fields["new_edges"]),
-            str(fields["source_hash"]),
-            str(fields["preferred_engine"]),
-            str(fields["reorder"]),
-            float(fields["locality_before"]),
-            float(fields["locality_after"]),
-        )
-        fields["payload_hash"] = _payload_hash(
-            {n: fields[n] for n in _ARRAY_FIELDS}, meta
-        )
+        _restamp_payload_hash(fields)
         cls._rewrite(path, fields)
 
     def test_v3_round_trips_perm_and_locality(self, reordered, tmp_path):
@@ -335,7 +321,7 @@ class TestVersion3Reorder:
         perm = fields["perm"].copy()
         perm[1] = perm[0]  # duplicate → some vertex unreachable
         fields["perm"] = perm
-        self._restamp_v3_hash(path, fields)
+        self._restamp_hash(path, fields)
         with pytest.raises(ArtifactCorruptError, match="not a permutation"):
             load_artifact(path)
 
@@ -347,7 +333,7 @@ class TestVersion3Reorder:
         perm = fields["perm"].copy()
         perm[0] = -1
         fields["perm"] = perm
-        self._restamp_v3_hash(path, fields)
+        self._restamp_hash(path, fields)
         with pytest.raises(ArtifactCorruptError, match="not a permutation"):
             load_artifact(path)
 
@@ -357,7 +343,7 @@ class TestVersion3Reorder:
         save_artifact(path, pre)
         fields = self._load_fields(path)
         fields["perm"] = fields["perm"][:-3].copy()
-        self._restamp_v3_hash(path, fields)
+        self._restamp_hash(path, fields)
         with pytest.raises(ArtifactCorruptError, match="not a permutation"):
             load_artifact(path)
 
@@ -459,35 +445,13 @@ class TestCorruption:
         """A writer that recomputes the (keyless) checksum over bad CSR
         arrays still must not load: negative arc heads would gather
         wrong-but-valid neighbors via numpy wraparound."""
-        from repro.serve.artifacts import _ARRAY_FIELDS, _payload_hash
-
         _g, _pre, path = saved
         with np.load(path, allow_pickle=False) as npz:
             fields = {n: npz[n] for n in npz.files}
         indices = fields["indices"].copy()
         indices[0] = -3
         fields["indices"] = indices
-        meta = tuple(
-            f(fields[k])
-            for f, k in zip(
-                (int, int, str, int, int, str, str, str, float, float),
-                (
-                    "k",
-                    "rho",
-                    "heuristic",
-                    "added_edges",
-                    "new_edges",
-                    "source_hash",
-                    "preferred_engine",
-                    "reorder",
-                    "locality_before",
-                    "locality_after",
-                ),
-            )
-        )
-        fields["payload_hash"] = _payload_hash(
-            {n: fields[n] for n in _ARRAY_FIELDS}, meta
-        )
+        _restamp_payload_hash(fields)
         with open(path, "wb") as fh:
             np.savez(fh, **fields)
         with pytest.raises(ArtifactCorruptError, match="out-of-range"):

@@ -95,6 +95,16 @@ class TestEndpoints:
         assert doc["hits"] + doc["misses"] == doc["lookups"]
         assert "stripes" in doc and "single_flight_waits" in doc
 
+    def test_stats_names_the_served_engine(self, stack):
+        """``auto`` is served as ``vectorized``, and ``engines`` lists
+        every registered engine by name."""
+        from repro.engine import available_engines
+
+        _g, _svc, server = stack
+        doc = _get(f"{server.url}/stats")
+        assert doc["engine"] == "vectorized"
+        assert set(doc["engines"]) == set(available_engines())
+
     def test_distances_row(self, stack):
         g, _svc, server = stack
         doc = _get(f"{server.url}/distances/7")
@@ -475,6 +485,23 @@ class TestLifecycle:
             assert time.perf_counter() - t0 < 5.0
         finally:
             conn.close()
+
+    def test_idle_close_is_prompt(self):
+        """The accept loop checks for shutdown every 0.05 s, so closing
+        an idle server takes a fraction of ``serve_forever``'s default
+        0.5 s poll.  Best of three start/close cycles rides out a busy
+        host."""
+        import time
+
+        g = random_connected_graph(20, 40, seed=6)
+        svc = RoutingService(g, k=1, rho=4, heuristic="full")
+        elapsed = []
+        for _ in range(3):
+            server = RoutingHTTPServer(svc).start()
+            t0 = time.perf_counter()
+            server.close()
+            elapsed.append(time.perf_counter() - t0)
+        assert min(elapsed) < 0.25, elapsed
 
     def test_double_start_rejected(self):
         g = random_connected_graph(20, 40, seed=4)

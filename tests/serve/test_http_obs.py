@@ -275,7 +275,7 @@ class TestRouterStatsParity:
         assert len(per_shard) == 3
         for entry in per_shard:
             assert entry["hits"] + entry["misses"] == entry["lookups"]
-            assert "preferred_engine" in entry
+            assert "preferred_engine" not in entry
             loc = entry["locality"]
             for v in (loc["before"], loc["after"]):
                 assert v is None or isinstance(v, float)

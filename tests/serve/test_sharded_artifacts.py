@@ -1,6 +1,6 @@
 """Sharded bundle persistence: round-trip, mmap, and member corruption.
 
-The bundle is a directory — a checksummed manifest referencing one v3
+The bundle is a directory — a checksummed manifest referencing one v4
 artifact per shard plus the overlay and topology members.  The
 acceptance bar: save → load → mmap-load round-trips to identical
 serving answers, and corrupting *any* member (a shard artifact, the
@@ -15,6 +15,8 @@ import pytest
 
 from repro.preprocess import build_sharded_kr_graph
 from repro.serve import (
+    ARTIFACT_VERSION,
+    SHARDED_ARTIFACT_VERSION,
     ArtifactCorruptError,
     ArtifactGraphMismatchError,
     ArtifactVersionError,
@@ -106,6 +108,15 @@ class TestRoundTrip:
         for s in (5, 47):
             assert np.array_equal(fresh.distances(s), warm.distances(s))
 
+    def test_members_are_current_version(self, bundle, sharded):
+        """The manifest keeps its own version; every shard member is a
+        bundle of the current single-artifact version."""
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["version"] == SHARDED_ARTIFACT_VERSION == 1
+        for s in range(sharded.n_shards):
+            with np.load(bundle / f"shard_{s:04d}.npz") as npz:
+                assert int(npz["version"]) == ARTIFACT_VERSION
+
     def test_missing_bundle_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_sharded_artifact(tmp_path / "nope")
@@ -124,6 +135,26 @@ class TestIntegrity:
         (bundle / "shard_0002.npz").unlink()
         with pytest.raises(ArtifactCorruptError, match="missing member"):
             load_sharded_artifact(bundle)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_retired_member_version_rejected(self, bundle, mmap):
+        """A shard member stamped with a retired artifact version asks
+        for re-preprocessing even when every digest over it is
+        consistent."""
+        from repro.serve.artifacts import _file_hash, _manifest_hash
+
+        member = bundle / "shard_0001.npz"
+        with np.load(member) as npz:
+            fields = {name: npz[name] for name in npz.files}
+        fields["version"] = np.int64(ARTIFACT_VERSION - 1)
+        with open(member, "wb") as fh:
+            np.savez(fh, **fields)
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest["members"]["shard_0001.npz"] = _file_hash(member)
+        manifest["manifest_hash"] = _manifest_hash(manifest)
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactVersionError, match="re-run preprocessing"):
+            load_sharded_artifact(bundle, mmap=mmap)
 
     def test_manifest_edit_detected(self, bundle):
         manifest = json.loads((bundle / "manifest.json").read_text())
