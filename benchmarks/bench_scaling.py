@@ -14,7 +14,10 @@ full solve bit for bit (distance, parent path, nearest list).  Its
 three gates are constants: the engine over the floor at the largest n,
 a ceiling per family on the ``ball_shortcuts`` exponent, and one on the
 stopped-solve time of a 0.8 route / 0.2 nearest mix over the full
-solve's.
+solve's.  One more gate is a constant: on road 3k in 4 shards, the
+median over 24 sources of a loopback ``ShardCluster``'s cold route
+stitch (one seeded shard solve, stopped at the target) over its cold
+full stitch of the same source, at most ``ROUTE_STITCH_MAX``.
 
 Every other gate reads its floor from the environment, where CI's
 ``bench`` job sets it (local default in brackets):
@@ -124,6 +127,10 @@ STOP_MIX_MAX = {
 }
 #: ``k`` of the stopped nearest solves, as perfbench's ``/nearest`` asks
 NEAREST_K = 16
+#: a loopback cluster's cold route stitch over its cold full stitch of
+#: the same source: the largest of the runs BENCH_scaling.jsonl lists,
+#: + 0.1
+ROUTE_STITCH_MAX = 0.43
 REORDER_N = 150_000
 
 
@@ -535,13 +542,22 @@ def test_observability_overhead(report):
 def test_remote_stitch_overhead(report):
     """Each source is stitched cold on both routers back to back, in one
     cluster lifetime, the first of the pair alternating; the gate reads
-    the median of the per-source time ratios."""
+    the median of the per-source time ratios.
+
+    The route leg then stitches each source twice more on the same
+    cluster, through a remote router that caches no stitched row: a
+    route to a random target (one seeded solve, stopped at the target)
+    and the full row, the first of the pair alternating.  Both find the
+    source row warm on its shard.  The gate reads the median of the
+    route-over-full time ratios."""
     g = _road(3000, seed=31)
     sharded = build_sharded_kr_graph(
         g, 2, 24, n_shards=4, partition="ldd", heuristic="dp"
     )
-    sources = np.random.default_rng(33).choice(g.n, 24, replace=False)
-    ratios = []
+    rng = np.random.default_rng(33)
+    sources = rng.choice(g.n, 24, replace=False)
+    targets = rng.choice(g.n, 24, replace=False)
+    ratios, route_ratios = [], []
     with ShardCluster(sharded) as cluster:
         routers = {"local": ShardRouter(sharded=sharded), "remote": cluster.router}
         for i, s in enumerate(map(int, sources)):
@@ -551,5 +567,16 @@ def test_remote_stitch_overhead(report):
             }
             assert timed["remote"][1].tobytes() == timed["local"][1].tobytes()
             ratios.append(timed["remote"][0] / timed["local"][0])
+        with ShardRouter.remote(
+            cluster.router.topology_info, cluster.shard_urls, cache_capacity=0
+        ) as cold:
+            for i, (s, t) in enumerate(zip(map(int, sources), map(int, targets))):
+                calls = {"route": (cold.route, s, t), "full": (cold.distances, s)}
+                order = ("route", "full") if i % 2 else ("full", "route")
+                timed = {side: _best(*calls[side], repeats=1) for side in order}
+                assert timed["route"][1].distance == timed["full"][1][t]
+                route_ratios.append(timed["route"][0] / timed["full"][0])
     _gate(report, "remote.cold_stitch_overhead", statistics.median(ratios) - 1.0,
           _env("BENCH_REMOTE_MAX_OVERHEAD", "1.0"), ceiling=True)
+    _gate(report, "remote.route_stitch_ratio", statistics.median(route_ratios),
+          ROUTE_STITCH_MAX, ceiling=True)

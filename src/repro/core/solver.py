@@ -438,7 +438,11 @@ class PreprocessedSSSP:
         return [flat[i] for i in inverse]
 
     def solve_seeded(
-        self, seed_dist: np.ndarray, *, track_parents: bool = False
+        self,
+        seed_dist: np.ndarray,
+        *,
+        track_parents: bool = False,
+        stop: StopRule | None = None,
     ) -> SsspResult:
         """Exact distances from many seeds at once: a virtual-source solve.
 
@@ -448,10 +452,13 @@ class PreprocessedSSSP:
         for every ``v``, from one Radius-Stepping run on this facade's
         radii (Algorithm 1 is exact from any initial tentative
         distances).  With ``track_parents``, each seed no arc strictly
-        improves is a root (parent ``-1``).  Charges one query.
+        improves is a root (parent ``-1``).  ``stop`` ends the run as in
+        :meth:`solve`, and the result's ``bound`` says which entries are
+        final.  Charges one query.
 
         A row of the wrong length, or one holding NaN or a negative
-        entry, raises :class:`ValueError`.
+        entry, raises :class:`ValueError`; so does a stop target outside
+        ``[0, n)``.
         """
         n = self.graph.n
         seed_dist = np.asarray(seed_dist, dtype=np.float64)
@@ -461,6 +468,7 @@ class PreprocessedSSSP:
             )
         if not np.all(seed_dist >= 0):  # NaN compares false too
             raise ValueError("seed distances must be >= 0 (and not NaN)")
+        stop = self._internal_stop(stop)
         self._count_queries(1)
         internal = seed_dist if self._perm is None else seed_dist[self._inv]
         vertices = np.flatnonzero(internal < np.inf)
@@ -474,6 +482,7 @@ class PreprocessedSSSP:
                 track_parents=track_parents,
                 algorithm_name="radius-stepping-seeded",
                 obs=obs,
+                stop=stop,
             )
         if obs is not None:
             obs.record_run(res)

@@ -2,9 +2,10 @@
 
 The :class:`~repro.serve.router.ShardRouter` answers a query with one
 source row from the source's shard, one solve on the boundary overlay,
-and one seeded solve per reached shard (the stitching core).  What it
-calls is this module's :class:`ShardBackend` protocol — ``source_row``
-/ ``solve_seeded`` / ``stats`` / ``healthz`` — with two
+and seeded shard solves: one per reached shard for a full row, one per
+target shard, stopped at its targets, for a route (the stitching core).
+What it calls is this module's :class:`ShardBackend` protocol —
+``source_row`` / ``solve_seeded`` / ``stats`` / ``healthz`` — with two
 implementations:
 
 * :class:`LocalBackend` wraps a shard's
@@ -31,8 +32,12 @@ waits on an event, so shutdown interrupts it immediately instead of
 blocking for the remaining budget.
 
 Every backend tracks its own health (consecutive failures, failure
-total) and a row-fetch latency histogram (source rows and seeded
-solves alike); ``backend_stats()`` is the ``backends`` table of
+total), a row-fetch latency histogram (source rows and seeded solves
+alike), and what it sent over the wire: ``source_row`` and
+``solve_seeded`` calls and the frame bytes each way.  A
+:class:`LocalBackend` moves no frames; it counts the bytes the same
+call's frames would carry, so both transports report one number for
+one stitch.  ``backend_stats()`` is the ``backends`` table of
 ``ShardRouter.stats()`` and the source of the ``shard_backend_*``
 metric families.
 """
@@ -50,6 +55,7 @@ from urllib.parse import urlparse
 
 import numpy as np
 
+from ..engine.driver import StopRule
 from ..obs.metrics import LATENCY_BUCKETS, Histogram
 from ..obs.trace import current_trace
 
@@ -72,6 +78,11 @@ ROWS_CONTENT_TYPE = "application/x-repro-rows"
 _ROWS_MAGIC = b"RROW"
 _ROWS_VERSION = 1
 _ROWS_HEADER = struct.Struct("<4sB3xIQ")
+
+
+def _frame_bytes(n_rows: int, row_len: int) -> int:
+    """Size of a frame of ``n_rows`` rows of ``row_len`` entries."""
+    return _ROWS_HEADER.size + 8 * n_rows * row_len
 
 
 class ShardUnavailableError(RuntimeError):
@@ -152,24 +163,35 @@ class ShardBackend(Protocol):
 
     Every shard is a :class:`~repro.serve.service.RoutingService`, and
     every row speaks *shard-local* vertex ids.  ``source_row`` returns
-    the shard's cached float64 distance row of one source;
-    ``solve_seeded`` takes a seed row over the shard's vertices
-    (``inf`` = not a seed) and returns the seeded solve's distance row
-    and, with ``track_parents``, its int64 parent row (``None``
-    otherwise); ``stats`` is the shard service's own ``stats()``.
-    ``backend_stats`` is the health/latency snapshot the router's
-    ``backends`` table and the ``shard_backend_*`` metric families are
-    built from.
+    the shard's cached float64 distance row of one source, and with
+    ``parents`` the pair of it and its int64 parent row, from the same
+    cached row.  ``solve_seeded`` takes a seed row over the shard's
+    vertices (``inf`` = not a seed) and returns the seeded solve's
+    distance row and, with ``track_parents``, its int64 parent row
+    (``None`` otherwise).  With ``stop`` (shard-local target ids) the
+    shard may end the solve once every target is settled, and then
+    returns ``inf`` (parent ``-1``) past the run's bound: the row is
+    final wherever it is finite, and a shard that ignores ``stop``
+    returns a full row, which is as correct.  ``stats`` is the shard
+    service's own ``stats()``.  ``backend_stats`` is the
+    health/latency/wire snapshot the router's ``backends`` table and
+    the ``shard_backend_*`` metric families are built from.
     """
 
     kind: str
     shard: int
     endpoint: str | None
 
-    def source_row(self, local_source: int) -> np.ndarray: ...
+    def source_row(
+        self, local_source: int, *, parents: bool = False
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]: ...
 
     def solve_seeded(
-        self, seed: np.ndarray, *, track_parents: bool = False
+        self,
+        seed: np.ndarray,
+        *,
+        track_parents: bool = False,
+        stop: Sequence[int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]: ...
 
     def stats(self) -> dict: ...
@@ -182,7 +204,7 @@ class ShardBackend(Protocol):
 
 
 class _BaseBackend:
-    """Shared health + row-fetch latency bookkeeping."""
+    """Shared health, row-fetch latency and wire bookkeeping."""
 
     kind = "abstract"
 
@@ -193,6 +215,13 @@ class _BaseBackend:
         self._consecutive_failures = 0
         self._failures_total = 0
         self._fetch_hist = Histogram(LATENCY_BUCKETS)
+        # the wire counters of backend_stats(): calls of each kind and
+        # row-frame bytes each way
+        self._wire_lock = threading.Lock()
+        self._wire = dict.fromkeys(
+            ("source_rows", "seeded_solves", "frame_bytes_sent", "frame_bytes_received"),
+            0,
+        )
 
     # -- health ------------------------------------------------------- #
     @property
@@ -218,8 +247,18 @@ class _BaseBackend:
         with self._health_lock:
             self._consecutive_failures = 0
 
-    def _record_fetch(self, seconds: float) -> None:
+    def _record_fetch(
+        self, counter: str, seconds: float, sent: int, received: int
+    ) -> None:
+        """One finished ``source_row`` (``counter="source_rows"``) or
+        ``solve_seeded`` (``"seeded_solves"``) call and its frame
+        bytes."""
         self._fetch_hist.observe(seconds)
+        with self._wire_lock:
+            wire = self._wire
+            wire[counter] += 1
+            wire["frame_bytes_sent"] += sent
+            wire["frame_bytes_received"] += received
 
     def fetch_snapshot(self) -> tuple[tuple[float, ...], list[int], float, int]:
         """(bounds, non-cumulative counts incl. +Inf, sum, count) of the
@@ -233,6 +272,8 @@ class _BaseBackend:
         with self._health_lock:
             consecutive = self._consecutive_failures
             failures = self._failures_total
+        with self._wire_lock:
+            wire = dict(self._wire)
         return {
             "shard": self.shard,
             "kind": self.kind,
@@ -242,6 +283,7 @@ class _BaseBackend:
             "failures_total": failures,
             "row_fetches": self._fetch_hist.count,
             "row_fetch_p50_ms": None if p50 is None else round(p50 * 1e3, 4),
+            **wire,
         }
 
     def close(self) -> None:  # pragma: no cover - overridden where real
@@ -267,18 +309,39 @@ class LocalBackend(_BaseBackend):
         super().__init__(shard, endpoint=None)
         self.service = service
 
-    def source_row(self, local_source: int) -> np.ndarray:
+    def source_row(
+        self, local_source: int, *, parents: bool = False
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         t0 = time.perf_counter()
-        row = self.service.distances(int(local_source))
-        self._record_fetch(time.perf_counter() - t0)
+        row = self.service.source_row(int(local_source), parents=parents)
+        n = len(row[0]) if parents else len(row)
+        self._record_fetch(
+            "source_rows",
+            time.perf_counter() - t0,
+            0,
+            _frame_bytes(2 if parents else 1, n),
+        )
         return row
 
     def solve_seeded(
-        self, seed: np.ndarray, *, track_parents: bool = False
+        self,
+        seed: np.ndarray,
+        *,
+        track_parents: bool = False,
+        stop: Sequence[int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         t0 = time.perf_counter()
-        res = self.service.solve_seeded(seed, track_parents=track_parents)
-        self._record_fetch(time.perf_counter() - t0)
+        rule = StopRule(targets=tuple(map(int, stop))) if stop else None
+        res = self.service.solve_seeded(
+            seed, track_parents=track_parents, stop=rule
+        )
+        n = len(res.dist)
+        self._record_fetch(
+            "seeded_solves",
+            time.perf_counter() - t0,
+            _frame_bytes(1, n),
+            _frame_bytes(2 if track_parents else 1, n),
+        )
         return res.dist, res.parent
 
     def stats(self) -> dict:
@@ -432,22 +495,34 @@ class RemoteBackend(_BaseBackend):
         raise ShardUnavailableError(self.shard, self.endpoint, reason)
 
     # -- backend surface ---------------------------------------------- #
-    def source_row(self, local_source: int) -> np.ndarray:
+    def source_row(
+        self, local_source: int, *, parents: bool = False
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         t0 = time.perf_counter()
-        body = self._request(f"/internal/row/{int(local_source)}")
-        rows = self._decode(body, 1)
-        self._record_fetch(time.perf_counter() - t0)
-        return rows[0]
+        path = f"/internal/row/{int(local_source)}"
+        body = self._request((path + "?parents=1") if parents else path)
+        rows = self._decode(body, 2 if parents else 1)
+        self._record_fetch("source_rows", time.perf_counter() - t0, 0, len(body))
+        return (rows[0], rows[1].astype(np.int64)) if parents else rows[0]
 
     def solve_seeded(
-        self, seed: np.ndarray, *, track_parents: bool = False
+        self,
+        seed: np.ndarray,
+        *,
+        track_parents: bool = False,
+        stop: Sequence[int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         t0 = time.perf_counter()
-        path = "/internal/solve?parents=1" if track_parents else "/internal/solve"
-        mat = self._decode(
-            self._request(path, encode_rows([seed])), 2 if track_parents else 1
+        query = ["parents=1"] if track_parents else []
+        if stop:
+            query.append("stop=" + ",".join(str(int(t)) for t in stop))
+        path = "/internal/solve" + ("?" + "&".join(query) if query else "")
+        frame = encode_rows([seed])
+        body = self._request(path, frame)
+        mat = self._decode(body, 2 if track_parents else 1)
+        self._record_fetch(
+            "seeded_solves", time.perf_counter() - t0, len(frame), len(body)
         )
-        self._record_fetch(time.perf_counter() - t0)
         return mat[0], mat[1].astype(np.int64) if track_parents else None
 
     def _decode(self, body: bytes, expect_rows: int) -> np.ndarray:

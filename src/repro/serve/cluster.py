@@ -10,9 +10,11 @@ are — behind its own :class:`~repro.serve.http.RoutingHTTPServer`
 :meth:`ShardRouter.remote <repro.serve.router.ShardRouter.remote>`
 router whose :class:`~repro.serve.backends.RemoteBackend` transports
 speak real HTTP to those servers: ``GET /internal/ready`` at boot, then
-per stitch one ``GET /internal/row/{s}`` to the source's shard and one
-``POST /internal/solve`` (a seed row in, a distance and parent row
-out) to each reached shard.  Every byte crosses a socket exactly as it
+per stitch one ``GET /internal/row/{s}`` to the source's shard and
+``POST /internal/solve`` calls (a seed row in, a distance and parent
+row out): one to each reached shard for a full row, and for a route one
+to each target's shard with ``?stop=`` its targets, after a source row
+fetched with ``?parents=1``.  Every byte crosses a socket exactly as it
 would between boxes, so the cluster is both the integration harness
 for the remote stitch path and a faithful local stand-in for a
 deployment: what passes here passes across machines.

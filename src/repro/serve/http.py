@@ -35,18 +35,26 @@ Endpoints
 ``GET /nearest/{s}/{k}``     the ``k`` closest reachable vertices to ``s``
 ``POST /batch``              mixed query list, answered as one coalesced batch
 ``GET /internal/ready``      cheap readiness probe for cluster bootstrap
-``GET /internal/row/{s}``    one distance row as a compact binary frame
+``GET /internal/row/{s}``    one cached distance row as a compact binary
+                             frame (with ``?parents=1`` its parent row
+                             too, from the same cached row)
 ``POST /internal/solve``     one seeded solve: a seed row in, its distance
                              row (and with ``?parents=1`` its parent row)
-                             out, one frame each way
+                             out, one frame each way; ``?stop=t1,t2,...``
+                             (shard-local ids) ends it once every ``t`` is
+                             settled, with ``inf`` (parent ``-1``) past
+                             the run's bound
 ===========================  ====================================================
 
 The ``/internal/*`` surface is the shard-to-router wire: rows travel as
 raw little-endian float64 frames (:func:`repro.serve.backends.encode_rows`
 — no JSON float round-trip, so a front-end
 :class:`~repro.serve.backends.RemoteBackend` stitches bit-identical
-answers).  ``/internal/solve`` is the surface's ``solve_seeded``; a
-malformed frame or a bad seed row (wrong length, NaN, negative) is a
+answers).  ``/internal/row`` is the surface's ``source_row`` and
+``/internal/solve`` its ``solve_seeded``.  A malformed frame, a bad
+seed row (wrong length, NaN, negative), a ``parents`` flag other than 0
+or 1, a ``stop`` target that is no integer or lies outside the shard,
+and ``?parents=1`` on a surface that does not track parents are each a
 400.
 
 Error contract: request problems (malformed paths, non-integer ids,
@@ -103,6 +111,7 @@ from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
+from ..engine.driver import StopRule
 from ..obs.expo import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from ..obs.expo import render as render_metrics
 from ..obs.metrics import get_default_registry
@@ -188,6 +197,14 @@ def _parse_int(text: str, what: str) -> int:
     if not _INT_RE.match(text):
         raise _HTTPError(400, f"{what} must be an integer, got {text!r}")
     return int(text)
+
+
+def _parents_flag(query: str) -> bool:
+    """The ``?parents=0|1`` flag of an internal request."""
+    flag = parse_qs(query).get("parents", ["0"])[-1]
+    if flag not in ("0", "1"):
+        raise _HTTPError(400, f"parents must be 0 or 1, got {flag!r}")
+    return flag == "1"
 
 
 def _distances_payload(source: int, dist: np.ndarray) -> dict:
@@ -425,19 +442,21 @@ class _Handler(BaseHTTPRequestHandler):
             k = _parse_int(parts[2], "k")
             return _nearest_payload(service.nearest(source, k), k)
         if parts[0] == "internal":
-            return self._internal(service, parts)
+            return self._internal(service, parts, url.query)
         raise _HTTPError(404, f"no GET endpoint at {self.path!r}")
 
-    def _internal(self, service: QuerySurface, parts: list[str]):
+    def _internal(self, service: QuerySurface, parts: list[str], query: str):
         """The shard-to-router wire: readiness + one binary row."""
         if parts == ["internal", "ready"]:
             health = service.healthz()
             return {"ready": health.get("status") == "ok", **health}
         if len(parts) == 3 and parts[1] == "row":
             source = _parse_int(parts[2], "source")
-            return _RawResponse(
-                encode_rows([service.distances(source)]), ROWS_CONTENT_TYPE
-            )
+            if _parents_flag(query):
+                rows = list(service.source_row(source, parents=True))
+            else:
+                rows = [service.distances(source)]
+            return _RawResponse(encode_rows(rows), ROWS_CONTENT_TYPE)
         raise _HTTPError(404, f"no GET endpoint at {self.path!r}")
 
     def _read_body(self) -> bytes:
@@ -458,14 +477,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _solve_seeded(self, service, query: str):
         """``POST /internal/solve``: one seed-row frame in, the distance
-        row (plus, with ``?parents=1``, the parent row) out."""
-        flag = parse_qs(query).get("parents", ["0"])[-1]
-        if flag not in ("0", "1"):
-            raise _HTTPError(400, f"parents must be 0 or 1, got {flag!r}")
+        row (plus, with ``?parents=1``, the parent row) out; ``?stop=``
+        lists the shard-local targets that may end the solve."""
+        parents = _parents_flag(query)
+        stop = parse_qs(query).get("stop")
+        rule = None
+        if stop:
+            rule = StopRule(
+                targets=tuple(_parse_int(t, "stop target") for t in stop[-1].split(","))
+            )
         seeds = decode_rows(self._read_body())  # a bad frame is a ValueError
         if seeds.shape[0] != 1:
             raise _HTTPError(400, f"expected one seed row, got {seeds.shape[0]}")
-        res = service.solve_seeded(seeds[0], track_parents=flag == "1")
+        res = service.solve_seeded(seeds[0], track_parents=parents, stop=rule)
         rows = [res.dist] if res.parent is None else [res.dist, res.parent]
         return _RawResponse(encode_rows(rows), ROWS_CONTENT_TYPE)
 

@@ -136,7 +136,7 @@ def stitched_cache_families(
     lookups = MetricFamily(
         "router_stitched_lookups_total",
         "counter",
-        "stitched full-row cache probes by outcome",
+        "stitched-row cache probes by outcome",
     )
     lookups.samples.append(
         Sample("", base + (("outcome", "hit"),), float(stitched["hits"]))
@@ -160,7 +160,7 @@ def stitched_cache_families(
 def backend_families(
     entries: list[tuple[tuple[tuple[str, str], ...], object]],
 ) -> list[MetricFamily]:
-    """Per-shard-backend health/latency families.
+    """Per-shard-backend health, latency and wire families.
 
     ``entries`` pairs a base label tuple (``service`` + ``shard`` +
     ``kind``) with a backend exposing ``backend_stats()`` and
@@ -191,6 +191,17 @@ def backend_families(
         "histogram",
         "row-fetch latency per backend (source rows and seeded solves)",
     )
+    calls = MetricFamily(
+        "shard_backend_calls_total",
+        "counter",
+        "source_row and solve_seeded calls per backend",
+    )
+    frame_bytes = MetricFamily(
+        "shard_backend_frame_bytes_total",
+        "counter",
+        "row-frame bytes per backend and direction (a local backend "
+        "counts what the same frames would carry)",
+    )
     for base, backend in entries:
         st = backend.backend_stats()
         healthy.samples.append(Sample("", base, 1.0 if st["healthy"] else 0.0))
@@ -198,6 +209,16 @@ def backend_families(
             Sample("", base, float(st["consecutive_failures"]))
         )
         failures.samples.append(Sample("", base, float(st["failures_total"])))
+        for call, key in (("source_row", "source_rows"), ("solve_seeded", "seeded_solves")):
+            calls.samples.append(Sample("", base + (("call", call),), float(st[key])))
+        for direction in ("sent", "received"):
+            frame_bytes.samples.append(
+                Sample(
+                    "",
+                    base + (("direction", direction),),
+                    float(st[f"frame_bytes_{direction}"]),
+                )
+            )
         bounds, counts, total, count = backend.fetch_snapshot()
         acc = 0
         for bound, c in zip(bounds, counts):
@@ -209,4 +230,4 @@ def backend_families(
         fetch.samples.append(Sample("_bucket", base + (("le", "+Inf"),), acc))
         fetch.samples.append(Sample("_sum", base, total))
         fetch.samples.append(Sample("_count", base, count))
-    return [healthy, consecutive, failures, fetch]
+    return [healthy, consecutive, failures, fetch, calls, frame_bytes]

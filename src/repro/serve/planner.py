@@ -34,16 +34,19 @@ parent walk for every row, engine or stitched.
 full row: the union of what the batch asks of that source.  A table
 engine ends its run at the first step that settles it (Line 10 of
 Algorithm 1), and the row keeps that step's ``d_i`` as its ``bound``
-(``∞`` for a full row; a row source may always return full rows, as the
-stitcher does).  A route or distance to ``t`` hits when
-``dist[t] ≤ bound``, and a ``k``-nearest query when at least ``k + 1``
-vertices lie within the bound.  ``/distances``, a batch's
-:class:`SingleSource` queries and :meth:`QueryPlanner.warm` always
-solve fully.  A cached row that does not cover a query is a miss, and
-that source is solved again under the batch's rule; the cache never
+(``∞`` for a full row; a row source may always return full rows).  A
+route or distance to ``t`` hits when ``dist[t] ≤ bound``, and a
+``k``-nearest query when at least ``k + 1`` vertices lie within the
+bound.  A row that is final on some vertices but is no distance prefix
+(the shard router's stopped route stitch) carries a ``final`` mask
+instead, and answers routes to those vertices only.  ``/distances``, a
+batch's :class:`SingleSource` queries and :meth:`QueryPlanner.warm`
+always solve fully.  A cached row that does not cover a query is a miss,
+and that source is solved again under the batch's rule; the cache never
 replaces a row with one of smaller bound.  Since a stopped run is an
 exact prefix of the full run, every answer is bit-identical to the full
-row's, whatever was cached before.
+row's, whatever was cached before (a stitched route's path may take
+other tied hops than the full stitch's).
 
 Concurrency model (an HTTP/gRPC front end calls one planner from many
 worker threads):
@@ -165,15 +168,23 @@ class _Row:
     stored as int32 whenever every vertex id fits (n ≤ 2³¹): half the
     bytes of the engines' int64 rows, so the same cache memory holds
     twice the parent rows.
+
+    A row that is not a distance prefix — the shard router's stopped
+    route stitch, final on the target's shard and not elsewhere —
+    passes a ``final`` mask instead.  It answers routes to the vertices
+    the mask holds and nothing else (``settled = 0``: no nearest query
+    hits it), and its finite ``bound`` only ranks it below a full row
+    for :meth:`QueryPlanner._insert`.
     """
 
-    __slots__ = ("dist", "parent", "bound", "settled")
+    __slots__ = ("dist", "parent", "bound", "settled", "final")
 
     def __init__(
         self,
         dist: np.ndarray,
         parent: np.ndarray | None,
         bound: float = math.inf,
+        final: np.ndarray | None = None,
     ) -> None:
         dist = np.asarray(dist)
         dist.setflags(write=False)
@@ -181,14 +192,20 @@ class _Row:
             narrow = len(parent) <= np.iinfo(np.int32).max + 1
             parent = np.asarray(parent, dtype=np.int32 if narrow else np.int64)
             parent.setflags(write=False)
+        if final is not None:
+            final.setflags(write=False)
         self.dist = dist
         self.parent = parent
         self.bound = bound
+        self.final = final
         # beyond the bound a stopped run leaves tentative distances, all
         # above it, so the count is that of entries within the bound
-        self.settled = (
-            len(dist) if bound == math.inf else int(np.count_nonzero(dist <= bound))
-        )
+        if bound == math.inf:
+            self.settled = len(dist)
+        elif final is not None:
+            self.settled = 0
+        else:
+            self.settled = int(np.count_nonzero(dist <= bound))
 
     def covers(self, need: StopRule | None) -> bool:
         """Whether this row answers ``need`` (``None``: every vertex)."""
@@ -197,6 +214,8 @@ class _Row:
             return True
         if need is None or self.settled < need.settled:
             return False
+        if self.final is not None:
+            return all(self.final[t] for t in need.targets)
         dist = self.dist
         return all(dist[t] <= bound for t in need.targets)
 
@@ -639,6 +658,14 @@ class QueryPlanner:
     def distances(self, source: int) -> np.ndarray:
         """Full distance row from ``source`` (read-only; cached)."""
         return self.execute([SingleSource(source)])[0]
+
+    def full_row(self, source: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The full cached row of ``source``: its read-only distance and
+        parent arrays (``None`` when parents are not tracked), both from
+        one row."""
+        source = check_vertex(source, "source", self._rows.n)
+        row = self._fetch_rows({source: None})[source]
+        return row.dist, row.parent
 
     def route(self, source: int, target: int) -> Route:
         """Point-to-point answer served from the cached source row."""

@@ -22,9 +22,11 @@ concurrently::
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from ..core.solver import PreprocessedSSSP
+from ..engine.driver import StopRule
 from ..graphs.csr import CSRGraph
 from ..preprocess.pipeline import ShardedPreprocessResult
 from .artifacts import ARTIFACT_VERSION, load_artifact, save_artifact
@@ -169,12 +171,29 @@ class RoutingService(PlannerSurface):
         """The planner every query of this service runs through."""
         return self._planner
 
-    def solve_seeded(self, seed_dist, *, track_parents: bool = False):
+    def solve_seeded(
+        self, seed_dist, *, track_parents: bool = False, stop: StopRule | None = None
+    ):
         """One seeded solve on this service's graph
         (:meth:`PreprocessedSSSP.solve_seeded`) — what a shard answers
         for the router's stitch.  Not cached: a seed row is not a
-        source key."""
-        return self._solver.solve_seeded(seed_dist, track_parents=track_parents)
+        source key.
+
+        A run that ``stop`` ends early leaves tentative distances past
+        its bound.  They are blanked here to ``inf`` (parent ``-1``), so
+        the answer is final wherever it is finite, on both transports:
+        the in-process backend and ``POST /internal/solve`` both call
+        this.
+        """
+        res = self._solver.solve_seeded(
+            seed_dist, track_parents=track_parents, stop=stop
+        )
+        if res.bound < math.inf:
+            beyond = res.dist > res.bound
+            res.dist[beyond] = math.inf
+            if res.parent is not None:
+                res.parent[beyond] = -1
+        return res
 
     def stats(self) -> dict:
         """Planner counters plus preprocessing provenance.

@@ -34,6 +34,7 @@ from repro.engine import (
     suggest_delta,
 )
 from repro.graphs import from_edge_list, unit_weights
+from repro.graphs.build import from_arc_arrays
 from repro.graphs.generators import (
     erdos_renyi,
     grid_2d,
@@ -458,6 +459,32 @@ class TestScheduleSemantics:
         res = run_engine(g, 0, RadiusBucketSchedule(math.inf))
         assert res.steps == 1
         assert np.allclose(res.dist, dijkstra(g, 0).dist)
+
+    def test_scalar_infinite_radius_matches_infinite_array(self):
+        """A scalar ``r ≡ ∞`` skips the first-touch and radius
+        bookkeeping; it must take the same step, substeps, relaxations,
+        distances and parents as an array of ``∞`` radii, seeded runs
+        and zero-weight ties included."""
+        grid = grid_2d(6, 7)
+        tails = np.repeat(np.arange(grid.n), grid.degrees())
+        edge = tails < grid.indices
+        weights = np.random.default_rng(4).integers(0, 3, int(edge.sum()))
+        g = from_arc_arrays(grid.n, tails[edge], grid.indices[edge], weights)
+        seeds = (np.array([3, 17, 29]), np.array([2.0, 0.0, 5.0]))
+        for source, seeded in ((0, None), (None, seeds)):
+            runs = [
+                run_engine(
+                    g, source, RadiusBucketSchedule(radii), seeds=seeded,
+                    track_parents=True,
+                )
+                for radii in (math.inf, np.full(g.n, math.inf))
+            ]
+            a, b = runs
+            assert (a.steps, a.substeps, a.relaxations) == (
+                b.steps, b.substeps, b.relaxations
+            )
+            assert np.array_equal(a.dist, b.dist)
+            assert np.array_equal(a.parent, b.parent)
 
     def test_delta_schedule_boundaries_monotone(self):
         g = random_connected_graph(25, 60, seed=2, weight_high=10)

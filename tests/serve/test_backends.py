@@ -143,6 +143,42 @@ class TestLocalBackend:
         backend = LocalBackend(0, service)
         assert backend.healthz()["status"] == "ok"
 
+    def test_stopped_solve_is_final_where_finite(self, small_graph, service):
+        """``stop`` may end the seeded solve at its targets; the answer
+        is ``inf`` (parent ``-1``) past the bound and equals the full
+        solve wherever it is finite."""
+        backend = LocalBackend(0, service)
+        seed = _seed_row(small_graph.n, {2: 0.0, 30: 4.0})
+        full = service.solve_seeded(seed, track_parents=True)
+        near = int(np.argsort(full.dist)[3])
+        dist, parent = backend.solve_seeded(seed, track_parents=True, stop=[near])
+        reached = np.isfinite(dist)
+        assert reached[near] and not reached.all()
+        assert np.array_equal(dist[reached], full.dist[reached])
+        assert np.array_equal(parent[reached], full.parent[reached])
+        assert np.all(parent[~reached] == -1)
+        # an empty stop list is no stop
+        dist, _ = backend.solve_seeded(seed, stop=[])
+        assert np.array_equal(dist, full.dist)
+
+    def test_source_row_with_parents_and_wire_counts(self, small_graph, service):
+        backend = LocalBackend(0, service)
+        dist, parent = backend.source_row(5, parents=True)
+        assert np.array_equal(dist, service.distances(5))
+        assert parent[5] == -1 and np.all(parent[dist < np.inf] >= -1)
+        backend.solve_seeded(_seed_row(small_graph.n, {5: 0.0}), track_parents=True)
+        # the RROW header is 20 bytes; each row adds 8 per vertex
+        one_row, two_rows = 20 + 8 * small_graph.n, 20 + 16 * small_graph.n
+        st = backend.backend_stats()
+        assert (st["source_rows"], st["seeded_solves"]) == (1, 1)
+        assert st["frame_bytes_sent"] == one_row
+        assert st["frame_bytes_received"] == 2 * two_rows
+        parentless = RoutingService(
+            solver=service.solver, cache_capacity=4, track_parents=False
+        )
+        with pytest.raises(ValueError, match="parents"):
+            LocalBackend(0, parentless).source_row(5, parents=True)
+
 
 # --------------------------------------------------------------------- #
 # Remote backend against a live loopback server
@@ -197,6 +233,30 @@ class TestRemoteBackend:
                 _seed_row(small_graph.n, {}), track_parents=True
             )
             assert np.isinf(dist).all() and (parent == -1).all()
+        finally:
+            backend.close()
+
+    def test_stop_and_parents_bit_identical(self, small_graph, shard_server):
+        """A stopped solve and a source row with parents cross the wire
+        bit for bit, and the counters see the frames."""
+        service, server = shard_server
+        backend = _backend(server, expect_n=small_graph.n)
+        seed = _seed_row(small_graph.n, {3: 0.0, 20: 7.0})
+        try:
+            local = LocalBackend(0, service)
+            for stop in ([11], [11, 40]):
+                want = local.solve_seeded(seed, track_parents=True, stop=stop)
+                got = backend.solve_seeded(seed, track_parents=True, stop=stop)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert np.array_equal(got[1], want[1])
+            dist, parent = backend.source_row(9, parents=True)
+            want = local.source_row(9, parents=True)
+            assert dist.tobytes() == want[0].tobytes()
+            assert parent.dtype == np.int64 and np.array_equal(parent, want[1])
+            got, want = backend.backend_stats(), local.backend_stats()
+            for key in ("source_rows", "seeded_solves", "frame_bytes_sent",
+                        "frame_bytes_received"):
+                assert got[key] == want[key] > 0
         finally:
             backend.close()
 

@@ -26,6 +26,7 @@ from repro.engine.registry import available_engines, get_engine
 from repro.graphs.generators import grid_2d
 from repro.graphs.weights import random_integer_weights
 from repro.serve import ShardCluster, ShardRouter, ShardUnavailableError
+from repro.serve.backends import decode_rows, encode_rows
 
 K, RHO = 2, 12
 N_SHARDS = 3
@@ -214,3 +215,103 @@ class TestFaultInjection:
                 assert not backend.healthy
             finally:
                 service.solve_seeded = original
+
+
+class TestStoppedRemoteStitch:
+    """A cold route over the wire: one row fetch and one seeded solve,
+    stopped at the target, the same route the in-process router gives."""
+
+    _WIRE = ("source_rows", "seeded_solves", "frame_bytes_sent", "frame_bytes_received")
+
+    def _wire(self, router) -> dict:
+        table = router.stats()["backends"]
+        return {key: sum(row[key] for row in table) for key in self._WIRE}
+
+    @pytest.mark.parametrize("partition", PARTITIONERS)
+    def test_cold_routes_match_local(self, partition, graph, sharded):
+        from repro.core.dijkstra import dijkstra
+
+        local = ShardRouter(sharded=sharded[partition])
+        rng = np.random.default_rng(7)
+        sources = rng.choice(graph.n, 12, replace=False)
+        targets = rng.integers(0, graph.n, 12)
+        with ShardCluster(sharded[partition]) as cluster:
+            remote = cluster.router
+            for s, t in zip(map(int, sources), map(int, targets)):
+                a, b = local.route(s, t), remote.route(s, t)
+                assert a.distance == b.distance == dijkstra(graph, s).dist[t]
+                assert a.path == b.path
+            st = remote.stats()["stitched"]
+            assert st["partial_solves"] == st["misses"] == len(sources)
+            # local and remote count the same traffic for the same stitches
+            assert self._wire(local) == self._wire(remote)
+
+    def test_cold_route_and_distances_wire(self, sharded):
+        sh = sharded["ldd"]
+        labels = sh.labels
+        s = 4
+        t = int(np.flatnonzero(labels != labels[s])[0])
+        n_a = int(np.count_nonzero(labels == labels[s]))
+        n_c = int(np.count_nonzero(labels == labels[t]))
+        with ShardCluster(sh) as cluster:
+            router = cluster.router
+            before = self._wire(router)
+            router.route(s, t)
+            after = self._wire(router)
+            delta = {key: after[key] - before[key] for key in self._WIRE}
+            header = 20  # the RROW frame header
+            assert delta == {
+                "source_rows": 1,
+                "seeded_solves": 1,
+                "frame_bytes_sent": header + 8 * n_c,
+                # the source row with its parents, the stopped solve's
+                # distance and parent rows
+                "frame_bytes_received": 2 * header + 16 * (n_a + n_c),
+            }
+            before = after
+            router.distances(s + 1)
+            after = self._wire(router)
+            assert after["source_rows"] - before["source_rows"] == 1
+            assert 1 <= after["seeded_solves"] - before["seeded_solves"] <= N_SHARDS
+
+    def test_internal_stop_and_parents_are_validated(self, sharded):
+        """``?stop=`` and ``?parents=`` take integers in range; anything
+        else is a 400 from the shard, not a solve."""
+        sh = sharded["contiguous"]
+        n0 = len(sh.shard_vertices[0])
+        seed = np.full(n0, np.inf)
+        seed[0] = 0.0
+        frame = encode_rows([seed])
+        with ShardCluster(sh) as cluster:
+            base = cluster.shard_urls[0]
+            for query in ("stop=abc", "stop=1.5", "stop=-1", f"stop={n0}",
+                          "stop=0,x", "stop=0&parents=2"):
+                assert _http_error(f"{base}/internal/solve?{query}", frame) == 400
+            for query in ("parents=2", "parents=yes", "parents=-1"):
+                assert _http_error(f"{base}/internal/row/0?{query}") == 400
+            # a valid stop: the row is final wherever it is finite
+            t = n0 - 1
+            with urllib.request.urlopen(
+                f"{base}/internal/solve?parents=1&stop={t}", data=frame, timeout=10
+            ) as resp:
+                dist, parent = decode_rows(resp.read())
+            full = cluster.shard_servers[0].service.solve_seeded(seed, track_parents=True)
+            reached = np.isfinite(dist)
+            assert reached[t] and np.array_equal(dist[reached], full.dist[reached])
+            assert np.array_equal(parent[reached], full.parent[reached])
+            assert np.all(parent[~reached] == -1)
+            with urllib.request.urlopen(
+                f"{base}/internal/row/0?parents=1", timeout=10
+            ) as resp:
+                dist, parent = decode_rows(resp.read())
+            want = cluster.shard_servers[0].service.source_row(0, parents=True)
+            assert np.array_equal(dist, want[0]) and np.array_equal(parent, want[1])
+
+
+def _http_error(url: str, data: bytes | None = None) -> int:
+    try:
+        with urllib.request.urlopen(url, data=data, timeout=10) as resp:
+            pytest.fail(f"expected an HTTP error, got 200 from {url}: {resp.read()[:80]!r}")
+    except urllib.error.HTTPError as exc:
+        exc.read()
+        return exc.code

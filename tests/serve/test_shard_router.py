@@ -15,6 +15,8 @@ Sharded preprocessing is cached per (family, partitioner) at module
 scope; per-test work is planner construction plus a handful of queries.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -305,3 +307,186 @@ class TestRouterSurface:
             ShardRouter(graphs["grid"])
         with pytest.raises(ValueError, match="graph or a sharded"):
             ShardRouter()
+
+
+# --------------------------------------------------------------------- #
+# Stopped route stitches: a cold route solves only its target's shard
+# --------------------------------------------------------------------- #
+def _wire(router) -> dict:
+    """The router's backend wire counters, summed over shards."""
+    keys = ("source_rows", "seeded_solves", "frame_bytes_sent", "frame_bytes_received")
+    table = router.stats()["backends"]
+    return {key: sum(row[key] for row in table) for key in keys}
+
+
+def _telescopes(g, route) -> bool:
+    path = route.path
+    hops = sum(dijkstra(g, int(u)).dist[v] for u, v in zip(path, path[1:]))
+    return path[0] == route.source and path[-1] == route.target and hops == route.distance
+
+
+@pytest.mark.parametrize("partition", PARTITIONERS)
+def test_zero_weight_cuts_route_first_without_parent_cycles(partition):
+    """The zero-weight graph above with no ``/distances`` before the
+    routes: every route comes from a stopped stitched row, whose parent
+    walk joins a target shard's seeded solve, the overlay and the source
+    row.  The walk must stay acyclic and telescope exactly."""
+    from repro.graphs.build import from_arc_arrays
+    from repro.preprocess import build_sharded_kr_graph
+
+    grid = grid_2d(7, 8)
+    tails = np.repeat(np.arange(grid.n), grid.degrees())
+    edge = tails < grid.indices
+    weights = np.random.default_rng(9).integers(0, 4, int(edge.sum()))
+    g = from_arc_arrays(grid.n, tails[edge], grid.indices[edge], weights)
+    sh = build_sharded_kr_graph(g, K, RHO, n_shards=N_SHARDS, partition=partition)
+    router = ShardRouter(sharded=sh)
+    oracle = [dijkstra(g, u).dist for u in range(g.n)]
+    for s in range(0, g.n, 5):
+        for t in range(g.n):
+            route = router.route(s, t)  # a parent cycle raises here
+            path = route.path
+            assert route.distance == oracle[s][t]
+            assert path[0] == s and path[-1] == t
+            assert sum(oracle[u][v] for u, v in zip(path, path[1:])) == route.distance
+    stitched = router.stats()["stitched"]
+    # no row was full: every stitch stopped at its target's shard
+    assert stitched["partial_solves"] == stitched["misses"] > 0
+
+
+class TestStoppedRouteStitch:
+    """A route rule stitches one seeded solve per target shard; what the
+    stopped row does not cover stitches again, in full."""
+
+    def test_cached_stopped_rows_answer_only_settled_vertices(self):
+        """Shards large against ρ, so a stopped shard solve leaves
+        tentative distances past its bound: every later route a cached
+        stopped row answers must still be exact."""
+        from repro.preprocess import build_sharded_kr_graph
+
+        g = random_integer_weights(grid_2d(16, 18), low=1, high=30, seed=11)
+        sh = build_sharded_kr_graph(g, 2, 4, n_shards=3, partition="ldd")
+        router = ShardRouter(sharded=sh)
+        for s in (0, 100, 287):
+            ref = dijkstra(g, s).dist
+            for t in range(g.n):
+                assert router.route(s, t).distance == ref[t]
+        st = router.stats()["stitched"]
+        assert st["partial_solves"] == st["misses"] and st["hits"] > 0
+
+    def test_nearest_and_distances_after_a_route(self, graphs, sharded):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+        from repro.serve.planner import nearest_from_row
+
+        g = graphs["grid"]
+        sh = sharded["grid", "ldd"]
+        matrix = csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+        s = 0
+        t = int(np.flatnonzero(sh.labels != sh.labels[s])[-1])
+        ref = scipy_dijkstra(matrix, indices=s)
+        router = ShardRouter(sharded=sh)
+        before = _wire(router)
+        route = router.route(s, t)
+        assert route.distance == ref[t] and _telescopes(g, route)
+        wire = _wire(router)
+        assert wire["source_rows"] - before["source_rows"] == 1
+        assert wire["seeded_solves"] - before["seeded_solves"] == 1
+        st = router.stats()["stitched"]
+        assert (st["partial_solves"], st["extensions"], st["misses"]) == (1, 0, 1)
+        # the stopped row settles no prefix: a nearest query misses, is
+        # an extension, and stitches in full
+        near = router.nearest(s, 6)
+        want = nearest_from_row(s, ref, 6)
+        assert np.array_equal(near.vertices, want.vertices)
+        assert np.array_equal(near.distances, want.distances)
+        st = router.stats()["stitched"]
+        assert (st["partial_solves"], st["extensions"], st["misses"]) == (1, 1, 2)
+        # the full row now answers everything
+        assert np.array_equal(router.distances(s), ref)
+        assert router.route(s, t).distance == ref[t]
+        st = router.stats()["stitched"]
+        assert (st["misses"], st["hits"]) == (2, 2)
+
+    def test_distances_after_a_route_is_an_extension(self, graphs, sharded):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+        g = graphs["sparse-random"]
+        sh = sharded["sparse-random", "contiguous"]
+        matrix = csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+        router = ShardRouter(sharded=sh)
+        for s, t in [(3, g.n - 1), (40, 41)]:
+            ref = scipy_dijkstra(matrix, indices=s)
+            assert router.route(s, t).distance == ref[t]
+            before = _wire(router)
+            assert np.array_equal(router.distances(s), ref)
+            wire = _wire(router)
+            assert wire["source_rows"] - before["source_rows"] == 1
+            assert 1 <= wire["seeded_solves"] - before["seeded_solves"] <= N_SHARDS
+        st = router.stats()["stitched"]
+        assert (st["partial_solves"], st["extensions"]) == (2, 2)
+
+    def test_cold_batch_with_targets_in_two_shards(self, graphs, sharded):
+        g = graphs["small-world"]
+        sh = sharded["small-world", "ldd"]
+        s = 5
+        others = [c for c in range(N_SHARDS) if c != sh.labels[s]]
+        t1 = int(np.flatnonzero(sh.labels == others[0])[0])
+        t2 = int(np.flatnonzero(sh.labels == others[1])[-1])
+        ref = dijkstra(g, s).dist
+        router = ShardRouter(sharded=sh)
+        before = _wire(router)
+        a, b = router.batch([(s, t1), (s, t2)])
+        wire = _wire(router)
+        assert wire["source_rows"] - before["source_rows"] == 1
+        assert wire["seeded_solves"] - before["seeded_solves"] == 2
+        for route, t in ((a, t1), (b, t2)):
+            assert route.distance == ref[t] and _telescopes(g, route)
+        st = router.stats()["stitched"]
+        assert (st["partial_solves"], st["misses"]) == (1, 1)
+        # the one stopped row covers both targets
+        assert router.route(s, t1) == a and router.route(s, t2) == b
+        assert router.stats()["stitched"]["hits"] == 2
+
+    def test_target_in_the_source_shard(self, graphs, sharded):
+        g = graphs["grid"]
+        sh = sharded["grid", "contiguous"]
+        router = ShardRouter(sharded=sh)
+        s = 10
+        same = np.flatnonzero(sh.labels == sh.labels[s])
+        ref = dijkstra(g, s).dist
+        for t in map(int, same[::3]):
+            route = router.route(s, t)
+            assert route.distance == ref[t] and _telescopes(g, route)
+        assert router.route(s, s).path == (s,)
+        assert router.stats()["stitched"]["partial_solves"] >= 1
+
+    def test_unreachable_targets(self):
+        """Two components: a route into the other one is unreachable,
+        whether or not the target's shard gets a seed at all."""
+        from repro.graphs.build import from_arc_arrays
+        from repro.preprocess import build_sharded_kr_graph
+
+        half = grid_2d(4, 5)
+        tails = np.repeat(np.arange(half.n), half.degrees())
+        edge = tails < half.indices
+        t, h = tails[edge], half.indices[edge]
+        g = from_arc_arrays(
+            2 * half.n,
+            np.concatenate([t, t + half.n]),
+            np.concatenate([h, h + half.n]),
+            np.arange(1, 2 * len(t) + 1) % 7,
+        )
+        sh = build_sharded_kr_graph(g, K, RHO, n_shards=3, partition="ldd")
+        ref = dijkstra(g, 0).dist
+        router = ShardRouter(sharded=sh)
+        for target in range(g.n):
+            route = router.route(0, target)
+            assert route.distance == ref[target]
+            if target >= half.n:
+                assert route.distance == math.inf and route.path is None
+            else:
+                assert _telescopes(g, route)
+        assert router.stats()["stitched"]["partial_solves"] >= 1
