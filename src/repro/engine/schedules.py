@@ -199,38 +199,18 @@ class RadiusBucketSchedule(_FlatFrontier):
 
     ``radii`` is anything :func:`as_radii` takes: ``None`` (r ≡ 0), a
     scalar (``math.inf`` is Bellman–Ford) or a per-vertex array.
-
-    At a scalar ``r ≡ ∞`` every ``d_i`` is ``∞``, so the first step
-    settles every reachable vertex and only the first push is ever
-    frontier: the schedule then keeps no first-touch mask, tracks no
-    later push and builds no radius array.
     """
 
     name = "radius-bucket"
 
     def __init__(self, radii: float | np.ndarray | None) -> None:
         self._radii = radii
-        self._unbounded = np.isscalar(radii) and float(radii) == math.inf
 
     def bind(self, kernel: RelaxationKernel) -> None:
-        if self._unbounded:
-            self._kernel = kernel
-            self._segments = []
-            self._pushed = False
-            return
         super().bind(kernel)
         self.r = as_radii(kernel.graph, self._radii)
 
-    def push(self, improved: np.ndarray) -> None:
-        if not self._unbounded:
-            super().push(improved)
-        elif not self._pushed:
-            self._pushed = True
-            self._segments.append(improved)
-
     def _bound(self, dist: np.ndarray, frontier: np.ndarray) -> float:
-        if self._unbounded:
-            return math.inf
         return float((dist + self.r[frontier]).min())
 
 

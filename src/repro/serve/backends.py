@@ -164,8 +164,9 @@ class ShardBackend(Protocol):
     Every shard is a :class:`~repro.serve.service.RoutingService`, and
     every row speaks *shard-local* vertex ids.  ``source_row`` returns
     the shard's cached float64 distance row of one source, and with
-    ``parents`` the pair of it and its int64 parent row, from the same
-    cached row.  ``solve_seeded`` takes a seed row over the shard's
+    ``parents`` the pair of it and its integer parent row, from the same
+    cached row (``None`` from a shard that does not track parents).
+    ``solve_seeded`` takes a seed row over the shard's
     vertices (``inf`` = not a seed) and returns the seeded solve's
     distance row and, with ``track_parents``, its int64 parent row
     (``None`` otherwise).  With ``stop`` (shard-local target ids) the
@@ -184,7 +185,7 @@ class ShardBackend(Protocol):
 
     def source_row(
         self, local_source: int, *, parents: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]: ...
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]: ...
 
     def solve_seeded(
         self,
@@ -311,15 +312,15 @@ class LocalBackend(_BaseBackend):
 
     def source_row(
         self, local_source: int, *, parents: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]:
         t0 = time.perf_counter()
         row = self.service.source_row(int(local_source), parents=parents)
-        n = len(row[0]) if parents else len(row)
+        rows = [r for r in row if r is not None] if parents else [row]
         self._record_fetch(
             "source_rows",
             time.perf_counter() - t0,
             0,
-            _frame_bytes(2 if parents else 1, n),
+            _frame_bytes(len(rows), len(rows[0])),
         )
         return row
 
@@ -497,13 +498,16 @@ class RemoteBackend(_BaseBackend):
     # -- backend surface ---------------------------------------------- #
     def source_row(
         self, local_source: int, *, parents: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]:
         t0 = time.perf_counter()
         path = f"/internal/row/{int(local_source)}"
         body = self._request((path + "?parents=1") if parents else path)
-        rows = self._decode(body, 2 if parents else 1)
+        # a shard that tracks no parents sends the distance row alone
+        rows = self._decode(body, *((1, 2) if parents else (1,)))
         self._record_fetch("source_rows", time.perf_counter() - t0, 0, len(body))
-        return (rows[0], rows[1].astype(np.int64)) if parents else rows[0]
+        if not parents:
+            return rows[0]
+        return rows[0], rows[1].astype(np.int64) if len(rows) == 2 else None
 
     def solve_seeded(
         self,
@@ -525,7 +529,7 @@ class RemoteBackend(_BaseBackend):
         )
         return mat[0], mat[1].astype(np.int64) if track_parents else None
 
-    def _decode(self, body: bytes, expect_rows: int) -> np.ndarray:
+    def _decode(self, body: bytes, *expect_rows: int) -> np.ndarray:
         try:
             mat = decode_rows(body, expect_len=self._expect_n)
         except ValueError as exc:
@@ -534,13 +538,14 @@ class RemoteBackend(_BaseBackend):
             self._mark_attempt_failure()
             self._mark_request_failure()
             raise ShardUnavailableError(self.shard, self.endpoint, str(exc))
-        if mat.shape[0] != expect_rows:
+        if mat.shape[0] not in expect_rows:
             self._mark_attempt_failure()
             self._mark_request_failure()
             raise ShardUnavailableError(
                 self.shard,
                 self.endpoint,
-                f"asked for {expect_rows} rows, frame holds {mat.shape[0]}",
+                f"asked for {' or '.join(map(str, expect_rows))} rows, "
+                f"frame holds {mat.shape[0]}",
             )
         return mat
 

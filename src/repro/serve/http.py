@@ -37,7 +37,8 @@ Endpoints
 ``GET /internal/ready``      cheap readiness probe for cluster bootstrap
 ``GET /internal/row/{s}``    one cached distance row as a compact binary
                              frame (with ``?parents=1`` its parent row
-                             too, from the same cached row)
+                             too, from the same cached row, when the
+                             surface tracks parents)
 ``POST /internal/solve``     one seeded solve: a seed row in, its distance
                              row (and with ``?parents=1`` its parent row)
                              out, one frame each way; ``?stop=t1,t2,...``
@@ -53,9 +54,9 @@ raw little-endian float64 frames (:func:`repro.serve.backends.encode_rows`
 answers).  ``/internal/row`` is the surface's ``source_row`` and
 ``/internal/solve`` its ``solve_seeded``.  A malformed frame, a bad
 seed row (wrong length, NaN, negative), a ``parents`` flag other than 0
-or 1, a ``stop`` target that is no integer or lies outside the shard,
-and ``?parents=1`` on a surface that does not track parents are each a
-400.
+or 1, and a ``stop`` target that is no integer or lies outside the
+shard are each a 400.  A surface that does not track parents answers
+``?parents=1`` on ``/internal/row`` with the distance row alone.
 
 Error contract: request problems (malformed paths, non-integer ids,
 out-of-range vertices, negative ``k``, bad JSON) map to **4xx** with a
@@ -453,7 +454,11 @@ class _Handler(BaseHTTPRequestHandler):
         if len(parts) == 3 and parts[1] == "row":
             source = _parse_int(parts[2], "source")
             if _parents_flag(query):
-                rows = list(service.source_row(source, parents=True))
+                rows = [
+                    row
+                    for row in service.source_row(source, parents=True)
+                    if row is not None
+                ]
             else:
                 rows = [service.distances(source)]
             return _RawResponse(encode_rows(rows), ROWS_CONTENT_TYPE)

@@ -43,7 +43,10 @@ instead, and answers routes to those vertices only.  ``/distances``, a
 batch's :class:`SingleSource` queries and :meth:`QueryPlanner.warm`
 always solve fully.  A cached row that does not cover a query is a miss,
 and that source is solved again under the batch's rule; the cache never
-replaces a row with one of smaller bound.  Since a stopped run is an
+replaces a row with one of smaller bound.  A masked row is solved again
+in full instead, so a source pays at most one solve past its first
+(masked rows are not prefixes of one another, and two of them would
+only replace each other).  Since a stopped run is an
 exact prefix of the full run, every answer is bit-identical to the full
 row's, whatever was cached before (a stitched route's path may take
 other tied hops than the full stitch's).
@@ -174,7 +177,8 @@ class _Row:
     passes a ``final`` mask instead.  It answers routes to the vertices
     the mask holds and nothing else (``settled = 0``: no nearest query
     hits it), and its finite ``bound`` only ranks it below a full row
-    for :meth:`QueryPlanner._insert`.
+    for :meth:`QueryPlanner._insert`.  A query it does not cover solves
+    its source in full (see :meth:`QueryPlanner._lead_or_follow`).
     """
 
     __slots__ = ("dist", "parent", "bound", "settled", "final")
@@ -575,7 +579,12 @@ class QueryPlanner:
                 s, flight = pending[i]
                 row = self._peek(s)
                 if row is None or not row.covers(flight.need):
-                    extensions += row is not None
+                    if row is not None:
+                        extensions += 1
+                        if row.final is not None:
+                            # a second masked row would only replace
+                            # this one: extend it to a full row
+                            flight.need = None
                     i += 1
                     continue
                 rows[s] = row

@@ -39,7 +39,9 @@ shard's boundary give exact distances inside it.  A query from source
    targets: Line 10 never changes a settled vertex, so the shard may
    end the solve once they are settled, and it answers ``∞`` past the
    run's bound.  That row is final on the targets' shards wherever it
-   is finite, and it answers routes to those vertices only.
+   is finite, and it answers routes to those vertices only; the
+   planner stitches the first query on the source it does not cover
+   in full.
 
 Every candidate distance is a float sum of input weights; on integer
 weights (< 2⁵³) such sums are exact, the candidate set contains the
@@ -241,10 +243,11 @@ class _Stitcher:
         seed[b_local[take]] = d_b[take]
         return seed, take
 
-    def _stitch(self, source: int) -> _Row:
+    def _stitch(self, source: int, row_a: np.ndarray | None = None) -> _Row:
         shard_a = int(self._labels[source])
-        with span("router.source_row", shard=shard_a):
-            row_a = self._backends[shard_a].source_row(int(self._local[source]))
+        if row_a is None:
+            with span("router.source_row", shard=shard_a):
+                row_a = self._backends[shard_a].source_row(int(self._local[source]))
         overlay = self._overlay_solve(shard_a, row_a)
         ov_dist, ov_parent = overlay.dist, overlay.parent
         dist = np.full(self.n, np.inf)
@@ -291,7 +294,9 @@ class _Stitcher:
         improved take the solve's parents, so no walk returns to the
         overlay once it follows the source row.  Every hop is an arc of
         a shard's augmented graph or of the overlay, on a shortest path,
-        so a route telescopes exactly as a full row's does.
+        so a route telescopes exactly as a full row's does.  A source
+        shard that tracks no parents sends none, and the route is then
+        a full stitch from its row.
         """
         shard_a = int(self._labels[source])
         local_s = int(self._local[source])
@@ -301,6 +306,8 @@ class _Stitcher:
                 row_a, parent_a = backend_a.source_row(local_s, parents=True)
             else:
                 row_a = backend_a.source_row(local_s)
+        if self._track_parents and parent_a is None:
+            return self._stitch(source, row_a)
         overlay = self._overlay_solve(shard_a, row_a)
         targets = np.asarray(targets, dtype=np.int64)
         dist = np.full(self.n, np.inf)

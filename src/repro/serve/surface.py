@@ -129,14 +129,11 @@ class PlannerSurface:
         """The full cached row of ``source``: its distances, or with
         ``parents`` the ``(dist, parent)`` pair of one cached row — what
         a shard answers for step 1 of the router's stitch
-        (``GET /internal/row/{s}[?parents=1]``).  Asking a surface that
-        does not track parents for them raises :class:`ValueError`."""
+        (``GET /internal/row/{s}[?parents=1]``).  ``parent`` is ``None``
+        on a surface that does not track parents."""
         if not parents:
             return self._planner.distances(source)
-        dist, parent = self._planner.full_row(source)
-        if parent is None:
-            raise ValueError("this surface does not track parents")
-        return dist, parent
+        return self._planner.full_row(source)
 
     # ------------------------------------------------------------------ #
     # Observability

@@ -461,10 +461,10 @@ class TestScheduleSemantics:
         assert np.allclose(res.dist, dijkstra(g, 0).dist)
 
     def test_scalar_infinite_radius_matches_infinite_array(self):
-        """A scalar ``r ≡ ∞`` skips the first-touch and radius
-        bookkeeping; it must take the same step, substeps, relaxations,
-        distances and parents as an array of ``∞`` radii, seeded runs
-        and zero-weight ties included."""
+        """A scalar ``r ≡ ∞`` (the shard router's overlay solve) takes
+        the same step, substeps, relaxations, distances and parents as
+        an array of ``∞`` radii, seeded runs and zero-weight ties
+        included."""
         grid = grid_2d(6, 7)
         tails = np.repeat(np.arange(grid.n), grid.degrees())
         edge = tails < grid.indices

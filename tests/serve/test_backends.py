@@ -173,11 +173,13 @@ class TestLocalBackend:
         assert (st["source_rows"], st["seeded_solves"]) == (1, 1)
         assert st["frame_bytes_sent"] == one_row
         assert st["frame_bytes_received"] == 2 * two_rows
-        parentless = RoutingService(
-            solver=service.solver, cache_capacity=4, track_parents=False
+        # a shard that tracks no parents sends its distance row alone
+        parentless = LocalBackend(
+            0, RoutingService(solver=service.solver, cache_capacity=4, track_parents=False)
         )
-        with pytest.raises(ValueError, match="parents"):
-            LocalBackend(0, parentless).source_row(5, parents=True)
+        dist, parent = parentless.source_row(5, parents=True)
+        assert parent is None and np.array_equal(dist, service.distances(5))
+        assert parentless.backend_stats()["frame_bytes_received"] == one_row
 
 
 # --------------------------------------------------------------------- #

@@ -308,6 +308,39 @@ class TestStoppedRemoteStitch:
             assert np.array_equal(dist, want[0]) and np.array_equal(parent, want[1])
 
 
+    def test_parentless_shard_servers(self, graph, sharded):
+        """A front end that tracks parents over shard servers that track
+        none: ``/internal/row?parents=1`` answers the distance row
+        alone, and a cold route stitches in full instead of failing."""
+        from contextlib import ExitStack
+
+        from repro.core.dijkstra import dijkstra
+        from repro.serve import RoutingHTTPServer
+        from repro.serve.artifacts import ShardTopology
+        from repro.serve.service import shard_services
+
+        sh = sharded["ldd"]
+        with ExitStack() as stack:
+            urls = [
+                None if service is None else stack.enter_context(RoutingHTTPServer(service)).url
+                for service in shard_services(sh, track_parents=False)
+            ]
+            router = stack.enter_context(
+                ShardRouter.remote(ShardTopology.from_sharded(sh), urls)
+            )
+            local = ShardRouter(sharded=sh)
+            for s, t in [(0, graph.n - 1), (3, graph.n // 2), (40, 41)]:
+                route, want = router.route(s, t), local.route(s, t)
+                assert route.distance == want.distance == dijkstra(graph, s).dist[t]
+                hops = [dijkstra(graph, u).dist[v] for u, v in zip(route.path, route.path[1:])]
+                assert route.path[0] == s and route.path[-1] == t
+                assert sum(hops) == route.distance
+            st = router.stats()["stitched"]
+            assert (st["misses"], st["partial_solves"]) == (3, 0)
+            with urllib.request.urlopen(f"{urls[0]}/internal/row/0?parents=1", timeout=10) as resp:
+                assert decode_rows(resp.read()).shape[0] == 1
+
+
 def _http_error(url: str, data: bytes | None = None) -> int:
     try:
         with urllib.request.urlopen(url, data=data, timeout=10) as resp:

@@ -328,9 +328,10 @@ def _telescopes(g, route) -> bool:
 @pytest.mark.parametrize("partition", PARTITIONERS)
 def test_zero_weight_cuts_route_first_without_parent_cycles(partition):
     """The zero-weight graph above with no ``/distances`` before the
-    routes: every route comes from a stopped stitched row, whose parent
-    walk joins a target shard's seeded solve, the overlay and the source
-    row.  The walk must stay acyclic and telescope exactly."""
+    routes and no row cache: every route comes from a stopped stitched
+    row, whose parent walk joins a target shard's seeded solve, the
+    overlay and the source row.  The walk must stay acyclic and
+    telescope exactly."""
     from repro.graphs.build import from_arc_arrays
     from repro.preprocess import build_sharded_kr_graph
 
@@ -340,7 +341,8 @@ def test_zero_weight_cuts_route_first_without_parent_cycles(partition):
     weights = np.random.default_rng(9).integers(0, 4, int(edge.sum()))
     g = from_arc_arrays(grid.n, tails[edge], grid.indices[edge], weights)
     sh = build_sharded_kr_graph(g, K, RHO, n_shards=N_SHARDS, partition=partition)
-    router = ShardRouter(sharded=sh)
+    # a cached stopped row extends to a full one on its first miss
+    router = ShardRouter(sharded=sh, cache_capacity=0)
     oracle = [dijkstra(g, u).dist for u in range(g.n)]
     for s in range(0, g.n, 5):
         for t in range(g.n):
@@ -366,13 +368,24 @@ class TestStoppedRouteStitch:
 
         g = random_integer_weights(grid_2d(16, 18), low=1, high=30, seed=11)
         sh = build_sharded_kr_graph(g, 2, 4, n_shards=3, partition="ldd")
-        router = ShardRouter(sharded=sh)
         for s in (0, 100, 287):
             ref = dijkstra(g, s).dist
-            for t in range(g.n):
-                assert router.route(s, t).distance == ref[t]
-        st = router.stats()["stitched"]
-        assert st["partial_solves"] == st["misses"] and st["hits"] > 0
+            for shard in range(3):
+                verts = np.flatnonzero(sh.labels == shard)
+                mid = int(verts[np.argsort(ref[verts], kind="stable")[len(verts) // 2]])
+                near = verts[ref[verts] <= ref[mid]]
+                router = ShardRouter(sharded=sh)
+                for t in map(int, (mid, *near)):
+                    assert router.route(s, t).distance == ref[t]
+                # the row stopped at the shard's median vertex answers
+                # every vertex of the shard up to it
+                st = router.stats()["stitched"]
+                assert (st["partial_solves"], st["misses"], st["hits"]) == (
+                    1, 1, len(near)
+                )
+                for t in map(int, verts):
+                    assert router.route(s, t).distance == ref[t]
+                assert router.stats()["stitched"]["misses"] <= 2
 
     def test_nearest_and_distances_after_a_route(self, graphs, sharded):
         from scipy.sparse import csr_matrix
@@ -449,6 +462,49 @@ class TestStoppedRouteStitch:
         # the one stopped row covers both targets
         assert router.route(s, t1) == a and router.route(s, t2) == b
         assert router.stats()["stitched"]["hits"] == 2
+
+    def test_repeated_source_stitches_at_most_twice(self, graphs, sharded):
+        """Routes from one source alternating between two other shards:
+        the first stitch stops at its target's shard, the first route
+        it does not cover stitches the full row, and every later route
+        hits that row."""
+        g = graphs["small-world"]
+        sh = sharded["small-world", "ldd"]
+        s = 5
+        others = [c for c in range(N_SHARDS) if c != sh.labels[s]]
+        targets = [
+            int(np.flatnonzero(sh.labels == others[i % 2])[i // 2]) for i in range(12)
+        ]
+        ref = dijkstra(g, s).dist
+        router = ShardRouter(sharded=sh)
+        for t in targets:
+            route = router.route(s, t)
+            assert route.distance == ref[t] and _telescopes(g, route)
+        st = router.stats()["stitched"]
+        assert (st["misses"], st["partial_solves"], st["extensions"]) == (2, 1, 1)
+        assert st["hits"] == len(targets) - 2
+        assert _wire(router)["source_rows"] == 2
+
+    def test_parentless_shards_route_by_a_full_stitch(self, graphs, sharded):
+        """A router that tracks parents over shards that track none:
+        the source shard sends its row without parents, so a cold route
+        stitches in full and still returns a telescoping path."""
+        from repro.serve import LocalBackend
+        from repro.serve.artifacts import ShardTopology
+        from repro.serve.service import shard_services
+
+        g = graphs["grid"]
+        sh = sharded["grid", "ldd"]
+        backends = [
+            None if service is None else LocalBackend(c, service)
+            for c, service in enumerate(shard_services(sh, track_parents=False))
+        ]
+        router = ShardRouter(topology=ShardTopology.from_sharded(sh), backends=backends)
+        for s, t in [(0, g.n - 1), (7, g.n // 2), (50, 51)]:
+            route = router.route(s, t)
+            assert route.distance == dijkstra(g, s).dist[t] and _telescopes(g, route)
+        st = router.stats()["stitched"]
+        assert (st["misses"], st["partial_solves"]) == (3, 0)
 
     def test_target_in_the_source_shard(self, graphs, sharded):
         g = graphs["grid"]
