@@ -163,9 +163,10 @@ class ShardBackend(Protocol):
 
     Every shard is a :class:`~repro.serve.service.RoutingService`, and
     every row speaks *shard-local* vertex ids.  ``source_row`` returns
-    the shard's cached float64 distance row of one source, and with
-    ``parents`` the pair of it and its integer parent row, from the same
-    cached row (``None`` from a shard that does not track parents).
+    the pair of the shard's cached float64 distance row of one source
+    and, with ``parents``, its integer parent row from the same cached
+    row (``None`` without ``parents`` or from a shard that does not
+    track parents).
     ``solve_seeded`` takes a seed row over the shard's
     vertices (``inf`` = not a seed) and returns the seeded solve's
     distance row and, with ``track_parents``, its int64 parent row
@@ -185,7 +186,7 @@ class ShardBackend(Protocol):
 
     def source_row(
         self, local_source: int, *, parents: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]: ...
+    ) -> tuple[np.ndarray, np.ndarray | None]: ...
 
     def solve_seeded(
         self,
@@ -312,17 +313,16 @@ class LocalBackend(_BaseBackend):
 
     def source_row(
         self, local_source: int, *, parents: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         t0 = time.perf_counter()
-        row = self.service.source_row(int(local_source), parents=parents)
-        rows = [r for r in row if r is not None] if parents else [row]
+        dist, parent = self.service.source_row(int(local_source), parents=parents)
         self._record_fetch(
             "source_rows",
             time.perf_counter() - t0,
             0,
-            _frame_bytes(len(rows), len(rows[0])),
+            _frame_bytes(1 if parent is None else 2, len(dist)),
         )
-        return row
+        return dist, parent
 
     def solve_seeded(
         self,
@@ -498,15 +498,13 @@ class RemoteBackend(_BaseBackend):
     # -- backend surface ---------------------------------------------- #
     def source_row(
         self, local_source: int, *, parents: bool = False
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray | None]:
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         t0 = time.perf_counter()
         path = f"/internal/row/{int(local_source)}"
         body = self._request((path + "?parents=1") if parents else path)
         # a shard that tracks no parents sends the distance row alone
         rows = self._decode(body, *((1, 2) if parents else (1,)))
         self._record_fetch("source_rows", time.perf_counter() - t0, 0, len(body))
-        if not parents:
-            return rows[0]
         return rows[0], rows[1].astype(np.int64) if len(rows) == 2 else None
 
     def solve_seeded(

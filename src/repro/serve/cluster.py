@@ -10,14 +10,15 @@ are — behind its own :class:`~repro.serve.http.RoutingHTTPServer`
 :meth:`ShardRouter.remote <repro.serve.router.ShardRouter.remote>`
 router whose :class:`~repro.serve.backends.RemoteBackend` transports
 speak real HTTP to those servers: ``GET /internal/ready`` at boot, then
-per stitch one ``GET /internal/row/{s}`` to the source's shard and
-``POST /internal/solve`` calls (a seed row in, a distance and parent
-row out): one to each reached shard for a full row, and for a route one
-to each target's shard with ``?stop=`` its targets, after a source row
-fetched with ``?parents=1``.  Every byte crosses a socket exactly as it
-would between boxes, so the cluster is both the integration harness
-for the remote stitch path and a faithful local stand-in for a
-deployment: what passes here passes across machines.
+per stitch one ``GET /internal/row/{s}?parents=1`` to the source's
+shard and ``POST /internal/solve`` calls (a seed row in, a distance and
+parent row out): one to each reached shard for a full row, and for a
+route one to each target's shard with ``?stop=`` its targets.  A
+router that tracks no parents asks for neither parent row.  Every byte
+crosses a socket exactly as it would between boxes, so the cluster is
+both the integration harness for the remote stitch path and a faithful
+local stand-in for a deployment: what passes here passes across
+machines.
 
 Shutdown ordering is the subtle part.  ``close()`` interrupts the
 router's backends *first* — :meth:`RemoteBackend.close` sets the

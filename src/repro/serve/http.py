@@ -105,6 +105,7 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -288,9 +289,8 @@ class _Handler(BaseHTTPRequestHandler):
     def setup(self) -> None:
         # Bound every socket read (idle keep-alive waits included) by
         # the server's request timeout: without it, one idle persistent
-        # connection blocks its non-daemon handler thread in readline()
-        # forever, and close() — which joins handler threads — hangs
-        # until the client goes away.
+        # connection pins its handler thread in readline() for as long
+        # as the client keeps it open (close() ends it at once).
         self.timeout = self.server.request_timeout
         super().setup()
 
@@ -538,10 +538,10 @@ class RoutingHTTPServer(ThreadingHTTPServer):
         server.close()                           # graceful: drain, then close
 
     ``close`` stops accepting, lets in-flight handlers finish
-    (``block_on_close``), and releases the socket.  Idle keep-alive
-    connections cannot stall it past ``request_timeout`` seconds: every
-    socket read is bounded by that timeout, after which the handler
-    closes the connection.
+    (``block_on_close``), and releases the socket.  It shuts the read
+    side of every open connection first, so a handler parked on an idle
+    keep-alive socket sees end of stream and returns at once, while one
+    answering a request still sends its response.
     """
 
     daemon_threads = False
@@ -570,8 +570,8 @@ class RoutingHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.verbose = verbose
         #: per-socket-read timeout (seconds).  Bounds how long an idle
-        #: keep-alive connection can pin a handler thread — and
-        #: therefore how long :meth:`close` can block draining it.
+        #: keep-alive connection can pin a handler thread while the
+        #: server runs (:meth:`close` ends idle connections at once).
         self.request_timeout = request_timeout
         #: the metrics registry ``GET /metrics`` renders (the
         #: process-global default unless one is injected — tests inject
@@ -596,6 +596,21 @@ class RoutingHTTPServer(ThreadingHTTPServer):
         if callable(instrument):
             instrument(self.registry)
         self._thread: threading.Thread | None = None
+        # accepted connections not yet shut down, for close()
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        # drop it before the socket closes: close() never shuts down a
+        # descriptor the kernel may have handed to a new socket
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     def observe_request(
         self, *, endpoint: str, status: int, seconds: float, trace, method: str
@@ -632,12 +647,21 @@ class RoutingHTTPServer(ThreadingHTTPServer):
         return self
 
     def close(self) -> None:
-        """Graceful shutdown: stop the accept loop, drain handler
-        threads, release the socket.  Idempotent."""
+        """Graceful shutdown: stop the accept loop, end idle
+        connections, drain handler threads, release the socket.
+        Idempotent."""
         if self._thread is not None:
             self.shutdown()
             self._thread.join()
             self._thread = None
+        # no connection is accepted now; a reader gets what already
+        # arrived, then end of stream
+        with self._connections_lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer already went away
         self.server_close()
 
     def __enter__(self) -> "RoutingHTTPServer":

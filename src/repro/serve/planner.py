@@ -47,9 +47,9 @@ replaces a row with one of smaller bound.  A masked row is solved again
 in full instead, so a source pays at most one solve past its first
 (masked rows are not prefixes of one another, and two of them would
 only replace each other).  Since a stopped run is an
-exact prefix of the full run, every answer is bit-identical to the full
-row's, whatever was cached before (a stitched route's path may take
-other tied hops than the full stitch's).
+exact prefix of the full run, parents included, every answer is
+bit-identical to the full row's, a route's path too, whatever was
+cached before.
 
 Concurrency model (an HTTP/gRPC front end calls one planner from many
 worker threads):

@@ -41,24 +41,26 @@ shard's boundary give exact distances inside it.  A query from source
    run's bound.  That row is final on the targets' shards wherever it
    is finite, and it answers routes to those vertices only; the
    planner stitches the first query on the source it does not cover
-   in full.
+   in full.  Both rows come from one stitch, stopped at different
+   points.
 
 Every candidate distance is a float sum of input weights; on integer
 weights (< 2⁵³) such sums are exact, the candidate set contains the
 true distance, and all candidates dominate it — so the stitched row is
 the exact metric, bit for bit what the unsharded planner computes.
-With parents tracked, the shard solves' parents map to global ids and
-each seed a shard solve leaves a root takes its overlay parent: a cut
-arc or an exact within-shard distance arc.  The result is one parent
-array over the whole graph, and a route is the same parent walk an
-engine row takes — composite hops whose weights are exact input-graph
-distances (the same contract as :class:`~repro.serve.planner.Route` on
-the augmented graph).  A stopped route row has no solve of ``A``'s
-interior to walk, so from the overlay root where the path enters
-``A`` it follows the source row's parents
-(``backend.source_row(local, parents=True)``), and it telescopes
-exactly as a full row's path does.  A route from a cached row calls no
-backend.
+With parents tracked, the source row comes with its parents
+(``backend.source_row(local, parents=True)``), and one rule joins
+three forests into one parent array over the whole graph: the source
+row's parents on ``A``, the overlay's on the boundary vertices it
+improved (a cut arc or an exact within-shard distance arc), then each
+shard solve's, on ``A`` only where that solve strictly improved the
+source row.  A route is the same parent walk an engine row takes —
+composite hops whose weights are exact input-graph distances (the same
+contract as :class:`~repro.serve.planner.Route` on the augmented
+graph).  A stopped solve is a prefix of the full one, parents
+included, so a route takes the same path from a stopped row as from a
+full row: what was cached does not change it.  A route from a cached
+row calls no backend.
 
 Where the rows come *from* is the backend's business: every shard is
 a :class:`~repro.serve.service.RoutingService`, either in process
@@ -159,11 +161,12 @@ class _Stitcher:
     """The row source of the router's planner: rows stitched from one
     source row, one overlay solve and seeded shard solves.
 
-    A full row (``/distances``, ``warm``, a nearest rule) takes one
-    seeded solve per reached shard.  A route rule (targets, no
-    ``settled`` count) takes one per shard that holds a target, stopped
-    once that shard's targets are settled; the row is final on those
-    shards within their bound and on the targets (see :meth:`_route`).
+    One stitch builds every row.  A full row (``/distances``, ``warm``,
+    a nearest rule) solves every reached shard in full; a route rule
+    (targets, no ``settled`` count) solves only its targets' shards,
+    each stopped once its targets are settled.  Line 10 never changes a
+    settled vertex, so the stopped row is a prefix of the full one, its
+    parents included: a route takes the same path whatever was cached.
 
     Owns the topology-derived arrays and does no I/O of its own — every
     shard row comes from a backend.  It holds the backends and never
@@ -204,143 +207,94 @@ class _Stitcher:
         rows = []
         for source, stop in zip(sources, stops):
             with span("router.stitch", source=source):
-                if stop is None or stop.settled:
-                    rows.append(self._stitch(source))
-                else:
-                    rows.append(self._route(source, stop.targets))
+                full = stop is None or stop.settled
+                rows.append(self._stitch(source, None if full else stop.targets))
         return rows
 
-    def _overlay_solve(self, shard_a: int, row_a: np.ndarray):
-        """Exact distances ``d(s, b)`` on every shard's boundary: the
-        overlay seeded with the source shard's boundary row."""
+    def _stitch(self, source: int, targets: tuple[int, ...] | None) -> _Row:
+        """The row of ``source``: full when ``targets`` is ``None``,
+        else final on the targets' shards wherever it is finite and on
+        the targets (an unreached target is unreachable).
+
+        Parents join by the module docstring's one rule.  In ``A``'s own
+        solve only the vertices its seeds strictly improved take the
+        solve's parents, so no walk returns to the overlay once it
+        follows the source row, and every path telescopes exactly.  A
+        source shard that tracks no parents sends none: the stitch is
+        then full, and ``A``'s solve gives its parents throughout.
+        """
+        shard_a = int(self._labels[source])
+        with span("router.source_row", shard=shard_a):
+            row_a, parent_a = self._backends[shard_a].source_row(
+                int(self._local[source]), parents=self._track_parents
+            )
+        if self._track_parents and parent_a is None:
+            targets = None
         seed_dist = row_a[self._boundary_local[shard_a]]
         finite = seed_dist < np.inf
         with span("router.overlay_solve", seeds=int(finite.sum())):
-            return run_engine(
+            overlay = run_engine(
                 self._overlay,
                 None,
                 RadiusBucketSchedule(math.inf),
                 seeds=(self.boundary_ov[shard_a][finite], seed_dist[finite]),
                 track_parents=self._track_parents,
             )
-
-    def _seed(self, shard_c: int, shard_a: int, source: int, row_a, ov_dist):
-        """Shard ``C``'s seed row and the mask of its seeded boundary
-        vertices, or ``None`` when no boundary distance reaches ``C``."""
-        b_local = self._boundary_local[shard_c]
-        d_b = ov_dist[self.boundary_ov[shard_c]]
-        seed = np.full(len(self.shard_vertices[shard_c]), np.inf)
-        if shard_c == shard_a:
-            # only what the overlay strictly improved: a boundary
-            # vertex seeded at its own row_a distance would cut it
-            # off from the source in the parent forest
-            take = d_b < row_a[b_local]
-            seed[self._local[source]] = 0.0
-        else:
-            take = d_b < np.inf
-            if not take.any():
-                return None
-        seed[b_local[take]] = d_b[take]
-        return seed, take
-
-    def _stitch(self, source: int, row_a: np.ndarray | None = None) -> _Row:
-        shard_a = int(self._labels[source])
-        if row_a is None:
-            with span("router.source_row", shard=shard_a):
-                row_a = self._backends[shard_a].source_row(int(self._local[source]))
-        overlay = self._overlay_solve(shard_a, row_a)
-        ov_dist, ov_parent = overlay.dist, overlay.parent
         dist = np.full(self.n, np.inf)
-        parent = np.full(self.n, -1, dtype=np.int64) if self._track_parents else None
-        for shard_c, backend_c in enumerate(self._backends):
-            if backend_c is None:
-                continue
-            seeded_c = self._seed(shard_c, shard_a, source, row_a, ov_dist)
-            if seeded_c is None:
-                continue
-            seed, take = seeded_c
-            seeded = self._boundary_local[shard_c][take]
-            with span("router.fold_shard", shard=shard_c, boundary=len(seeded)):
-                dist_c, parent_c = backend_c.solve_seeded(
-                    seed, track_parents=self._track_parents
-                )
-            verts = self.shard_vertices[shard_c]
-            dist[verts] = dist_c
-            if parent is not None:
-                # shard-local parents to global ids; a seed the shard
-                # solve left a root takes its overlay parent (a cut arc
-                # or an exact within-shard distance arc)
-                glob = np.full(len(verts), -1, dtype=np.int64)
-                tree = parent_c >= 0
-                glob[tree] = verts[parent_c[tree]]
-                roots = parent_c[seeded] < 0
-                b_ov = self.boundary_ov[shard_c][take]
-                glob[seeded[roots]] = self._ov_vertices[ov_parent[b_ov[roots]]]
-                parent[verts] = glob
-        return _Row(dist, parent)
-
-    def _route(self, source: int, targets: tuple[int, ...]) -> _Row:
-        """A row final on the targets' shards, from the source row, the
-        overlay solve and one seeded solve per target shard stopped at
-        its targets (each answer is final wherever it is finite).
-
-        The row's ``final`` mask holds those finite entries and the
-        targets (an unreached target is unreachable).  Its parents
-        join three forests, each walked towards ``s``: a target shard's
-        seeded solve down to a seed, the overlay's parents across the
-        boundaries down to a vertex of ``∂A`` the overlay did not
-        improve, and the source row's parents inside shard ``A``.  In
-        ``A``'s own seeded solve only the vertices its seeds strictly
-        improved take the solve's parents, so no walk returns to the
-        overlay once it follows the source row.  Every hop is an arc of
-        a shard's augmented graph or of the overlay, on a shortest path,
-        so a route telescopes exactly as a full row's does.  A source
-        shard that tracks no parents sends none, and the route is then
-        a full stitch from its row.
-        """
-        shard_a = int(self._labels[source])
-        local_s = int(self._local[source])
-        backend_a = self._backends[shard_a]
-        with span("router.source_row", shard=shard_a):
-            if self._track_parents:
-                row_a, parent_a = backend_a.source_row(local_s, parents=True)
-            else:
-                row_a = backend_a.source_row(local_s)
-        if self._track_parents and parent_a is None:
-            return self._stitch(source, row_a)
-        overlay = self._overlay_solve(shard_a, row_a)
-        targets = np.asarray(targets, dtype=np.int64)
-        dist = np.full(self.n, np.inf)
-        final = np.zeros(self.n, dtype=bool)
-        final[targets] = True
         parent = None
         if self._track_parents:
             parent = np.full(self.n, -1, dtype=np.int64)
-            verts_a = self.shard_vertices[shard_a]
-            tree = parent_a >= 0
-            parent[verts_a[tree]] = verts_a[parent_a[tree]]
-            ovv, ov_parent = self._ov_vertices, overlay.parent
-            tree = ov_parent >= 0
-            parent[ovv[tree]] = ovv[ov_parent[tree]]
-        labels = self._labels[targets]
-        for shard_c in np.unique(labels).tolist():
-            seeded_c = self._seed(shard_c, shard_a, source, row_a, overlay.dist)
-            if seeded_c is None:
-                continue  # nothing reaches C: its targets are unreachable
-            seed, take = seeded_c
-            stop = self._local[targets[labels == shard_c]].tolist()
+            if parent_a is not None:
+                verts = self.shard_vertices[shard_a]
+                tree = parent_a >= 0
+                parent[verts[tree]] = verts[parent_a[tree]]
+            ovv = self._ov_vertices
+            tree = overlay.parent >= 0
+            parent[ovv[tree]] = ovv[overlay.parent[tree]]
+        if targets is None:
+            shards, final = range(len(self._backends)), None
+        else:
+            targets = np.asarray(targets, dtype=np.int64)
+            labels = self._labels[targets]
+            shards = np.unique(labels).tolist()
+            final = np.zeros(self.n, dtype=bool)
+            final[targets] = True
+        for shard_c in shards:
+            backend_c = self._backends[shard_c]
+            if backend_c is None:
+                continue
+            b_local = self._boundary_local[shard_c]
+            d_b = overlay.dist[self.boundary_ov[shard_c]]
+            seed = np.full(len(self.shard_vertices[shard_c]), np.inf)
+            if shard_c == shard_a:
+                # only what the overlay strictly improved: a boundary
+                # vertex seeded at its own row_a distance would cut it
+                # off from the source in the parent forest
+                take = d_b < row_a[b_local]
+                seed[self._local[source]] = 0.0
+            else:
+                take = d_b < np.inf
+                if not take.any():
+                    continue  # nothing reaches C: all of it is unreachable
+            seed[b_local[take]] = d_b[take]
+            stop = None
+            if final is not None:
+                stop = self._local[targets[labels == shard_c]].tolist()
             with span("router.fold_shard", shard=shard_c, boundary=int(take.sum())):
-                dist_c, parent_c = self._backends[shard_c].solve_seeded(
+                dist_c, parent_c = backend_c.solve_seeded(
                     seed, track_parents=self._track_parents, stop=stop
                 )
             verts = self.shard_vertices[shard_c]
             dist[verts] = dist_c
-            final[verts] |= dist_c < np.inf
+            if final is not None:
+                final[verts] |= dist_c < np.inf
             if parent is not None:
                 tree = parent_c >= 0
-                if shard_c == shard_a:
+                if shard_c == shard_a and parent_a is not None:
                     tree &= dist_c < row_a
                 parent[verts[tree]] = verts[parent_c[tree]]
+        if final is None:
+            return _Row(dist, parent)
         reached = dist[final]
         reached = reached[reached < np.inf]
         bound = float(reached.max()) if len(reached) else 0.0

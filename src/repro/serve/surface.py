@@ -125,14 +125,16 @@ class PlannerSurface:
         """Pre-solve known-hot sources (depots, landmarks) at boot."""
         self._planner.warm(sources)
 
-    def source_row(self, source: int, *, parents: bool = False):
-        """The full cached row of ``source``: its distances, or with
-        ``parents`` the ``(dist, parent)`` pair of one cached row — what
-        a shard answers for step 1 of the router's stitch
-        (``GET /internal/row/{s}[?parents=1]``).  ``parent`` is ``None``
-        on a surface that does not track parents."""
+    def source_row(
+        self, source: int, *, parents: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The full cached row of ``source`` as a ``(dist, parent)``
+        pair of one cached row — what a shard answers for step 1 of the
+        router's stitch (``GET /internal/row/{s}[?parents=1]``).
+        ``parent`` is ``None`` without ``parents`` or on a surface that
+        does not track parents."""
         if not parents:
-            return self._planner.distances(source)
+            return self._planner.distances(source), None
         return self._planner.full_row(source)
 
     # ------------------------------------------------------------------ #

@@ -112,7 +112,7 @@ class TestLocalBackend:
 
     def test_rows_match_service(self, small_graph, service):
         backend = LocalBackend(2, service)
-        single = backend.source_row(5)
+        single, _ = backend.source_row(5)
         assert np.array_equal(single, service.distances(5))
         # one seed at 0 is the source row itself
         dist, parent = backend.solve_seeded(_seed_row(small_graph.n, {5: 0.0}))
@@ -212,7 +212,7 @@ class TestRemoteBackend:
         service, server = shard_server
         backend = _backend(server, expect_n=small_graph.n)
         try:
-            got = backend.source_row(7)
+            got, _ = backend.source_row(7)
             want = service.distances(7)
             assert got.tobytes() == want.tobytes()
         finally:
@@ -398,7 +398,7 @@ class TestRemoteFailure:
                 server.url, shard=0, retries=3, backoff=0.01
             )
             try:
-                row = backend.source_row(4)
+                row, _ = backend.source_row(4)
                 assert np.array_equal(row, service.distances(4))
                 st = backend.backend_stats()
                 assert backend.healthy  # recovered within the budget

@@ -486,6 +486,126 @@ class TestLifecycle:
         finally:
             conn.close()
 
+    def test_idle_keepalive_client_does_not_hold_close(self):
+        """close() shuts the read side of every open connection, so a
+        client idling on a keep-alive socket does not hold it for the
+        default request_timeout (10 s)."""
+        import time
+
+        g = random_connected_graph(20, 40, seed=8)
+        svc = RoutingService(g, k=1, rho=4, heuristic="full")
+        server = RoutingHTTPServer(svc).start()
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+            t0 = time.perf_counter()
+            server.close()
+            assert time.perf_counter() - t0 < 0.5
+        finally:
+            conn.close()
+
+    def test_request_in_flight_answers_through_close(self):
+        """A request being answered when close() starts still gets its
+        200: close() shuts only the read side, and the handler
+        finishes its response before it sees end of stream."""
+        import time
+
+        g = random_connected_graph(20, 40, seed=8)
+        svc = RoutingService(g, k=1, rho=4, heuristic="full")
+        real = svc.distances
+        entered = threading.Event()
+
+        def slow(source):
+            entered.set()
+            time.sleep(0.5)
+            return real(source)
+
+        svc.distances = slow
+        server = RoutingHTTPServer(svc).start()
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        answers: list = []
+
+        def client() -> None:
+            conn.request("GET", "/distances/3")
+            resp = conn.getresponse()
+            answers.append((resp.status, json.loads(resp.read())))
+
+        thread = threading.Thread(target=client)
+        try:
+            thread.start()
+            assert entered.wait(10)
+            server.close()
+            thread.join(10)
+            assert not thread.is_alive()
+        finally:
+            conn.close()
+        (status, doc), = answers
+        assert status == 200
+        want = dijkstra(g, 3).dist
+        got = np.array([np.inf if d is None else d for d in doc["distances"]])
+        assert np.array_equal(got, want)
+
+    def test_connection_set_under_concurrent_clients(self):
+        """More keep-alive clients than cores ask and then hang up or
+        idle, under a short switch interval: each handler drops its
+        connection from the set when it ends (a lost update would leave
+        one behind), and close() ends the idle ones at once."""
+        import sys
+        import time
+
+        g = random_connected_graph(20, 40, seed=8)
+        svc = RoutingService(g, k=1, rho=4, heuristic="full")
+        server = RoutingHTTPServer(svc).start()
+        host, port = server.server_address[:2]
+        idle: list = []
+        errors: list = []
+
+        def client(i: int) -> None:
+            try:
+                conn = http.client.HTTPConnection(host, port, timeout=10)
+                for t in range(5):
+                    conn.request("GET", f"/route/{i}/{t}")
+                    resp = conn.getresponse()
+                    resp.read()
+                    assert resp.status == 200
+                if i % 2:
+                    conn.close()
+                else:
+                    idle.append(conn)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        try:
+            assert not errors, errors
+            deadline = time.monotonic() + 10
+            while len(server._connections) > len(idle) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(server._connections) == len(idle) == 8
+            t0 = time.perf_counter()
+            server.close()
+            assert time.perf_counter() - t0 < 0.5
+            assert not server._connections
+        finally:
+            server.close()
+            for conn in idle:
+                conn.close()
+
     def test_idle_close_is_prompt(self):
         """The accept loop checks for shutdown every 0.05 s, so closing
         an idle server takes a fraction of ``serve_forever``'s default

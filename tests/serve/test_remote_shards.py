@@ -273,6 +273,13 @@ class TestStoppedRemoteStitch:
             after = self._wire(router)
             assert after["source_rows"] - before["source_rows"] == 1
             assert 1 <= after["seeded_solves"] - before["seeded_solves"] <= N_SHARDS
+            # the source row with its parents, as a 2-row frame, and
+            # every shard's full solve with its parent row (the grid is
+            # connected, so the overlay reaches every shard)
+            n_a = int(np.count_nonzero(labels == labels[s + 1]))
+            assert after["frame_bytes_received"] - before["frame_bytes_received"] == (
+                (1 + N_SHARDS) * header + 16 * (n_a + len(labels))
+            )
 
     def test_internal_stop_and_parents_are_validated(self, sharded):
         """``?stop=`` and ``?parents=`` take integers in range; anything

@@ -546,3 +546,47 @@ class TestStoppedRouteStitch:
             else:
                 assert _telescopes(g, route)
         assert router.stats()["stitched"]["partial_solves"] >= 1
+
+
+def _zero_weight_grid():
+    """The 7×8 grid with weights 0–3 of the zero-weight tests above."""
+    from repro.graphs.build import from_arc_arrays
+
+    grid = grid_2d(7, 8)
+    tails = np.repeat(np.arange(grid.n), grid.degrees())
+    edge = tails < grid.indices
+    weights = np.random.default_rng(9).integers(0, 4, int(edge.sum()))
+    return from_arc_arrays(grid.n, tails[edge], grid.indices[edge], weights)
+
+
+@pytest.mark.parametrize("partition", PARTITIONERS)
+@pytest.mark.parametrize(
+    "graph, step",
+    [(_zero_weight_grid, 8), (lambda: grid_2d(12, 12), 36)],
+    ids=["zero-weight-7x8", "unit-12x12"],
+)
+def test_a_route_depends_only_on_its_pair(graph, step, partition):
+    """A stopped row and a full row come from one stitch, stopped at
+    different points, so a route takes one path whatever was cached:
+    the uncached router's every route is a stopped stitch, and the
+    other answers from the cached ``distances(s)`` row.  Ties are
+    everywhere on both graphs, so every path must also telescope."""
+    from repro.preprocess import build_sharded_kr_graph
+
+    g = graph()
+    sh = build_sharded_kr_graph(g, 2, 8, n_shards=3, partition=partition)
+    stopped = ShardRouter(sharded=sh, cache_capacity=0)
+    cached = ShardRouter(sharded=sh)
+    oracle = [dijkstra(g, u).dist for u in range(g.n)]
+    for s in range(0, g.n, step):
+        cached.distances(s)
+        for t in range(g.n):
+            route = stopped.route(s, t)
+            assert route == cached.route(s, t)
+            path = route.path
+            assert route.distance == oracle[s][t]
+            assert path[0] == s and path[-1] == t
+            assert sum(oracle[u][v] for u, v in zip(path, path[1:])) == route.distance
+    st = stopped.stats()["stitched"]
+    assert st["partial_solves"] == st["misses"] > 0
+    assert cached.stats()["stitched"]["partial_solves"] == 0

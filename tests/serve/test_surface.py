@@ -53,10 +53,10 @@ class TestRouterSingleFlight:
         real = backend.source_row
         calls: list[int] = []
 
-        def slow(local_source):
+        def slow(local_source, **kwargs):
             calls.append(local_source)
             time.sleep(0.2)
-            return real(local_source)
+            return real(local_source, **kwargs)
 
         monkeypatch.setattr(backend, "source_row", slow)
         barrier = threading.Barrier(N_THREADS)
