@@ -39,7 +39,7 @@ Every other gate reads its floor from the environment, where CI's
   the median over 24 sources of a loopback ``ShardCluster``'s cold
   stitch time over an in-process router's, at most
   ``1 + BENCH_REMOTE_MAX_OVERHEAD`` (1.0);
-* road 12k, 8 threads on the striped planner over one global lock:
+* road 12k, 8 threads on the planner over one global lock around it:
   ``BENCH_SERVING_MIN_CONC_SPEEDUP`` (2.0; on < 4 CPUs at most 1.0).
 
 ``BENCH_scaling.json`` holds the sweep, the exponents and every gate's
@@ -476,9 +476,9 @@ def test_serving_concurrency(report):
         + [(hubs[i], hubs[-1 - i]) for i in range(4)]
         + [KNearest(hubs[i], 64) for i in range(4)]
     )
-    striped = QueryPlanner(sp, capacity=64, track_parents=True, stripes=8)
-    locked = QueryPlanner(sp, capacity=64, track_parents=True, stripes=1)
-    striped.warm(hubs)
+    planner = QueryPlanner(sp, capacity=64, track_parents=True)
+    locked = QueryPlanner(sp, capacity=64, track_parents=True)
+    planner.warm(hubs)
     locked.warm(hubs)
     lock = threading.Lock()
 
@@ -487,8 +487,8 @@ def test_serving_concurrency(report):
             return locked.execute(queries)
 
     lock_qps = _queries_per_second(one_lock, workload)
-    speedup = _queries_per_second(striped.execute, workload) / lock_qps
-    assert striped.stats()["solves"] == locked.stats()["solves"] == len(hubs)
+    speedup = _queries_per_second(planner.execute, workload) / lock_qps
+    assert planner.stats()["solves"] == locked.stats()["solves"] == len(hubs)
     floor, cpus = _env("BENCH_SERVING_MIN_CONC_SPEEDUP", "2.0"), os.cpu_count() or 1
     if cpus < 4:  # 8 threads cannot beat one lock 2x without the cores
         floor = min(floor, 0.5 if cpus == 1 else 1.0)

@@ -4,7 +4,7 @@
 The serving stack ends at a network boundary: ``repro.serve.http``
 exposes one :class:`~repro.serve.service.RoutingService` through a
 stdlib ``ThreadingHTTPServer``, every request thread calling the same
-thread-safe planner (striped LRU cache, single-flight solves).  This
+thread-safe planner (one locked LRU cache, single-flight solves).  This
 example stands the whole thing up on a loopback socket:
 
 1. **boot** — preprocess a road network, persist the artifact, then

@@ -8,11 +8,11 @@ Design constraints, in order:
 1. **O(1), lock-striped hot path.**  Every metric site sits on the
    serving hot path (a request handler, a planner probe, an engine
    step), so an observation must cost one dict-free child access plus
-   one short critical section.  Locking is striped the same way the
-   planner's LRU counters are: each *child* (one label combination of
-   one family) owns its own mutex, so two endpoints, two engines or two
-   shards never contend — only two threads updating the very same
-   series do, and then only for a float add.
+   one short critical section.  Locking is per child: each *child*
+   (one label combination of one family) owns its own mutex, so two
+   endpoints, two engines or two shards never contend — only two
+   threads updating the very same series do, and then only for a float
+   add.
 2. **Exact totals.**  Counters are never approximate: a lost update
    under preemption is a bug the concurrency tests hammer for
    (``hits + misses == lookups`` style invariants must hold at
@@ -32,8 +32,8 @@ Tests inject a fresh :class:`MetricsRegistry` and assert on it in
 isolation.
 
 Scrape-time **collectors** bridge subsystems that already keep exact
-counters of their own (the planner's striped stripes, the shard
-router's stitched-row LRU): a collector is a zero-argument callable
+counters of their own (the planner's row LRU, the shard router's
+stitched-row LRU): a collector is a zero-argument callable
 returning metric families built from a ``stats()`` snapshot, so the hot
 path pays *nothing* and the scrape is always consistent with
 ``GET /stats``.  Collectors are held by weak reference — a dead service
@@ -428,7 +428,7 @@ class MetricsRegistry:
 
         ``fn`` is called at every :meth:`collect` and returns
         :class:`MetricFamily` records built from some subsystem's own
-        counters — the bridge that puts the planner's striped LRU
+        counters — the bridge that puts the planner's LRU
         counters on ``GET /metrics`` with zero hot-path cost.  Bound
         methods are held via :class:`weakref.WeakMethod`, so a garbage-
         collected service drops out of the scrape on its own.

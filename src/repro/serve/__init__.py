@@ -12,8 +12,8 @@ becomes a production serving story in cooperating parts:
   source-row cache over a row source (engine rows, or the router's
   stitched rows), request deduplication, and coalescing of mixed
   single-source / point-to-point / k-nearest batches onto one fan-out
-  — thread-safe via striped locks and single-flight in-flight solve
-  tracking, so a threaded front end drives one planner from every
+  — thread-safe via one lock over one LRU and single-flight in-flight
+  solve tracking, so a threaded front end drives one planner from every
   worker thread.  A route or nearest miss stops at the step that
   settles its answer, and the row answers what its bound covers.
 * :mod:`~repro.serve.surface` — :class:`QuerySurface`, the protocol

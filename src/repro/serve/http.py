@@ -7,11 +7,11 @@ protocol, not a concrete class, so the single-graph
 :class:`~repro.serve.router.ShardRouter` are interchangeable behind the
 same endpoints — sharded serving is a drop-in.  A
 :class:`~http.server.ThreadingHTTPServer` dispatches each request on
-its own thread straight into the thread-safe surface (striped caches,
-single-flight solves underneath), so concurrent clients share cached
-rows and coalesce duplicate misses exactly like in-process callers.  No
-framework, no dependencies — the container this repo targets has only
-the scientific stack.
+its own thread straight into the thread-safe surface (one locked LRU
+per planner, single-flight solves underneath), so concurrent clients
+share cached rows and coalesce duplicate misses exactly like
+in-process callers.  No framework, no dependencies — the container
+this repo targets has only the scientific stack.
 
 Endpoints
 ---------
@@ -319,7 +319,8 @@ class _Handler(BaseHTTPRequestHandler):
                 status = 200
             except _HTTPError as exc:
                 names = {
-                    404: "NotFound", 411: "LengthRequired", 413: "PayloadTooLarge"
+                    404: "NotFound", 408: "RequestTimeout", 411: "LengthRequired",
+                    413: "PayloadTooLarge", 503: "ServerClosing",
                 }
                 status, payload = exc.status, {
                     "error": names.get(exc.status, "BadRequest"),
@@ -465,7 +466,10 @@ class _Handler(BaseHTTPRequestHandler):
         raise _HTTPError(404, f"no GET endpoint at {self.path!r}")
 
     def _read_body(self) -> bytes:
-        """The request body, under the checks every POST shares."""
+        """The request body, under the checks every POST shares: all
+        ``Content-Length`` bytes, or 503 if ``close()`` cut it short, 400
+        if the client did, 408 if it stalled.  Only a whole body counts
+        as read, so each error closes the connection."""
         length = self.headers.get("Content-Length")
         if length is None or not _INT_RE.match(length):
             raise _HTTPError(411, "POST requires a Content-Length header")
@@ -476,7 +480,14 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HTTPError(400, "Content-Length must be non-negative")
         if length > MAX_BODY_BYTES:
             raise _HTTPError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise _HTTPError(408, f"body stalled for {self.timeout} s") from None
+        if len(raw) < length:
+            if self.server._closing:
+                raise _HTTPError(503, "server is closing")
+            raise _HTTPError(400, f"body ended after {len(raw)} of {length} bytes")
         self._body_read = True  # connection stays reusable from here on
         return raw
 
@@ -526,8 +537,8 @@ class RoutingHTTPServer(ThreadingHTTPServer):
     implementing :class:`~repro.serve.surface.QuerySurface`).
 
     Each connection is handled on its own thread; all of them funnel
-    into the same surface, whose striped caches and single-flight tables
-    make that safe (and fast — see ``benchmarks/bench_scaling.py``).
+    into the same surface, whose locked LRU caches and single-flight
+    tables make that safe (and fast — see ``benchmarks/bench_scaling.py``).
 
     Use as a context manager for the full lifecycle, or call
     :meth:`start` / :meth:`close` explicitly::
@@ -599,6 +610,8 @@ class RoutingHTTPServer(ThreadingHTTPServer):
         # accepted connections not yet shut down, for close()
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
+        # set by close() first: a body cut short after it is not the client's
+        self._closing = False
 
     def process_request(self, request, client_address) -> None:
         with self._connections_lock:
@@ -649,7 +662,9 @@ class RoutingHTTPServer(ThreadingHTTPServer):
     def close(self) -> None:
         """Graceful shutdown: stop the accept loop, end idle
         connections, drain handler threads, release the socket.
-        Idempotent."""
+        Idempotent.  A request whose body is still arriving answers
+        503 ``ServerClosing``."""
+        self._closing = True
         if self._thread is not None:
             self.shutdown()
             self._thread.join()

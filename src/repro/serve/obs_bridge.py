@@ -1,8 +1,8 @@
 """Scrape-time bridge from serving counters to metric families.
 
 Every planner — a service's, each local shard's, and the router's
-stitched-row planner — already keeps exact counters of its own (striped
-LRU hits/misses, single-flight waits) for ``GET /stats``.  Putting
+stitched-row planner — already keeps exact counters of its own (LRU
+hits/misses, single-flight waits) for ``GET /stats``.  Putting
 those numbers on ``GET /metrics`` must cost the hot path *nothing*, so
 instead of double-counting at every probe,
 :meth:`PlannerSurface.instrument

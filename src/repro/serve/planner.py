@@ -54,25 +54,20 @@ cached before.
 Concurrency model (an HTTP/gRPC front end calls one planner from many
 worker threads):
 
-* **Striped locking** — the cache is sharded into N independent
-  stripes, each an ``OrderedDict`` LRU with its own mutex and its own
-  hit/miss/eviction counters (aggregated by :meth:`stats`).  A source
-  is assigned to ``hash(source) % N``, so threads touching different
-  sources contend only on the GIL, never on a shared lock, and a
-  stripe's lock is held only for the dict probe/insert — never across
-  a solve or answer construction.
-* **Single-flight solves** — a planner-wide in-flight table dedups
-  *concurrent* misses: the first thread to miss a source becomes its
-  leader and runs the (coalesced) ``solve_many``; any other thread
-  missing the same source in the meantime blocks on the leader's
-  event and receives the very same row object if it covers the
-  thread's own query.  If it does not, the thread becomes a leader for
-  its own query: no answer ever comes from a row that does not cover
-  it.
-* Eviction is **per stripe** (each stripe owns ``capacity / N`` slots),
-  so the global LRU order of the serial planner is only reproduced
-  exactly with ``stripes=1``; total cached rows never exceed
-  ``capacity`` either way.
+* **One lock** guards the LRU (one ``OrderedDict`` of at most
+  ``capacity`` rows, whatever the source ids), the in-flight table and
+  every counter.  It is held only for dict operations and
+  :meth:`_Row.covers` — never across a solve, answer construction or
+  an event wait.  A source's probe and, on a miss, its flight claim
+  are one critical section, so no thread misses a row that another is
+  just publishing.
+* **Single-flight solves** — an in-flight table dedups *concurrent*
+  misses: the first thread to miss a source becomes its leader and
+  runs the (coalesced) ``solve_many``; any other thread missing the
+  same source in the meantime blocks on the leader's event and
+  receives the very same row object if it covers the thread's own
+  query.  If it does not, the thread becomes a leader for its own
+  query: no answer ever comes from a row that does not cover it.
 
 Hit/miss/eviction/coalescing/single-flight counters are exposed via
 :meth:`stats` for the serving benchmark
@@ -178,7 +173,7 @@ class _Row:
     the mask holds and nothing else (``settled = 0``: no nearest query
     hits it), and its finite ``bound`` only ranks it below a full row
     for :meth:`QueryPlanner._insert`.  A query it does not cover solves
-    its source in full (see :meth:`QueryPlanner._lead_or_follow`).
+    its source in full (see :meth:`QueryPlanner._claim`).
     """
 
     __slots__ = ("dist", "parent", "bound", "settled", "final")
@@ -222,28 +217,6 @@ class _Row:
             return all(self.final[t] for t in need.targets)
         dist = self.dist
         return all(dist[t] <= bound for t in need.targets)
-
-
-class _Stripe:
-    """One lock-protected shard of the LRU row cache.
-
-    Counters live here (not on the planner) so the hot path touches a
-    single mutex per probe; :meth:`QueryPlanner.stats` aggregates.
-    """
-
-    __slots__ = ("lock", "rows", "capacity", "lookups", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int) -> None:
-        self.lock = threading.Lock()
-        self.rows: OrderedDict[int, object] = OrderedDict()
-        self.capacity = capacity
-        # ``lookups`` is counted independently of hits/misses so the
-        # exported ``hits + misses == lookups`` invariant is a real
-        # lost-update check, not an identity.
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 class _InFlight:
@@ -381,18 +354,14 @@ class QueryPlanner:
     solver: the preprocessed facade queries run against.
     engine: engine selector; resolved once so ``"auto"`` and its
         concrete name share cache entries.
-    capacity: maximum cached source rows across all stripes (LRU
-        eviction per stripe); ``0`` disables caching entirely (every
-        query misses, nothing is stored — concurrent identical misses
-        still collapse onto one solve via single-flight).
+    capacity: maximum cached source rows (one LRU); ``0`` disables
+        caching entirely (every query misses, nothing is stored —
+        concurrent identical misses still collapse onto one solve via
+        single-flight).
     track_parents: cache parent rows too, enabling :meth:`route` paths.
         Every engine but the treap reference ``bst`` tracks parents;
         asking ``bst`` for them raises ``ValueError`` here, not on the
         first query.
-    stripes: lock stripes for concurrent access.  The effective count
-        is clamped to ``capacity`` so every stripe owns at least one
-        slot; ``stripes=1`` restores the serial planner's exact global
-        LRU eviction order.
 
     All public methods are safe to call from multiple threads.
     """
@@ -404,7 +373,6 @@ class QueryPlanner:
         engine: str = "auto",
         capacity: int = 256,
         track_parents: bool = False,
-        stripes: int = 8,
     ) -> None:
         resolved = solver.resolve_engine(engine)
         if track_parents and not get_engine(resolved).supports_parents:
@@ -412,46 +380,35 @@ class QueryPlanner:
                 f"the {resolved} engine does not track parents; "
                 "pass track_parents=False or pick another engine"
             )
-        self._setup(_EngineRows(solver, resolved, track_parents), capacity, stripes)
+        self._setup(_EngineRows(solver, resolved, track_parents), capacity)
 
     @classmethod
-    def from_rows(
-        cls, rows, *, capacity: int = 256, stripes: int = 8
-    ) -> "QueryPlanner":
+    def from_rows(cls, rows, *, capacity: int = 256) -> "QueryPlanner":
         """A planner over any row source (see the module docstring).
 
         ``rows`` must not reference the planner: the planner owns it,
         and a cycle would keep every cached row alive until a full
         garbage collection."""
         planner = cls.__new__(cls)
-        planner._setup(rows, capacity, stripes)
+        planner._setup(rows, capacity)
         return planner
 
-    def _setup(self, rows, capacity: int, stripes: int) -> None:
+    def _setup(self, rows, capacity: int) -> None:
         if capacity < 0:
             raise ValueError("capacity >= 0 required")
-        if stripes < 1:
-            raise ValueError("stripes >= 1 required")
         self._rows = rows
         self._capacity = capacity
-        n_stripes = max(1, min(stripes, capacity)) if capacity > 0 else 1
-        base, extra = divmod(capacity, n_stripes)
-        self._stripes = tuple(
-            _Stripe(base + (1 if i < extra else 0)) for i in range(n_stripes)
-        )
-        # Single-flight table + batch-level counters.  ``_flight_lock``
-        # guards only the in-flight dict; it is never held across a
-        # solve, a stripe operation, or an event wait (no lock nesting
-        # anywhere → no ordering to get wrong).
-        self._flight_lock = threading.Lock()
+        # guards the LRU, the in-flight table and the counters
+        self._lock = threading.Lock()
+        self._cache: OrderedDict[int, _Row] = OrderedDict()
         self._inflight: dict[int, _InFlight] = {}
-        self._stats_lock = threading.Lock()
-        self._coalesced = 0
-        self._batches = 0
-        self._solves = 0
-        self._flight_waits = 0
-        self._partial_solves = 0
-        self._extensions = 0
+        # ``lookups`` is counted independently of hits/misses so the
+        # exported ``hits + misses == lookups`` invariant is a real
+        # lost-update check, not an identity.
+        self._counts = dict.fromkeys(
+            "hits misses lookups evictions coalesced batches solves "
+            "single_flight_waits partial_solves extensions".split(), 0
+        )
 
     @property
     def engine(self) -> str:
@@ -462,76 +419,49 @@ class QueryPlanner:
     # ------------------------------------------------------------------ #
     # Cache plumbing
     # ------------------------------------------------------------------ #
-    def _stripe(self, source: int) -> _Stripe:
-        return self._stripes[hash(source) % len(self._stripes)]
-
-    def _lookup(self, source: int, need: StopRule | None):
-        """Cache probe for ``need``; refreshes LRU recency, counts
-        hit/miss.  A cached row that does not cover ``need`` is a miss."""
-        stripe = self._stripe(source)
-        with stripe.lock:
-            stripe.lookups += 1
-            row = stripe.rows.get(source)
-            if row is None or not row.covers(need):
-                stripe.misses += 1
-                return None
-            stripe.rows.move_to_end(source)
-            stripe.hits += 1
-            return row
-
     def _peek(self, source: int):
-        """Counter-free cache re-check (no hit/miss, no LRU refresh).
+        """The cached row of ``source`` or ``None``; counts nothing."""
+        with self._lock:
+            return self._cache.get(source)
 
-        Used by a thread that just won a single-flight slot: between its
-        (already-counted) miss and the slot registration, the previous
-        leader may have published the row and retired its flight — in
-        that window the row is in the cache, and re-solving it would
-        duplicate work the single-flight design exists to prevent."""
-        stripe = self._stripe(source)
-        with stripe.lock:
-            return stripe.rows.get(source)
-
-    def _insert(self, source: int, row) -> None:
-        """Cache ``row``, unless the cached row reaches further."""
-        stripe = self._stripe(source)
-        with stripe.lock:
-            if stripe.capacity == 0:
-                return
-            cached = stripe.rows.get(source)
-            if cached is None or cached.bound <= row.bound:
-                stripe.rows[source] = row
-            stripe.rows.move_to_end(source)
-            while len(stripe.rows) > stripe.capacity:
-                stripe.rows.popitem(last=False)
-                stripe.evictions += 1
+    def _insert(self, source: int, row: _Row) -> None:
+        """Cache ``row``, unless the cached row reaches further.  The
+        caller holds the lock."""
+        if self._capacity == 0:
+            return
+        cache = self._cache
+        cached = cache.get(source)
+        if cached is None or cached.bound <= row.bound:
+            cache[source] = row
+        cache.move_to_end(source)
+        while len(cache) > self._capacity:
+            cache.popitem(last=False)
+            self._counts["evictions"] += 1
 
     def _fetch_rows(self, needs: dict) -> dict:
         """The planning core: cache-hit what we can, coalesce the rest.
 
         ``needs`` maps each distinct source to the :class:`StopRule` its
         queries need (``None``: a full row).  Missing sources split
-        into *leaders* (this thread won the in-flight slot and solves
-        them as one row-source batch) and *followers* (another thread is
+        into *leaders* (this thread claimed the flight and solves them
+        as one row-source batch) and *followers* (another thread is
         already solving that source; block on its event and share its
         row).  A follower whose need the published row does not cover
-        goes round again, as a leader if the slot is free.  Every
-        leader row is inserted into the cache and published to the
-        in-flight record before any answer is built, so followers get
+        goes round again, as a leader if no flight is left.  Every
+        leader row is published to its flight record, so followers get
         the identical row object even when ``capacity=0`` or an
         eviction races the wait.
         """
         rows = {}
-        missing = []
-        for s, need in needs.items():
-            row = self._lookup(s, need)
-            if row is None:
-                missing.append((s, need))
-            else:
-                rows[s] = row
+        missing = needs.items()
+        probe = True
         while missing:
-            followers = self._lead_or_follow(missing, rows)
+            lead, follow = self._claim(missing, rows, probe)
+            probe = False
+            if lead:
+                self._solve(lead, rows)
             missing = []
-            for s, need, flight in followers:
+            for s, need, flight in follow:
                 flight.event.wait()
                 if flight.error is not None:
                     raise flight.error
@@ -539,89 +469,76 @@ class QueryPlanner:
                     rows[s] = flight.row
                 else:
                     missing.append((s, need))
-            if followers:
-                with self._stats_lock:
-                    self._flight_waits += len(followers)
         return rows
 
-    def _lead_or_follow(self, missing: list, rows: dict) -> list:
-        """Claim a flight for every ``(source, need)`` of ``missing`` that
-        has none and solve those as one batch into ``rows``; return
-        ``(source, need, flight)`` for each source another thread is
-        already solving."""
-        followers: list[tuple[int, StopRule | None, _InFlight]] = []
-        # flights this thread leads but has not yet published; covered
-        # end to end by the except below, so no exception anywhere in
-        # the probe/salvage/solve region can strand a registered flight
-        # (a stranded entry would block every future request for that
-        # source forever — its followers wait without a timeout)
-        pending: list[tuple[int, _InFlight]] = []
-        try:
+    def _claim(self, missing: Iterable, rows: dict, probe: bool) -> tuple:
+        """Sort each ``(source, need)`` of ``missing`` under one hold:
+        a covering cached row is a hit (into ``rows``, LRU refreshed), a
+        source another thread solves a follower ``(source, need,
+        flight)``, any other a leader ``(source, flight)`` with a new
+        flight.  A cached row that does not cover its need counts one
+        extension, and a masked one is solved in full: a second masked
+        row would only replace it.  Only a first ``probe`` counts
+        lookups, hits and misses; every follower counts one wait."""
+        lead: list[tuple[int, _InFlight]] = []
+        follow: list[tuple[int, StopRule | None, _InFlight]] = []
+        counts = self._counts
+        with self._lock:
             for s, need in missing:
-                with self._flight_lock:
-                    flight = self._inflight.get(s)
-                    if flight is None:
-                        flight = _InFlight(need)
-                        # track before making it discoverable, so the
-                        # cleanup below always sees it
-                        pending.append((s, flight))
-                        self._inflight[s] = flight
-                    else:
-                        followers.append((s, need, flight))
-            # Close the probe→registration race: a previous leader may
-            # have published this source (cache insert precedes flight
-            # retirement) between our miss and our slot win — serve the
-            # cached row instead of re-solving it.  A cached row that
-            # does not cover the need is solved further.
-            extensions = 0
-            i = 0
-            while i < len(pending):
-                s, flight = pending[i]
-                row = self._peek(s)
-                if row is None or not row.covers(flight.need):
-                    if row is not None:
-                        extensions += 1
-                        if row.final is not None:
-                            # a second masked row would only replace
-                            # this one: extend it to a full row
-                            flight.need = None
-                    i += 1
-                    continue
-                rows[s] = row
-                flight.row = row
-                with self._flight_lock:
-                    self._inflight.pop(s, None)
-                flight.event.set()
-                pending.pop(i)
-            if pending:
-                sources = [s for s, _ in pending]
-                with span("planner.solve_missing", sources=len(sources)):
-                    solved = self._rows.solve(sources, [f.need for _, f in pending])
-                partial = sum(row.bound < math.inf for row in solved)
-                with self._stats_lock:
-                    self._batches += 1
-                    self._solves += len(sources)
-                    self._partial_solves += partial
-                    self._extensions += extensions
-                for row in solved:
-                    s, flight = pending[0]
+                row = self._cache.get(s)
+                covered = row is not None and row.covers(need)
+                if probe:
+                    counts["lookups"] += 1
+                    counts["hits" if covered else "misses"] += 1
+                if covered:
+                    self._cache.move_to_end(s)
                     rows[s] = row
+                    continue
+                flight = self._inflight.get(s)
+                if flight is not None:
+                    counts["single_flight_waits"] += 1
+                    follow.append((s, need, flight))
+                    continue
+                if row is not None:
+                    counts["extensions"] += 1
+                    if row.final is not None:
+                        need = None
+                lead.append((s, _InFlight(need)))
+            if lead:  # registered last, so an exception above strands none
+                self._inflight.update(lead)
+        return lead, follow
+
+    def _solve(self, lead: list, rows: dict) -> None:
+        """Solve the sources this thread leads as one row-source batch
+        into ``rows``; cache and publish each row and retire its flight.
+
+        The solve runs outside the lock.  On any exception every
+        unpublished flight gets the error and is retired, and every
+        event is set: a stranded flight would block each later request
+        for its source forever (followers wait without a timeout)."""
+        try:
+            sources = [s for s, _ in lead]
+            with span("planner.solve_missing", sources=len(sources)):
+                solved = self._rows.solve(sources, [f.need for _, f in lead])
+            with self._lock:
+                counts = self._counts
+                counts["batches"] += 1
+                counts["solves"] += len(sources)
+                counts["partial_solves"] += sum(row.bound < math.inf for row in solved)
+                for (s, flight), row in zip(lead, solved, strict=True):
                     self._insert(s, row)
-                    flight.row = row
-                    with self._flight_lock:
-                        self._inflight.pop(s, None)
-                    flight.event.set()
-                    pending.pop(0)
+                    rows[s] = flight.row = row
+                    del self._inflight[s]
         except BaseException as exc:
-            # Never strand a waiter: every registered-but-unpublished
-            # flight gets the error and its event set before we re-raise.
-            for s, flight in pending:
-                flight.error = exc
-                with self._flight_lock:
-                    self._inflight.pop(s, None)
-                flight.event.set()
+            with self._lock:
+                for s, flight in lead:
+                    if flight.row is None:
+                        flight.error = exc
+                        del self._inflight[s]
             raise
-        return followers
+        finally:
+            for _, flight in lead:
+                flight.event.set()
 
     # ------------------------------------------------------------------ #
     # Answer construction
@@ -660,8 +577,8 @@ class QueryPlanner:
             rows = self._fetch_rows(needs)
             distinct = len(needs)
             annotate(distinct_sources=distinct)
-            with self._stats_lock:
-                self._coalesced += len(normalized) - distinct
+            with self._lock:
+                self._counts["coalesced"] += len(normalized) - distinct
             return [self._answer(q, rows) for q in normalized]
 
     def distances(self, source: int) -> np.ndarray:
@@ -698,48 +615,23 @@ class QueryPlanner:
     def stats(self) -> dict:
         """Counter snapshot for benchmarking and monitoring.
 
-        Aggregated across stripes.  Each counter is monotone and
-        individually exact; the snapshot as a whole is not atomic under
-        concurrent traffic (a probe may land between two stripe reads),
-        but at quiescence ``hits + misses == lookups`` and
+        One hold reads every counter, so the snapshot is consistent
+        even under concurrent traffic: ``hits + misses == lookups`` and
         ``cached_rows <= capacity`` always hold.
 
         ``partial_solves`` counts misses answered by a stopped run (a
         row with a finite bound), ``extensions`` cached rows that did
         not cover a query and were solved further.
         """
-        lookups = hits = misses = evictions = cached = 0
-        for stripe in self._stripes:
-            with stripe.lock:
-                lookups += stripe.lookups
-                hits += stripe.hits
-                misses += stripe.misses
-                evictions += stripe.evictions
-                cached += len(stripe.rows)
-        with self._stats_lock:
-            coalesced = self._coalesced
-            batches = self._batches
-            solves = self._solves
-            flight_waits = self._flight_waits
-            partial_solves = self._partial_solves
-            extensions = self._extensions
-        with self._flight_lock:
+        with self._lock:
+            counts = dict(self._counts)
+            cached = len(self._cache)
             inflight = len(self._inflight)
         return {
             "engine": self._rows.engine,
             "graph_hash": self._rows.graph_hash,
             "capacity": self._capacity,
-            "stripes": len(self._stripes),
             "cached_rows": cached,
-            "hits": hits,
-            "misses": misses,
-            "lookups": lookups,
-            "evictions": evictions,
-            "coalesced": coalesced,
-            "batches": batches,
-            "solves": solves,
-            "single_flight_waits": flight_waits,
-            "partial_solves": partial_solves,
-            "extensions": extensions,
+            **counts,
             "inflight": inflight,
         }

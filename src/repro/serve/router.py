@@ -77,7 +77,7 @@ naming the shard) instead of a hang.
 A stitched row is one more exact SSSP row, so it sits behind the same
 :class:`~repro.serve.planner.QueryPlanner` an engine row does: the
 stitcher is the router planner's row source.  The router therefore
-shares the service's validation, striped LRU, batch coalescing and
+shares the service's validation, LRU, batch coalescing and
 single-flight — concurrent misses on one source stitch it once, and
 every other thread waits for that row.
 """
@@ -323,8 +323,6 @@ class ShardRouter(PlannerSurface):
     cache_capacity: LRU size for the router's stitched rows *and* each
         local shard service's row cache (the source rows of step 1;
         seeded shard solves are not cached).
-    cache_stripes: lock stripes for the router's stitched-row cache and
-        for each local shard service's row cache.
     track_parents: record predecessors so :meth:`route` returns stitched
         paths.
     """
@@ -346,7 +344,6 @@ class ShardRouter(PlannerSurface):
         heuristic: str = "dp",
         engine: str = "auto",
         cache_capacity: int = 256,
-        cache_stripes: int = 8,
         track_parents: bool = True,
         preprocess_jobs: int = 1,
     ) -> None:
@@ -387,7 +384,6 @@ class ShardRouter(PlannerSurface):
                 sharded,
                 engine=engine,
                 cache_capacity=cache_capacity,
-                cache_stripes=cache_stripes,
                 track_parents=track_parents,
             )
             backends = [
@@ -409,9 +405,7 @@ class ShardRouter(PlannerSurface):
                     )
         self._backends: list[ShardBackend | None] = backends
         self._stitcher = _Stitcher(topology, shard_vertices, backends, track_parents)
-        self._planner = QueryPlanner.from_rows(
-            self._stitcher, capacity=cache_capacity, stripes=cache_stripes
-        )
+        self._planner = QueryPlanner.from_rows(self._stitcher, capacity=cache_capacity)
 
     # ------------------------------------------------------------------ #
     # Construction / persistence

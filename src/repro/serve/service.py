@@ -5,8 +5,8 @@ One object wires the whole serving stack together: the preprocessed
 optionally memory-mapped), the engine registry, and the
 caching/coalescing :class:`~repro.serve.planner.QueryPlanner`.  It is
 the embeddable core a network front end calls into — and
-that is safe: the planner underneath is thread-safe (striped cache,
-single-flight solves), so :mod:`repro.serve.http`'s
+that is safe: the planner underneath is thread-safe (one lock over
+one LRU, single-flight solves), so :mod:`repro.serve.http`'s
 ``ThreadingHTTPServer`` worker threads all drive one service instance
 concurrently::
 
@@ -52,11 +52,10 @@ class RoutingService(PlannerSurface):
         queries and answers stay in the input graph's vertex ids — but
         the kernel's CSR gathers run on the cache-friendly layout.
     engine: engine selector for every query (resolved once).
-    cache_capacity: planner LRU size (source rows).
-    cache_stripes: lock stripes for the planner cache — the service is
+    cache_capacity: planner LRU size (source rows).  The service is
         safe to call from many threads (an HTTP front end's worker
         threads); see :class:`~repro.serve.planner.QueryPlanner` for the
-        striping / single-flight model.
+        locking / single-flight model.
     track_parents: record predecessors so :meth:`route` returns paths
         (the default — it is a *routing* service).  Distance-only
         workloads should pass ``False``: it halves cached-row memory.
@@ -74,7 +73,6 @@ class RoutingService(PlannerSurface):
         heuristic: str = "dp",
         engine: str = "auto",
         cache_capacity: int = 256,
-        cache_stripes: int = 8,
         track_parents: bool = True,
         preprocess_jobs: int = 1,
         reorder: str = "natural",
@@ -98,7 +96,6 @@ class RoutingService(PlannerSurface):
             engine=engine,
             capacity=cache_capacity,
             track_parents=track_parents,
-            stripes=cache_stripes,
         )
 
     # ------------------------------------------------------------------ #

@@ -8,9 +8,12 @@ back with zero errors and answers bit-identical to a serial
 server-side failures to 5xx, and shutdown is graceful.
 """
 
+import contextlib
 import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import dijkstra
+from repro.graphs.generators import grid_2d
 from repro.serve import QueryPlanner, RoutingHTTPServer, RoutingService
 
 from tests.helpers import random_connected_graph
@@ -64,6 +68,32 @@ def _post_error(url: str, raw: bytes):
         return exc.code, json.loads(exc.read())
 
 
+#: a valid ``POST /batch`` body, sent in parts by the raw-socket tests
+_BATCH = json.dumps([{"type": "route", "source": 0, "target": 35}]).encode()
+
+
+def _partial_batch(server, sent: int) -> socket.socket:
+    """A raw connection that sent a ``POST /batch`` head and the first
+    ``sent`` bytes of the body, once the server has accepted it."""
+    sock = socket.create_connection(server.server_address[:2], timeout=10)
+    head = (
+        "POST /batch HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(_BATCH)}\r\n\r\n"
+    )
+    sock.sendall(head.encode() + _BATCH[:sent])
+    deadline = time.monotonic() + 10
+    while not server._connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return sock
+
+
+def _raw_response(sock: socket.socket) -> tuple[int, str | None, dict]:
+    """Status, ``Connection`` header and JSON body of one response."""
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    return resp.status, resp.getheader("Connection"), json.loads(resp.read())
+
+
 class TestEndpoints:
     def test_healthz(self, stack):
         _g, _svc, server = stack
@@ -93,7 +123,7 @@ class TestEndpoints:
         assert doc["engine"]
         assert doc["capacity"] == 32
         assert doc["hits"] + doc["misses"] == doc["lookups"]
-        assert "stripes" in doc and "single_flight_waits" in doc
+        assert "single_flight_waits" in doc
 
     def test_stats_names_the_served_engine(self, stack):
         """``auto`` is served as ``vectorized``, and ``engines`` lists
@@ -605,6 +635,54 @@ class TestLifecycle:
             server.close()
             for conn in idle:
                 conn.close()
+
+    def test_close_mid_body_answers_server_closing(self):
+        """A valid body still arriving when close() starts is cut short
+        by the server, not the client: 503 ``ServerClosing``, which a
+        ``RemoteBackend`` retries, and never a 400."""
+        svc = RoutingService(grid_2d(6, 6), k=1, rho=4, heuristic="full")
+        server = RoutingHTTPServer(svc).start()
+        sock = _partial_batch(server, 10)
+        closer = threading.Thread(target=server.close)
+        try:
+            closer.start()
+            status, connection, doc = _raw_response(sock)
+            with contextlib.suppress(OSError):
+                sock.sendall(_BATCH[10:])  # the rest arrives too late
+            closer.join(10)
+            assert not closer.is_alive()
+        finally:
+            sock.close()
+            server.close()
+        assert (status, doc["error"], connection) == (503, "ServerClosing", "close")
+
+    def test_stalled_body_answers_request_timeout(self):
+        """A body that stops arriving is the client's stall: 408 once
+        ``request_timeout`` passes, not a server-fault 500."""
+        svc = RoutingService(grid_2d(6, 6), k=1, rho=4, heuristic="full")
+        server = RoutingHTTPServer(svc, request_timeout=0.5).start()
+        sock = _partial_batch(server, 10)
+        try:
+            status, connection, doc = _raw_response(sock)
+        finally:
+            sock.close()
+            server.close()
+        assert (status, doc["error"], connection) == (408, "RequestTimeout", "close")
+
+    def test_body_cut_short_by_the_client_names_the_short_read(self):
+        """A client that shuts its write side mid-body gets a 400 that
+        names the short body, not a JSON parse error."""
+        svc = RoutingService(grid_2d(6, 6), k=1, rho=4, heuristic="full")
+        server = RoutingHTTPServer(svc).start()
+        sock = _partial_batch(server, 10)
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            status, connection, doc = _raw_response(sock)
+        finally:
+            sock.close()
+            server.close()
+        assert (status, connection) == (400, "close")
+        assert doc["message"] == f"body ended after 10 of {len(_BATCH)} bytes"
 
     def test_idle_close_is_prompt(self):
         """The accept loop checks for shutdown every 0.05 s, so closing

@@ -129,9 +129,7 @@ class TestCache:
         assert s["hits"] >= 4
 
     def test_eviction_lru_order(self, case):
-        # stripes=1: the serial planner's exact global LRU order (with
-        # striping, eviction order is per stripe)
-        planner = make_planner(case, capacity=2, stripes=1)
+        planner = make_planner(case, capacity=2)
         planner.distances(0)   # cache: {0}
         planner.distances(1)   # cache: {0, 1}
         planner.distances(0)   # refresh 0 → LRU order {1, 0}
@@ -156,27 +154,31 @@ class TestCache:
         with pytest.raises(ValueError, match="capacity"):
             make_planner(case, capacity=-1)
 
-    def test_invalid_stripes_rejected(self, case):
-        with pytest.raises(ValueError, match="stripes"):
-            make_planner(case, stripes=0)
-
-    def test_stripes_clamped_to_capacity(self, case):
-        """More stripes than capacity must not inflate the cache: every
-        stripe owns >= 1 slot and totals never exceed capacity."""
-        planner = make_planner(case, capacity=3, stripes=16)
-        assert planner.stats()["stripes"] == 3
-        for s in range(12):
-            planner.distances(s)
-        assert planner.stats()["cached_rows"] <= 3
-
-    def test_total_cached_rows_bounded_across_stripes(self, case):
-        planner = make_planner(case, capacity=6, stripes=4)
+    def test_total_cached_rows_bounded(self, case):
+        planner = make_planner(case, capacity=6)
         for s in range(20):
             planner.distances(s)
         stats = planner.stats()
         assert stats["cached_rows"] <= 6
         assert stats["evictions"] >= 14
         assert stats["lookups"] == stats["hits"] + stats["misses"] == 20
+
+    def test_strided_hot_set_fits_the_cache(self):
+        """Sources that share a residue mod 8 (0, 8, …, 56) are as many
+        rows as the cache holds: warmed, each answers its route from the
+        cache, and nothing is evicted."""
+        g = random_connected_graph(64, 150, seed=5, weight_high=25)
+        planner = QueryPlanner(PreprocessedSSSP(g, k=2, rho=8), capacity=8)
+        sources = range(0, 64, 8)
+        planner.warm(sources)
+        warmed = planner.stats()
+        for s in sources:
+            planner.route(s, 1)
+        stats = planner.stats()
+        assert stats["cached_rows"] == 8
+        assert stats["hits"] - warmed["hits"] == 8
+        assert stats["solves"] == warmed["solves"] == 8
+        assert stats["evictions"] == 0
 
     def test_cached_rows_are_read_only(self, case):
         planner = make_planner(case)

@@ -3,7 +3,7 @@
 PR 4's planner raced on its ``OrderedDict`` LRU under threads (lost
 inserts, corrupted recency order, ``move_to_end`` on an evicted key)
 and duplicated concurrent solves of the same source.  These tests
-hammer the striped/single-flight planner from many threads and assert
+hammer the one-lock/single-flight planner from many threads and assert
 the serving-layer invariants:
 
 * no exceptions under a mixed ``execute``/``warm``/``stats`` load on
@@ -14,6 +14,9 @@ the serving-layer invariants:
 * concurrent misses on one source collapse onto a single ``solve_many``
   (single-flight), and a failing solve propagates its error to every
   waiting thread instead of stranding them.
+
+Every test runs under a 10 µs switch interval, so thread hand-offs land
+inside the planner's one critical section.
 """
 
 import threading
@@ -27,6 +30,8 @@ from repro.core.solver import PreprocessedSSSP
 from repro.serve import KNearest, Nearest, PointToPoint, QueryPlanner, SingleSource
 
 from tests.helpers import random_connected_graph
+
+pytestmark = pytest.mark.usefixtures("short_switch_interval")
 
 N_THREADS = 8
 REPS = 25
@@ -67,9 +72,7 @@ class TestHammer:
         churn: no exceptions, exact counters, serial-identical answers."""
         g, sp = case
         capacity = 12  # < 24 distinct sources -> constant eviction churn
-        planner = QueryPlanner(
-            sp, capacity=capacity, track_parents=True, stripes=4
-        )
+        planner = QueryPlanner(sp, capacity=capacity, track_parents=True)
         errors: list[BaseException] = []
         answers: dict[int, list] = {}
         barrier = threading.Barrier(N_THREADS)
@@ -112,7 +115,7 @@ class TestHammer:
         assert stats["solves"] >= len(SOURCES) - capacity
 
         # -- answers: bit-identical to a fresh serial planner -----------
-        serial = QueryPlanner(sp, capacity=64, track_parents=True, stripes=1)
+        serial = QueryPlanner(sp, capacity=64, track_parents=True)
         for i in range(N_THREADS):
             expected = serial.execute(_thread_batch(i))
             for got, want in zip(answers[i], expected):
@@ -132,7 +135,7 @@ class TestHammer:
         """warm() and execute() racing on the same sources must never
         corrupt the cache or double-count probes."""
         _, sp = case
-        planner = QueryPlanner(sp, capacity=32, track_parents=True, stripes=4)
+        planner = QueryPlanner(sp, capacity=32, track_parents=True)
         barrier = threading.Barrier(4)
         errors: list[BaseException] = []
 
@@ -261,16 +264,16 @@ class TestSingleFlight:
         g = random_connected_graph(40, 90, seed=8, weight_high=20)
         sp = PreprocessedSSSP(g, k=2, rho=6, heuristic="dp")
         planner = QueryPlanner(sp, capacity=16, track_parents=True)
-        real_peek = planner._peek
+        real_insert = planner._insert
         armed = {"on": True}
 
-        def flaky_peek(s):
+        def flaky_insert(s, row):
             if armed["on"]:
                 armed["on"] = False
-                raise MemoryError("allocation failed mid-registration")
-            return real_peek(s)
+                raise MemoryError("allocation failed mid-publication")
+            return real_insert(s, row)
 
-        monkeypatch.setattr(planner, "_peek", flaky_peek)
+        monkeypatch.setattr(planner, "_insert", flaky_insert)
         with pytest.raises(MemoryError):
             planner.execute([SingleSource(1), SingleSource(2)])
         assert planner.stats()["inflight"] == 0

@@ -147,17 +147,15 @@ QUERY = st.one_of(
 class PlannerMachine(RuleBasedStateMachine):
     @initialize(
         capacity=st.integers(1, 3),
-        stripes=st.integers(1, 2),
         engine=st.sampled_from(ENGINES),
     )
-    def start(self, capacity, stripes, engine):
+    def start(self, capacity, engine):
         self.engine = engine
         self.capacity = capacity
         self.service = RoutingService(
             solver=SOLVER,
             engine=engine,
             cache_capacity=capacity,
-            cache_stripes=stripes,
         )
         self.bounds: dict[int, float] = {}
 
@@ -197,9 +195,7 @@ class PlannerMachine(RuleBasedStateMachine):
     def bounds_never_fall(self):
         if not hasattr(self, "service"):
             return
-        bounds = {}
-        for stripe in self.service.planner._stripes:
-            bounds.update((s, row.bound) for s, row in stripe.rows.items())
+        bounds = {s: row.bound for s, row in self.service.planner._cache.items()}
         for s, bound in bounds.items():
             assert bound >= self.bounds.get(s, -np.inf)
         self.bounds = bounds

@@ -122,6 +122,21 @@ class TestStats:
         assert s["engine"] == "vectorized"
         assert s["cached_rows"] == 1
 
+    def test_strided_depots_share_one_lru(self):
+        """64 depots on a stride of 8 fit the default 256-row cache: the
+        second and third rounds of their routes are all hits."""
+        from repro.graphs.generators import grid_2d
+        from repro.graphs.weights import random_integer_weights
+
+        g = random_integer_weights(grid_2d(24, 24), low=1, high=30, seed=2)
+        svc = RoutingService(g, k=2, rho=8)
+        depots = range(0, 512, 8)
+        for _ in range(3):
+            for s in depots:
+                svc.route(s, g.n - 1 - s)
+        s = svc.stats()
+        assert (s["hits"], s["misses"], s["evictions"]) == (128, 64, 0)
+
 
 def test_served_misses_feed_live_step_telemetry():
     """The in-process solve path passes the observer into the engine, so

@@ -302,6 +302,27 @@ class TestRouterSurface:
         ref = dijkstra(g, 11).dist
         assert np.array_equal(router.distances(11), ref)
 
+    def test_strided_sources_fit_the_stitched_cache(self):
+        """Sources 0, 8, …, 56 are eight rows for an eight-row
+        stitched cache: the second round of ``distances`` is all hits."""
+        from repro.preprocess import build_sharded_kr_graph
+
+        g = random_integer_weights(grid_2d(12, 12), low=1, high=30, seed=3)
+        sh = build_sharded_kr_graph(
+            g, K, RHO, n_shards=3, partition="ldd", heuristic="dp"
+        )
+        router = ShardRouter(sharded=sh, cache_capacity=8)
+        sources = range(0, 64, 8)
+        for s in sources:
+            router.distances(s)
+        first = router.stats()["stitched"]
+        for s in sources:
+            assert np.array_equal(router.distances(s), dijkstra(g, s).dist)
+        stitched = router.stats()["stitched"]
+        assert stitched["hits"] - first["hits"] == 8
+        assert stitched["misses"] == first["misses"] == 8
+        assert (stitched["cached_rows"], stitched["evictions"]) == (8, 0)
+
     def test_cold_start_requires_shard_count(self, graphs):
         with pytest.raises(ValueError, match="n_shards"):
             ShardRouter(graphs["grid"])

@@ -45,6 +45,7 @@ def sharded(graph):
     )
 
 
+@pytest.mark.usefixtures("short_switch_interval")
 class TestRouterSingleFlight:
     def test_concurrent_misses_stitch_once(self, monkeypatch, graph, sharded):
         router = ShardRouter(sharded=sharded)
